@@ -17,13 +17,12 @@ from .errors import (AllIndicesDegenerate, AllZero, CalibrationFailed,
                      IllConditioned, InconsistentFactor, InconsistentPsi,
                      NonconvergentSeries, NotSquare, OrderTooHigh, SizeMismatch,
                      ZeroReference)
-from .moore import (MoorePair, l_derivative, l_matrix, moore_derivative,
-                    moore_from_coords, moore_matrix, moore_pair,
-                    theta_relation_residuals)
-from .poly import (MultiPoly, PolyMatrix, det, equal_up_to_scalar, eval_matrix,
-                   hesse_form, numeric_rank, scalar_fit_residual)
+from .moore import (l_derivative, l_matrix, moore_derivative, moore_from_coords,
+                    moore_matrix, theta_relation_residuals)
+from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
+                   numeric_rank)
 from .report import CheckReport, all_passed, check, to_json_lines
-from .theta import (ThetaContext, ThetaValue, automorphy_factor,
-                    basis_provenance, hesse_psi, theta_eval, theta_vector)
+from .theta import (ThetaContext, automorphy_factor, basis_provenance, hesse_psi,
+                    theta_eval, theta_vector)
 
 __version__ = "0.1.0"

@@ -32,8 +32,8 @@ from .curve import (CurveConfig, ProjectivePoint, embed, is_three_torsion,
                     iterate_double_neg)
 from .errors import CalibrationFailed, DenominatorZero, IllConditioned, SizeMismatch
 from .moore import l_derivative, moore_derivative, moore_from_coords
-from .poly import (PolyMatrix, det, eval_matrix, hesse_form, numeric_rank,
-                   scalar_fit_residual)
+from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
+                   monomial_index, numeric_rank)
 from .report import CheckReport, check
 from .theta import ThetaContext, automorphy_factor, hesse_psi, theta_vector
 
@@ -83,27 +83,19 @@ def build_analytic(spec: UlrichSpec) -> tuple[PolyMatrix, PolyMatrix]:
     k = spec.k
     m_jets = [moore_derivative(spec.a_z, spec.ctx, d) for d in range(k + 1)]
     l_jets = [l_derivative(spec.a_z, spec.ctx, d) for d in range(k + 1)]
-    a = _binomial_blocks(m_jets, k)
-    b = _binomial_blocks(l_jets, k)
+    a = _binomial_blocks(k, lambda d, n: m_jets[d].scale(n))
+    b = _binomial_blocks(k, lambda d, n: l_jets[d].scale(n))
     return a, b
 
 
-def _binomial_blocks(jets: list[PolyMatrix], k: int,
-                     weights: list[complex] | None = None) -> PolyMatrix:
-    blocks: list[list[PolyMatrix | None]] = []
-    for i in range(k + 1):
-        row: list[PolyMatrix | None] = []
-        for j in range(k + 1):
-            if j < i:
-                row.append(None)
-                continue
-            d = j - i
-            block = jets[d].scale(math.comb(k - i, d))
-            if weights is not None and weights[d] != 1:
-                block = block.scale(weights[d])
-            row.append(block)
-        blocks.append(row)
-    return PolyMatrix.from_blocks(blocks)
+def _binomial_blocks(k: int, block) -> PolyMatrix:
+    """Upper block-triangular matrix with block (i, j) = block(j-i, C(k-i, j-i))."""
+    blocks = {(i, j): block(j - i, math.comb(k - i, j - i))
+              for i in range(k + 1) for j in range(i, k + 1)}
+    out = PolyMatrix.zeros(3 * (k + 1), 3 * (k + 1), blocks[0, 0].degree)
+    for (i, j), b in blocks.items():
+        out.coeffs[3 * i:3 * i + 3, 3 * j:3 * j + 3] = b.coeffs
+    return out
 
 
 def verify_factorization(a: PolyMatrix, b: PolyMatrix, psi: complex,
@@ -147,10 +139,17 @@ def derivative_elimination_fit(a_z: complex, ctx: ThetaContext) -> tuple[complex
     Three equations, two unknowns; c is the a-independent scalar hidden in
     the projective statement of the elimination identity.
     """
+    return _elimination_solve(_elimination_system(a_z, ctx))
+
+
+def _elimination_system(a_z: complex, ctx: ThetaContext) -> np.ndarray:
+    """Columns theta(a), V(a) | theta'(a) of the elimination least squares."""
     th = np.array(theta_vector(a_z, ctx))
-    rep = tangent_rep(th)
-    lhs = np.column_stack([th, rep])
-    rhs = np.array(theta_vector(a_z, ctx, order=1))
+    return np.column_stack([th, tangent_rep(th), theta_vector(a_z, ctx, order=1)])
+
+
+def _elimination_solve(system: np.ndarray) -> tuple[complex, complex, float]:
+    lhs, rhs = system[:, :2], system[:, 2]
     sol, _, rank, svals = np.linalg.lstsq(lhs, rhs, rcond=None)
     if rank < 2 or svals[1] < 1e-10 * svals[0]:
         raise IllConditioned("elimination system lost rank (a too close to E[3]?)")
@@ -173,11 +172,18 @@ def build_algebraic(spec: UlrichSpec, lambdas: list[complex] | None = None) -> P
         if min(abs(c) for c in p.coords) < 1e-8:
             raise DenominatorZero(f"point (-2)^{l} a lies in E[3]", iteration=l)
         points.append(p)
-    jets = [moore_from_coords(p.coords) for p in points]
     weights = [1.0 + 0.0j] + list(lambdas or [1.0 + 0.0j] * k)
     if len(weights) != k + 1:
         raise ValueError(f"need {k} offset scalars, got {len(weights) - 1}")
-    return _binomial_blocks(jets, k, weights=weights)
+
+    def block(d: int, n: int) -> PolyMatrix:
+        # Python scalars, not arrays: emitted coefficients stay bit-reproducible
+        coords = [c * n for c in points[d].coords]
+        if weights[d] != 1:
+            coords = [c * weights[d] for c in coords]
+        return moore_from_coords(coords)
+
+    return _binomial_blocks(k, block)
 
 
 def _equivalence_solve(jets: list[np.ndarray], reps: list[np.ndarray],
@@ -258,14 +264,20 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
         orbit = iterate_double_neg(base, l)
         if min(abs(v) for v in orbit.coords) < 1e-8:
             raise DenominatorZero(f"point (-2)^{l} a lies in E[3]", iteration=l)
-    s, c, fit_residual = derivative_elimination_fit(spec.a_z, ctx)
+    # Everything the least-squares solves below consume, offset by offset:
+    # the tangent iterates V^l(theta(a)) are never normalized, and theta grows
+    # without bound at (-2)^l a, so either can overflow.
+    jets = [_finite_at(d, lambda: theta_vector(spec.a_z, ctx, order=d))
+            for d in range(spec.k + 1)]
+    reps = [jets[0]]
+    for l in range(1, spec.k + 1):
+        reps.append(_finite_at(l, lambda: tangent_rep(reps[-1])))
+    systems = [_finite_at(l, lambda: _elimination_system((-2) ** l * spec.a_z, ctx))
+               for l in range(spec.k + 1)]
+
+    s, c, fit_residual = _elimination_solve(systems[0])
     reports = [check("calibration.fit", fit_residual, 1e-6,
                      inputs={"a_z": complex(spec.a_z), "c": c})]
-
-    jets = [np.array(theta_vector(spec.a_z, ctx, order=d)) for d in range(spec.k + 1)]
-    reps = [jets[0]]
-    for _ in range(spec.k):
-        reps.append(tangent_rep(reps[-1]))
 
     chain = np.array([c ** d * (-2.0) ** (d * (d - 1) // 2)
                       for d in range(1, spec.k + 1)])
@@ -286,7 +298,7 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
                         / float(np.linalg.norm(reps[l])))
         lambdas.append(lam_raw[l - 1] * nu / nu0)
         # c must come out the same when fitted anywhere along the orbit
-        _, c_l, _ = derivative_elimination_fit((-2) ** l * spec.a_z, ctx)
+        _, c_l, _ = _elimination_solve(systems[l])
         c_drift = max(c_drift, abs(c_l - c) / abs(c))
     reports.append(check("calibration.representative", rep_drift, 1e-8,
                          inputs={"k": spec.k}))
@@ -311,6 +323,19 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
         raise CalibrationFailed(
             f"calibration residuals exceed tolerance (worst {worst:.3e}x)")
     return lambdas, reports
+
+
+def _finite_at(l: int, compute) -> np.ndarray:
+    """compute() for offset l, or CalibrationFailed naming l if it overflows."""
+    with np.errstate(all="ignore"):
+        try:
+            value = np.asarray(compute(), dtype=complex)
+        except OverflowError:
+            value = np.full(1, np.nan)
+    if not np.all(np.isfinite(value)):
+        raise CalibrationFailed(f"theta values or tangent representatives overflow "
+                                f"at offset l = {l}")
+    return value
 
 
 def elimination_consequence_residual(a_z: complex, ctx: ThetaContext) -> float:
@@ -350,25 +375,27 @@ def verify_presentation(a: PolyMatrix, psi: complex, k: int,
                         det_tol: float = 1e-7) -> list[CheckReport]:
     """det(A) = w^(k+1) up to scalar; corank k+1 on the curve, 0 off it.
 
-    Rank decisions are made on the equilibrated evaluation.
+    The determinant identity is fitted at the off-curve samples (the same
+    evaluations the rank check uses); rank decisions are made on the
+    equilibrated evaluation.
     """
     size = 3 * (k + 1)
-    reports = []
-    w_pow = hesse_form(psi) ** (k + 1)
-    scalar, det_residual = scalar_fit_residual(det(a), w_pow)
-    reports.append(check("presentation.det", det_residual, det_tol,
-                         inputs={"k": k, "scalar": scalar}))
+    off_values = eval_matrix(a, off_samples)
+    w_pow = evaluate(hesse_form(psi), off_samples) ** (k + 1)
+    scalar, det_residual = det_scalar_fit(off_values, w_pow)
+    reports = [check("presentation.det", det_residual, det_tol,
+                     inputs={"k": k, "scalar": scalar})]
 
     worst_on = 0
-    for p in curve_samples:
-        rank = numeric_rank(equilibrate(eval_matrix(a, p.coords)))
+    for values in eval_matrix(a, [p.coords for p in curve_samples]):
+        rank = numeric_rank(equilibrate(values))
         worst_on = max(worst_on, abs(rank - 2 * (k + 1)))
     reports.append(check("presentation.corank_on_curve", float(worst_on), 0.5,
                          inputs={"k": k, "samples": len(curve_samples)}))
 
     worst_off = 0
-    for xs in off_samples:
-        rank = numeric_rank(equilibrate(eval_matrix(a, xs)))
+    for values in off_values:
+        rank = numeric_rank(equilibrate(values))
         worst_off = max(worst_off, abs(rank - size))
     reports.append(check("presentation.rank_off_curve", float(worst_off), 0.5,
                          inputs={"k": k, "samples": len(off_samples)}))
@@ -396,7 +423,7 @@ def offcurve_sample_triples(psi: complex, count: int, seed: int) -> list[tuple]:
     out = []
     while len(out) < count:
         xs = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3))
-        if abs(w(xs)) > 1e-2:
+        if abs(evaluate(w, xs)) > 1e-2:
             out.append(xs)
     return out
 
@@ -495,15 +522,9 @@ def relation_matrix(spec: UlrichSpec) -> np.ndarray:
     of the analytic block matrix: one column triple per section slot.
     """
     a, _ = build_analytic(spec)
-    size = spec.size
-    out = np.zeros((size, 3 * size), dtype=complex)
-    basis_exponents = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for r in range(size):
-        for sigma in range(size):
-            entry = a.entries[r][sigma]
-            for j, exp in enumerate(basis_exponents):
-                out[r, 3 * sigma + j] = entry.coefficient(exp)
-    return out
+    index = monomial_index(1)
+    columns = [index[exp] for exp in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    return a.coeffs[:, :, columns].reshape(spec.size, 3 * spec.size)
 
 
 def relation_annihilation_residual(spec: UlrichSpec, z: complex) -> float:

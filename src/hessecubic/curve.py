@@ -60,8 +60,8 @@ class CurveConfig:
     proj_tol: float = 1e-8
 
     def __post_init__(self):
-        if abs(complex(self.psi) ** 3 + 1) < 1e-12:
-            raise ValueError("psi^3 = -1 defines a singular Hesse cubic")
+        if abs(complex(self.psi) ** 3 - 1) < 1e-12:
+            raise ValueError("psi^3 = 1 defines a singular Hesse cubic")
 
 
 def embed(z: complex, ctx: ThetaContext) -> ProjectivePoint:

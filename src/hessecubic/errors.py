@@ -42,7 +42,7 @@ class DenominatorZero(HesseCubicError):
 
 
 class NotSquare(HesseCubicError):
-    """Determinant of a non-square matrix."""
+    """Determinant fit of non-square matrices."""
 
 
 class SizeMismatch(HesseCubicError):
@@ -50,7 +50,7 @@ class SizeMismatch(HesseCubicError):
 
 
 class ZeroReference(HesseCubicError):
-    """equal_up_to_scalar against the zero polynomial."""
+    """Scalar fit against a reference that vanishes at every sample."""
 
 
 class CalibrationFailed(HesseCubicError):

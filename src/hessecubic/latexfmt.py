@@ -1,7 +1,7 @@
 """LaTeX emitters for polynomials and block matrices."""
 from __future__ import annotations
 
-from .poly import MultiPoly, PolyMatrix
+from .poly import PolyMatrix, monomials
 
 
 def _coeff_str(c: complex) -> str:
@@ -13,25 +13,26 @@ def _coeff_str(c: complex) -> str:
     return f"({c.real:.6g}{sign}{abs(c.imag):.6g}i)"
 
 
-def poly_to_latex(p: MultiPoly) -> str:
-    if p.is_zero():
-        return "0"
+def poly_to_latex(coeffs: list[complex], degree: int) -> str:
+    """Nonzero terms of one coefficient vector, highest exponent first."""
     bits = []
-    for exp in sorted(p.terms, reverse=True):
+    for exp, c in reversed(list(zip(monomials(degree), coeffs))):
+        if not c:
+            continue
         mono = "".join(f"x_{i}" if e == 1 else f"x_{i}^{{{e}}}"
                        for i, e in enumerate(exp) if e)
-        coeff = _coeff_str(p.terms[exp])
+        coeff = _coeff_str(c)
         bits.append(f"{coeff} {mono}".strip() if mono else coeff)
-    return " + ".join(bits)
+    return " + ".join(bits) if bits else "0"
 
 
 def matrix_to_latex(m: PolyMatrix, block_size: int = 3) -> str:
     """pmatrix layout with \\; spacing between size-3 block columns."""
     lines = [r"\begin{pmatrix}"]
-    for i in range(m.rows):
+    for i, row in enumerate(m.coeffs.tolist()):
         cells = []
-        for j in range(m.cols):
-            cell = poly_to_latex(m.entries[i][j])
+        for j, entry in enumerate(row):
+            cell = poly_to_latex(entry, m.degree)
             if j and j % block_size == 0:
                 cell = r"\;" + cell
             cells.append(cell)

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
-from .curve import CurveConfig, ProjectivePoint, embed, on_curve
+from .curve import ProjectivePoint, embed
 from .errors import DenominatorZero
-from .poly import MultiPoly, PolyMatrix
+from .poly import PolyMatrix, monomial_index
 from .report import CheckReport, check
 from .theta import ThetaContext, leibniz_product, leibniz_quotient, theta_vector
 
@@ -40,31 +39,22 @@ _L_TABLE = (
 )
 
 
-@dataclass(frozen=True)
-class MoorePair:
-    """A Moore matrix with its factorization partner for one curve point."""
-
-    m: PolyMatrix
-    l: PolyMatrix
-    psi: complex
-    point: ProjectivePoint
-
-
-def moore_pair(a: ProjectivePoint, psi: complex, proj_tol: float = 1e-8) -> MoorePair:
-    cfg = CurveConfig(psi=psi, proj_tol=proj_tol)
-    residual = on_curve(a, cfg)
-    if residual >= proj_tol:
-        raise ValueError(f"point is off the curve (residual {residual:.3e})")
-    return MoorePair(m=moore_matrix(a), l=l_matrix(a), psi=psi, point=a)
+def _monomial(*indices) -> int:
+    """Coefficient index of the monomial x_i * x_j * ... for the given indices."""
+    exp = [0, 0, 0]
+    for i in indices:
+        exp[i] += 1
+    return monomial_index(len(indices))[tuple(exp)]
 
 
 def moore_from_coords(coords) -> PolyMatrix:
     """Moore-patterned matrix of linear forms from a raw coordinate triple."""
     a = [complex(v) for v in coords]
-    entries = []
-    for row in MOORE_PATTERN:
-        entries.append([MultiPoly.variable(q) * a[p] for p, q in row])
-    return PolyMatrix(entries)
+    out = PolyMatrix.zeros(3, 3, 1)
+    for r, row in enumerate(MOORE_PATTERN):
+        for c, (p, q) in enumerate(row):
+            out.coeffs[r, c, _monomial(q)] = a[p]
+    return out
 
 
 def moore_matrix(a: ProjectivePoint) -> PolyMatrix:
@@ -73,35 +63,24 @@ def moore_matrix(a: ProjectivePoint) -> PolyMatrix:
     return moore_from_coords(a.coords)
 
 
+def _l_entries(quad, cross) -> PolyMatrix:
+    """Entry (r, c) = quad(p, q) * x_r^2 - cross(s) * x_t*x_u, indices from _L_TABLE."""
+    out = PolyMatrix.zeros(3, 3, 2)
+    for r in range(3):
+        for c in range(3):
+            (p, q), sq_var, s, (t, u) = _L_TABLE[r][c]
+            out.coeffs[r, c, _monomial(sq_var, sq_var)] = quad(p, q)
+            out.coeffs[r, c, _monomial(t, u)] = -cross(s)
+    return out
+
+
 def l_from_coords(coords) -> PolyMatrix:
     a = [complex(v) for v in coords]
     scale = max(abs(v) for v in a)
     if min(abs(v) for v in a) < 1e-9 * scale:
         raise DenominatorZero("L matrix needs all coordinates nonzero (point in E[3])")
     pref = 1.0 / (a[0] * a[1] * a[2])
-    entries = []
-    for r in range(3):
-        row = []
-        for c in range(3):
-            (p, q), sq_var, s, (t, u) = _L_TABLE[r][c]
-            quad = MultiPoly.monomial(_sq_exp(sq_var), pref * a[p] * a[q])
-            cross = MultiPoly.monomial(_cross_exp(t, u), -pref * a[s] ** 2)
-            row.append(quad + cross)
-        entries.append(row)
-    return PolyMatrix(entries)
-
-
-def _sq_exp(i: int):
-    exp = [0, 0, 0]
-    exp[i] = 2
-    return tuple(exp)
-
-
-def _cross_exp(i: int, j: int):
-    exp = [0, 0, 0]
-    exp[i] += 1
-    exp[j] += 1
-    return tuple(exp)
+    return _l_entries(lambda p, q: pref * a[p] * a[q], lambda s: pref * a[s] ** 2)
 
 
 def l_matrix(a: ProjectivePoint) -> PolyMatrix:
@@ -129,17 +108,9 @@ def l_derivative(a_z: complex, ctx: ThetaContext, i: int = 0) -> PolyMatrix:
     if min(abs(v) for v in order0) < 1e-9 * scale:
         raise DenominatorZero("L derivative needs all coordinates nonzero (point in E[3])")
     den = leibniz_product(leibniz_product(jets[0], jets[1]), jets[2])
-    entries = []
-    for r in range(3):
-        row = []
-        for c in range(3):
-            (p, q), sq_var, s, (t, u) = _L_TABLE[r][c]
-            quad_jet = leibniz_quotient(leibniz_product(jets[p], jets[q]), den)
-            cross_jet = leibniz_quotient(leibniz_product(jets[s], jets[s]), den)
-            row.append(MultiPoly.monomial(_sq_exp(sq_var), quad_jet[i])
-                       + MultiPoly.monomial(_cross_exp(t, u), -cross_jet[i]))
-        entries.append(row)
-    return PolyMatrix(entries)
+    return _l_entries(
+        lambda p, q: leibniz_quotient(leibniz_product(jets[p], jets[q]), den)[i],
+        lambda s: leibniz_quotient(leibniz_product(jets[s], jets[s]), den)[i])
 
 
 def theta_relation_residuals(a_z: complex, z: complex, ctx: ThetaContext,

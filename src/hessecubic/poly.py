@@ -1,376 +1,169 @@
-"""Sparse polynomials in x0, x1, x2 over complex floats, and matrices of them.
+"""Homogeneous polynomial matrices in x0, x1, x2 as dense coefficient arrays.
 
-Coefficients come from theta series, so everything is floating point and all
-identities downstream are residual checks.  Arithmetic prunes coefficients
-below DROP_EPS to keep cancellation dust out of large determinants.
+Every matrix here is homogeneous of one degree d (Moore and A entries are
+linear, L and B entries quadratic, w is cubic), so a PolyMatrix is a complex
+array of shape (rows, cols, C(d+2, 2)): entry (i, j) is its coefficient
+vector over the degree-d monomials in sorted exponent order.  Coefficients
+come from theta series, so every identity downstream is a residual check;
+polynomial identities such as det A = c * w^(k+1) are tested by sampling
+them at seeded points (Schwartz 1980; Zippel 1979).
 """
 from __future__ import annotations
 
-import json
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NotSquare, ZeroReference
 
-DROP_EPS = 1e-14
 
-# interpolation nodes must stay modest or high powers lose precision
-_MAX_DET_DEGREE = 40
-_COFACTOR_LIMIT = 9
-
-Exponent = tuple[int, int, int]
-
-
-class MultiPoly:
-    """Sparse polynomial: map from exponent triple to complex coefficient."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Exponent, complex] | None = None):
-        pruned: dict[Exponent, complex] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if abs(coeff) < DROP_EPS:
-                    continue
-                if min(exp) < 0:
-                    raise ValueError(f"negative exponent {exp}")
-                pruned[exp] = complex(coeff)
-        self.terms = pruned
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def zero(cls) -> "MultiPoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, c: complex) -> "MultiPoly":
-        return cls({(0, 0, 0): c})
-
-    @classmethod
-    def variable(cls, i: int) -> "MultiPoly":
-        exp = [0, 0, 0]
-        exp[i] = 1
-        return cls({tuple(exp): 1.0})
-
-    @classmethod
-    def monomial(cls, exp: Exponent, coeff: complex = 1.0) -> "MultiPoly":
-        return cls({tuple(exp): coeff})
-
-    # -- ring operations ----------------------------------------------
-    def __add__(self, other) -> "MultiPoly":
-        other = _coerce(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, 0.0) + coeff
-        return MultiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "MultiPoly":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "MultiPoly":
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, float, complex)):
-            return MultiPoly({e: c * other for e, c in self.terms.items()})
-        out: dict[Exponent, complex] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                out[exp] = out.get(exp, 0.0) + c1 * c2
-        return MultiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.constant(1.0)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MultiPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    # -- queries --------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        """Largest total degree of a stored term; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def coefficient(self, exp: Exponent) -> complex:
-        return self.terms.get(tuple(exp), 0.0)
-
-    def norm(self) -> float:
-        """L2 norm of the coefficient vector."""
-        return math.sqrt(sum(abs(c) ** 2 for c in self.terms.values()))
-
-    def __call__(self, xs) -> complex:
-        x0, x1, x2 = xs
-        total = 0.0 + 0.0j
-        for (e0, e1, e2), coeff in self.terms.items():
-            total += coeff * x0 ** e0 * x1 ** e1 * x2 ** e2
-        return total
-
-    def __repr__(self):
-        if not self.terms:
-            return "MultiPoly(0)"
-        bits = []
-        for exp in sorted(self.terms):
-            mono = "*".join(f"x{i}^{e}" for i, e in enumerate(exp) if e)
-            bits.append(f"({self.terms[exp]:.6g}){'*' + mono if mono else ''}")
-        return "MultiPoly(" + " + ".join(bits) + ")"
-
-    # -- serialization ----------------------------------------------------
-    def to_json(self) -> list:
-        return [{"exp": list(exp), "coeff": [c.real, c.imag]}
-                for exp, c in sorted(self.terms.items())]
-
-    @classmethod
-    def from_json(cls, data) -> "MultiPoly":
-        return cls({tuple(item["exp"]): complex(*item["coeff"]) for item in data})
+@lru_cache(maxsize=None)
+def monomials(degree: int) -> tuple[tuple[int, int, int], ...]:
+    """Exponent triples of total degree `degree`, in sorted order."""
+    return tuple((e0, e1, degree - e0 - e1)
+                 for e0 in range(degree + 1) for e1 in range(degree - e0 + 1))
 
 
-def _coerce(value) -> MultiPoly:
-    if isinstance(value, MultiPoly):
-        return value
-    return MultiPoly.constant(complex(value))
+@lru_cache(maxsize=None)
+def monomial_index(degree: int) -> dict[tuple[int, int, int], int]:
+    """Position of each exponent triple in the coefficient vector."""
+    return {exp: n for n, exp in enumerate(monomials(degree))}
 
 
-def hesse_form(psi: complex) -> MultiPoly:
-    """The Hesse cubic w = x0^3 + x1^3 + x2^3 - 3*psi*x0*x1*x2."""
-    return MultiPoly({(3, 0, 0): 1.0, (0, 3, 0): 1.0, (0, 0, 3): 1.0,
-                      (1, 1, 1): -3.0 * psi})
+def _degree(size: int) -> int:
+    # size = C(d+2, 2) = (d+1)(d+2)/2
+    return (math.isqrt(8 * size + 1) - 3) // 2
+
+
+@lru_cache(maxsize=None)
+def _product_table(d1: int, d2: int) -> np.ndarray:
+    """0/1 matrix sending each pair of monomials to the index of their product."""
+    index = monomial_index(d1 + d2)
+    pairs = [tuple(map(sum, zip(e, f))) for e in monomials(d1) for f in monomials(d2)]
+    table = np.zeros((len(pairs), len(index)), dtype=complex)
+    table[np.arange(len(pairs)), [index[p] for p in pairs]] = 1.0
+    return table
+
+
+def _monomial_values(xs, degree: int) -> np.ndarray:
+    """All degree-`degree` monomials at a triple, or at a stack of triples."""
+    x = np.asarray(xs, dtype=complex)
+    powers = np.ones(x.shape + (degree + 1,), dtype=complex)
+    for e in range(1, degree + 1):
+        powers[..., e] = powers[..., e - 1] * x
+    exps = np.array(monomials(degree))
+    return (powers[..., 0, exps[:, 0]] * powers[..., 1, exps[:, 1]]
+            * powers[..., 2, exps[:, 2]])
+
+
+def evaluate(poly: np.ndarray, xs):
+    """A coefficient vector evaluated at a triple, or at a stack of triples."""
+    return _monomial_values(xs, _degree(len(poly))) @ poly
+
+
+def hesse_form(psi: complex) -> np.ndarray:
+    """Coefficients of the Hesse cubic w = x0^3 + x1^3 + x2^3 - 3*psi*x0*x1*x2."""
+    index = monomial_index(3)
+    w = np.zeros(len(index), dtype=complex)
+    w[[index[(3, 0, 0)], index[(0, 3, 0)], index[(0, 0, 3)]]] = 1.0
+    w[index[(1, 1, 1)]] = -3.0 * psi
+    return w
 
 
 class PolyMatrix:
-    """Rectangular matrix with MultiPoly entries."""
+    """Matrix of homogeneous polynomials of one degree, as a coefficient array."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, entries: list[list[MultiPoly]]):
-        self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
-        for row in entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
-        self.entries = [[_coerce(e) for e in row] for row in entries]
+    def __init__(self, coeffs):
+        self.coeffs = np.asarray(coeffs, dtype=complex)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
-        return cls([[MultiPoly.zero() for _ in range(cols)] for _ in range(rows)])
+    def zeros(cls, rows: int, cols: int, degree: int) -> "PolyMatrix":
+        return cls(np.zeros((rows, cols, len(monomials(degree))), dtype=complex))
 
     @classmethod
-    def diagonal(cls, poly: MultiPoly, size: int) -> "PolyMatrix":
-        m = cls.zeros(size, size)
-        for i in range(size):
-            m.entries[i][i] = poly
-        return m
+    def diagonal(cls, poly: np.ndarray, size: int) -> "PolyMatrix":
+        """poly * I for a coefficient vector poly (w * I from hesse_form)."""
+        out = np.zeros((size, size, len(poly)), dtype=complex)
+        out[np.arange(size), np.arange(size)] = poly
+        return cls(out)
 
-    @classmethod
-    def from_blocks(cls, blocks: list[list["PolyMatrix | None"]], block_size: int = 3) -> "PolyMatrix":
-        """Assemble from a grid of equally-sized square blocks (None = zero)."""
-        n = len(blocks)
-        out = cls.zeros(n * block_size, n * block_size)
-        for bi, brow in enumerate(blocks):
-            for bj, block in enumerate(brow):
-                if block is None:
-                    continue
-                if block.rows != block_size or block.cols != block_size:
-                    raise ValueError("block of wrong shape")
-                for i in range(block_size):
-                    for j in range(block_size):
-                        out.entries[bi * block_size + i][bj * block_size + j] = block.entries[i][j]
-        return out
+    @property
+    def rows(self) -> int:
+        return self.coeffs.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.coeffs.shape[1]
+
+    @property
+    def degree(self) -> int:
+        return _degree(self.coeffs.shape[2])
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        out = PolyMatrix.zeros(self.rows, other.cols)
-        for i in range(self.rows):
-            for k in range(self.cols):
-                left = self.entries[i][k]
-                if left.is_zero():
-                    continue
-                for j in range(other.cols):
-                    right = other.entries[k][j]
-                    if right.is_zero():
-                        continue
-                    out.entries[i][j] = out.entries[i][j] + left * right
-        return out
+        # outer product over the shared index: (i, a, j, b) -> (i, j, a*b)
+        outer = np.tensordot(self.coeffs, other.coeffs, axes=([1], [0]))
+        pairs = outer.transpose(0, 2, 1, 3).reshape(self.rows, other.cols, -1)
+        return PolyMatrix(pairs @ _product_table(self.degree, other.degree))
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        if self.coeffs.shape != other.coeffs.shape:
             raise ValueError("shape mismatch")
-        return PolyMatrix([[self.entries[i][j] + other.entries[i][j]
-                            for j in range(self.cols)] for i in range(self.rows)])
+        return PolyMatrix(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self + other.scale(-1.0)
 
     def scale(self, c) -> "PolyMatrix":
-        return PolyMatrix([[e * c for e in row] for row in self.entries])
-
-    def is_linear(self) -> bool:
-        """Every entry homogeneous of degree <= 1 (zero entries allowed)."""
-        return all(e.total_degree() <= 1 for row in self.entries for e in row)
-
-    def max_entry_degree(self) -> int:
-        return max((e.total_degree() for row in self.entries for e in row), default=-1)
+        return PolyMatrix(self.coeffs * c)
 
     def coefficient_norm(self) -> float:
         """L2 norm over all coefficients of all entries."""
-        return math.sqrt(sum(abs(c) ** 2 for row in self.entries
-                             for e in row for c in e.terms.values()))
+        return float(np.linalg.norm(self.coeffs))
 
     def to_json(self) -> dict:
+        """Nonzero terms of each entry, in sorted exponent order."""
+        exps = monomials(self.degree)
         return {"rows": self.rows, "cols": self.cols,
-                "entries": [[e.to_json() for e in row] for row in self.entries]}
-
-    @classmethod
-    def from_json(cls, data) -> "PolyMatrix":
-        return cls([[MultiPoly.from_json(e) for e in row] for row in data["entries"]])
+                "entries": [[[{"exp": list(e), "coeff": [c.real, c.imag]}
+                              for e, c in zip(exps, entry) if c]
+                             for entry in row] for row in self.coeffs.tolist()]}
 
     def __repr__(self):
-        return f"PolyMatrix({self.rows}x{self.cols})"
+        return f"PolyMatrix({self.rows}x{self.cols}, degree {self.degree})"
 
 
 def eval_matrix(m: PolyMatrix, xs) -> np.ndarray:
-    """Entrywise evaluation at a coordinate triple."""
-    out = np.empty((m.rows, m.cols), dtype=complex)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            out[i, j] = m.entries[i][j](xs)
-    return out
+    """Entrywise evaluation at a triple (rows, cols), or at a stack (n, rows, cols)."""
+    return np.einsum("ijm,...m->...ij", m.coeffs, _monomial_values(xs, m.degree))
 
 
-# ---------------------------------------------------------------------------
-# determinants
-# ---------------------------------------------------------------------------
+def det_scalar_fit(values: np.ndarray, reference: np.ndarray) -> tuple[complex, float]:
+    """Sampled test of det N = c * r: least-squares c and its relative residual.
 
-def det(m: PolyMatrix, force: str | None = None) -> MultiPoly:
-    """Symbolic determinant.
-
-    Cofactor expansion with sparsity-greedy pivot selection up to size 9;
-    beyond that a tensor-grid evaluation/interpolation fallback (force one
-    strategy with force="cofactor"/"interpolate" for cross-checks).
+    values is a stack of square evaluations N(x_s), reference the values
+    r(x_s) at the same points.  With d_s = det N(x_s) the residual is
+    |d - c*r| / |d|, the sine of the angle between d and r: it does not
+    depend on the size of c.  A determinant that vanishes at every sample
+    fits c = 0 with residual 0.
     """
-    if m.rows != m.cols:
-        raise NotSquare(f"{m.rows}x{m.cols} matrix has no determinant")
-    if m.rows == 0:
-        return MultiPoly.constant(1.0)
-    strategy = force
-    if strategy is None:
-        strategy = "cofactor" if m.rows <= _COFACTOR_LIMIT else "interpolate"
-    if strategy == "cofactor":
-        idx = tuple(range(m.rows))
-        return _det_cofactor(m.entries, idx, idx)
-    if strategy == "interpolate":
-        return _det_interpolate(m)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _det_cofactor(entries, rows: tuple[int, ...], cols: tuple[int, ...]) -> MultiPoly:
-    n = len(rows)
-    if n == 1:
-        return entries[rows[0]][cols[0]]
-    if n == 2:
-        a, b = entries[rows[0]][cols[0]], entries[rows[0]][cols[1]]
-        c, d = entries[rows[1]][cols[0]], entries[rows[1]][cols[1]]
-        return a * d - b * c
-
-    # expand along the row or column with the fewest nonzero entries
-    best_count, best_kind, best_pos = n + 1, "row", 0
-    for ri, r in enumerate(rows):
-        count = sum(0 if entries[r][c].is_zero() else 1 for c in cols)
-        if count < best_count:
-            best_count, best_kind, best_pos = count, "row", ri
-    for ci, c in enumerate(cols):
-        count = sum(0 if entries[r][c].is_zero() else 1 for r in rows)
-        if count < best_count:
-            best_count, best_kind, best_pos = count, "col", ci
-
-    total = MultiPoly.zero()
-    if best_kind == "row":
-        r = rows[best_pos]
-        sub_rows = rows[:best_pos] + rows[best_pos + 1:]
-        for ci, c in enumerate(cols):
-            entry = entries[r][c]
-            if entry.is_zero():
-                continue
-            minor = _det_cofactor(entries, sub_rows, cols[:ci] + cols[ci + 1:])
-            term = entry * minor
-            total = total + (term if (best_pos + ci) % 2 == 0 else -term)
-    else:
-        c = cols[best_pos]
-        sub_cols = cols[:best_pos] + cols[best_pos + 1:]
-        for ri, r in enumerate(rows):
-            entry = entries[r][c]
-            if entry.is_zero():
-                continue
-            minor = _det_cofactor(entries, rows[:ri] + rows[ri + 1:], sub_cols)
-            term = entry * minor
-            total = total + (term if (best_pos + ri) % 2 == 0 else -term)
-    return total
-
-
-def _det_interpolate(m: PolyMatrix) -> MultiPoly:
-    """Interpolate det on a tensor grid of Chebyshev nodes per variable."""
-    degree = sum(max((e.total_degree() for e in row), default=0) for row in m.entries)
-    degree = max(degree, 0)
-    if degree > _MAX_DET_DEGREE:
-        raise ValueError(f"determinant degree bound {degree} exceeds {_MAX_DET_DEGREE}")
-    npts = degree + 1
-    # distinct scales per axis avoid symmetric-grid degeneracies
-    nodes = [1.05 * np.cos(np.pi * (2 * np.arange(npts) + 1) / (2 * npts)) + 0.1 * ax
-             for ax in range(3)]
-    grids = np.meshgrid(*nodes, indexing="ij")
-
-    values = np.zeros((m.rows, m.cols) + grids[0].shape, dtype=complex)
-    powers = []
-    for ax in range(3):
-        p = np.ones((degree + 1,) + grids[0].shape, dtype=complex)
-        for e in range(1, degree + 1):
-            p[e] = p[e - 1] * grids[ax]
-        powers.append(p)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            acc = np.zeros(grids[0].shape, dtype=complex)
-            for (e0, e1, e2), coeff in m.entries[i][j].terms.items():
-                acc += coeff * powers[0][e0] * powers[1][e1] * powers[2][e2]
-            values[i, j] = acc
-
-    dets = np.linalg.det(np.moveaxis(values, (0, 1), (-2, -1)))
-
-    # peel off one variable at a time: solve Vandermonde systems along axes
-    coeffs = dets
-    for ax in range(3):
-        vander = np.vander(nodes[ax], npts, increasing=True)
-        coeffs = np.moveaxis(coeffs, ax, 0)
-        flat = coeffs.reshape(npts, -1)
-        solved = np.linalg.solve(vander, flat)
-        coeffs = np.moveaxis(solved.reshape(coeffs.shape), 0, ax)
-
-    cutoff = max(DROP_EPS, 1e-11 * float(np.max(np.abs(coeffs))) if coeffs.size else 0.0)
-    terms: dict[Exponent, complex] = {}
-    for (e0, e1, e2), coeff in np.ndenumerate(coeffs):
-        if abs(coeff) >= cutoff and e0 + e1 + e2 <= degree:
-            terms[(e0, e1, e2)] = complex(coeff)
-    return MultiPoly(terms)
+    values = np.asarray(values, dtype=complex)
+    if values.shape[-1] != values.shape[-2]:
+        raise NotSquare(f"{values.shape[-2]}x{values.shape[-1]} matrix has no determinant")
+    r = np.asarray(reference, dtype=complex)
+    r_norm = np.linalg.norm(r)
+    if r_norm == 0.0:
+        raise ZeroReference("reference vanishes at every sample point")
+    d = np.linalg.det(values)
+    d_norm = np.linalg.norm(d)
+    if d_norm == 0.0:
+        return 0j, 0.0
+    c = np.vdot(r, d) / r_norm ** 2
+    return complex(c), float(np.linalg.norm(d - c * r) / d_norm)
 
 
 def numeric_rank(n: np.ndarray, rank_tol: float | None = None) -> int:
@@ -387,30 +180,3 @@ def numeric_rank(n: np.ndarray, rank_tol: float | None = None) -> int:
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
     return int(np.sum(svals > rank_tol))
-
-
-def equal_up_to_scalar(p: MultiPoly, q: MultiPoly, tol: float) -> tuple[bool, complex]:
-    """Least-squares c minimizing sum |p_m - c*q_m|^2 over the union support.
-
-    Returns (residual < tol * (|p| + |q|), c).
-    """
-    if q.is_zero():
-        raise ZeroReference("reference polynomial is zero")
-    support = set(p.terms) | set(q.terms)
-    num = sum(p.coefficient(e) * q.coefficient(e).conjugate() for e in support)
-    den = sum(abs(q.coefficient(e)) ** 2 for e in support)
-    c = num / den
-    residual = math.sqrt(sum(abs(p.coefficient(e) - c * q.coefficient(e)) ** 2
-                             for e in support))
-    return residual < tol * (p.norm() + q.norm()), c
-
-
-def scalar_fit_residual(p: MultiPoly, q: MultiPoly) -> tuple[complex, float]:
-    """The fitted scalar and the relative residual used by equal_up_to_scalar."""
-    _, c = equal_up_to_scalar(p, q, tol=math.inf)
-    diff = p - q * c
-    return c, diff.norm() / (p.norm() + q.norm())
-
-
-def poly_matrix_to_json_str(m: PolyMatrix) -> str:
-    return json.dumps(m.to_json(), sort_keys=True)

@@ -73,21 +73,6 @@ class ThetaContext:
             raise ValueError("check_tol must exceed trunc_eps")
 
 
-@dataclass(frozen=True)
-class ThetaValue:
-    """A single theta evaluation tagged with its index and derivative order."""
-
-    value: complex
-    order: int = 0
-    index: int = 0
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be non-negative")
-        if self.index not in (0, 1, 2):
-            raise ValueError("index must be one of 0, 1, 2")
-
-
 def _series(a: float, u: complex, sigma: complex, order: int, trunc_eps: float,
             extra_depth: int = 0) -> complex:
     """Sum (2*pi*i*(n+a))^order * exp(pi*i*(n+a)^2*sigma + 2*pi*i*(n+a)*(u+b)).

@@ -2,13 +2,13 @@
 
 These deliberately avoid the code paths they check: derivatives come from
 finite differences (with Richardson extrapolation), matrix inverses from
-cofactors, determinants from numpy where applicable.
+cofactors, polynomial identities from numpy evaluations at sample points.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from hessecubic.poly import MultiPoly, PolyMatrix
+from hessecubic.poly import PolyMatrix
 
 
 def central_difference(f, z: complex, h: float = 1e-5) -> complex:
@@ -40,44 +40,37 @@ def brute_det3(m: np.ndarray) -> complex:
             - m[0, 0] * m[1, 2] * m[2, 1] - m[0, 1] * m[1, 0] * m[2, 2])
 
 
-def adjugate3(m: PolyMatrix) -> PolyMatrix:
-    """Adjugate of a 3x3 polynomial matrix from 2x2 cofactors."""
-    assert m.rows == m.cols == 3
-    e = m.entries
-
-    def cof(i, j):
-        rows = [r for r in range(3) if r != i]
-        cols = [c for c in range(3) if c != j]
-        minor = (e[rows[0]][cols[0]] * e[rows[1]][cols[1]]
-                 - e[rows[0]][cols[1]] * e[rows[1]][cols[0]])
-        return minor if (i + j) % 2 == 0 else -minor
-
-    return PolyMatrix([[cof(j, i) for j in range(3)] for i in range(3)])
+def adjugate3(m: np.ndarray) -> np.ndarray:
+    """Adjugate of a numeric 3x3 matrix from 2x2 cofactors."""
+    out = np.empty((3, 3), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
+            out[j, i] = (-1) ** (i + j) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
+    return out
 
 
-def moore_det_closed_form(a, psi=None) -> MultiPoly:
+def moore_det_closed_form(a, xs) -> complex:
     """det M_{a,x} = a0 a1 a2 (x0^3+x1^3+x2^3) - (a0^3+a1^3+a2^3) x0 x1 x2.
 
     Derived once by hand-expanding the 3x3 determinant; frozen here as the
-    oracle for the symbolic path.
+    oracle, evaluated at the triple xs.
     """
     a0, a1, a2 = (complex(v) for v in a)
-    prod = a0 * a1 * a2
-    cubes = a0 ** 3 + a1 ** 3 + a2 ** 3
-    return MultiPoly({(3, 0, 0): prod, (0, 3, 0): prod, (0, 0, 3): prod,
-                      (1, 1, 1): -cubes})
+    x0, x1, x2 = (complex(v) for v in xs)
+    return (a0 * a1 * a2 * (x0 ** 3 + x1 ** 3 + x2 ** 3)
+            - (a0 ** 3 + a1 ** 3 + a2 ** 3) * x0 * x1 * x2)
 
 
-def random_sparse_poly(rng, n_terms: int = 5, max_deg: int = 3) -> MultiPoly:
-    terms = {}
-    for _ in range(n_terms):
-        exp = tuple(int(rng.integers(0, max_deg + 1)) for _ in range(3))
-        terms[exp] = complex(rng.normal(), rng.normal())
-    return MultiPoly(terms)
+def random_triple(rng) -> tuple[complex, complex, complex]:
+    return tuple(complex(rng.normal(), rng.normal()) for _ in range(3))
 
 
-def poly_close(p: MultiPoly, q: MultiPoly, tol: float = 1e-10) -> bool:
-    return (p - q).norm() <= tol * (1.0 + p.norm() + q.norm())
+def random_poly_matrix(rng, rows: int, cols: int, degree: int) -> PolyMatrix:
+    """Dense random coefficients: every monomial of the degree present."""
+    size = (degree + 1) * (degree + 2) // 2
+    return PolyMatrix(rng.normal(size=(rows, cols, size))
+                      + 1j * rng.normal(size=(rows, cols, size)))
 
 
 def matrix_close(a: PolyMatrix, b: PolyMatrix, tol: float = 1e-10) -> bool:

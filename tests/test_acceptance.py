@@ -7,12 +7,12 @@ import time
 
 import numpy as np
 
-from hessecubic import (MultiPoly, PolyMatrix, ThetaContext, UlrichSpec,
+from hessecubic import (PolyMatrix, ThetaContext, UlrichSpec,
                         automorphy_cocycle_residual, automorphy_transport_residual,
                         build_algebraic, build_analytic, calibrate_scalars,
-                        curve_sample_points, derivative_elimination_fit, det,
-                        double_neg, elimination_consequence_residual, embed,
-                        equal_up_to_scalar, hesse_form, hesse_psi,
+                        curve_sample_points, derivative_elimination_fit,
+                        det_scalar_fit, double_neg, elimination_consequence_residual,
+                        embed, eval_matrix, evaluate, hesse_form, hesse_psi,
                         iterate_double_neg, l_matrix, moore_derivative,
                         moore_matrix, numeric_rank, offcurve_sample_triples,
                         proj_distance, relation_annihilation_residual,
@@ -37,7 +37,7 @@ def test_criterion_1_hesse_identity():
         w = hesse_form(psi)
         for j in range(10):
             z = complex(-0.45 + 0.1 * j, 0.31 - 0.07 * j)
-            worst = max(worst, abs(w(theta_vector(z, ctx))))
+            worst = max(worst, abs(evaluate(w, theta_vector(z, ctx))))
     elapsed = time.perf_counter() - start
     _report(1, "hesse-identity", worst < 1e-9 and elapsed < 1.0,
             f"max residual {worst:.2e} < 1e-9 over 2 tau x 10 z [{elapsed:.2f}s < 1s]")
@@ -73,13 +73,16 @@ def test_criterion_3_rank_one_factorization(ctx_i, psi_i):
         if min(abs(c) for c in p.coords) < 1e-2:
             continue
         ml = moore_matrix(p) @ l_matrix(p)
-        worst_off = max(worst_off, max(ml.entries[i][j].norm()
+        worst_off = max(worst_off, max(np.linalg.norm(ml.coeffs[i, j])
                                        for i in range(3) for j in range(3) if i != j))
         trials += 1
 
     worst_scalar = 0.0
+    off = offcurve_sample_triples(psi_i, 10, 43)
+    w_off = evaluate(hesse_form(psi_i), off)
     for p in curve_sample_points(ctx_i, 5, 103):
-        ok, c = equal_up_to_scalar(det(moore_matrix(p)), hesse_form(psi_i), tol=1e-8)
+        c, fit = det_scalar_fit(eval_matrix(moore_matrix(p), off), w_off)
+        ok = fit < 1e-8
         prod = p.coords[0] * p.coords[1] * p.coords[2]
         worst_scalar = max(worst_scalar, abs(c - prod) / abs(prod))
         if not ok:
@@ -187,18 +190,13 @@ def test_criterion_10_mutation_sanity(ctx_i, psi_i):
 
     # zero an off-diagonal block of the analytic k=1 matrix: criterion 4 check
     a, b = build_analytic(UlrichSpec(k=1, ctx=ctx_i, a_z=A_Z))
-    for i in range(3):
-        for j in range(3, 6):
-            a.entries[i][j] = MultiPoly.zero()
+    a.coeffs[:3, 3:6] = 0.0
     if any(not r.passed for r in verify_factorization(a, b, psi_i)):
         broke.append("zero-block->criterion4")
 
     # drop the binomial coefficient on block (0,1) at k=2: criterion 4 check
     a2, b2 = build_analytic(UlrichSpec(k=2, ctx=ctx_i, a_z=A_Z))
-    m1 = moore_derivative(A_Z, ctx_i, 1)
-    for i in range(3):
-        for j in range(3):
-            a2.entries[i][3 + j] = m1.entries[i][j]
+    a2.coeffs[:3, 3:6] = moore_derivative(A_Z, ctx_i, 1).coeffs
     if any(not r.passed for r in verify_factorization(a2, b2, psi_i)):
         broke.append("drop-binomial->criterion4")
 

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from hessecubic import (DenominatorZero, MultiPoly, PolyMatrix, SizeMismatch,
+from hessecubic import (DenominatorZero, PolyMatrix, SizeMismatch,
                         UlrichSpec, automorphy_block, automorphy_cocycle_residual,
                         automorphy_transport_residual, build_algebraic,
                         build_analytic, calibrate_scalars, curve_sample_points,
                         derivative_elimination_fit, elimination_consequence_residual,
-                        embed, equal_up_to_scalar, hesse_form, iterate_double_neg,
+                        embed, iterate_double_neg,
                         jet_kernel_residual, l_derivative, moore_derivative,
                         numeric_rank, offcurve_sample_triples,
                         relation_annihilation_residual, relation_matrix,
@@ -17,7 +17,7 @@ from hessecubic import (DenominatorZero, MultiPoly, PolyMatrix, SizeMismatch,
                         verify_factorization, verify_presentation)
 from hessecubic.bundles import equilibrate
 from hessecubic.moore import moore_from_coords
-from oracles import matrix_close
+from oracles import matrix_close, random_poly_matrix
 
 A_Z = 0.3
 
@@ -43,8 +43,7 @@ def off_samples(psi_i):
 
 
 def _block(m: PolyMatrix, i: int, j: int) -> PolyMatrix:
-    return PolyMatrix([[m.entries[3 * i + r][3 * j + c] for c in range(3)]
-                       for r in range(3)])
+    return PolyMatrix(m.coeffs[3 * i:3 * i + 3, 3 * j:3 * j + 3])
 
 
 # -- construction shape -----------------------------------------------------
@@ -64,7 +63,7 @@ def test_analytic_k1_block_layout(ctx_i, spec1):
     assert matrix_close(_block(a, 0, 1), m1, tol=1e-15)
     assert matrix_close(_block(a, 1, 1), m0, tol=1e-15)
     assert _block(a, 1, 0).coefficient_norm() == 0.0
-    assert a.is_linear() and not b.is_linear()
+    assert a.degree == 1 and b.degree == 2
 
 
 def test_analytic_k2_binomials(ctx_i, spec2):
@@ -103,9 +102,7 @@ def test_factorization_three_configurations():
 
 def test_factorization_detects_zeroed_block(psi_i, spec1):
     a, b = build_analytic(spec1)
-    for i in range(3):
-        for j in range(3, 6):
-            a.entries[i][j] = MultiPoly.zero()
+    a.coeffs[:3, 3:6] = 0.0
     reports = verify_factorization(a, b, psi_i)
     assert max(r.residual for r in reports) > 1e-3
     assert not all(r.passed for r in reports)
@@ -114,7 +111,7 @@ def test_factorization_detects_zeroed_block(psi_i, spec1):
 def test_factorization_shape_guard(psi_i, spec1):
     a, b = build_analytic(spec1)
     with pytest.raises(SizeMismatch):
-        verify_factorization(a, PolyMatrix.zeros(3, 3), psi_i)
+        verify_factorization(a, PolyMatrix.zeros(3, 3, 2), psi_i)
 
 
 # -- algebraic construction and calibration ---------------------------------
@@ -183,13 +180,8 @@ def test_calibration_lambda1_oracle(ctx_i, spec1):
     target = (moore_derivative(A_Z, ctx_i, 1)
               - moore_derivative(A_Z, ctx_i, 0).scale(s)).scale(1.0 / nu0)
     basis = moore_from_coords(iterate_double_neg(base, 1).coords)
-    num = den = 0.0
-    for i in range(3):
-        for j in range(3):
-            for exp, coeff in basis.entries[i][j].terms.items():
-                num += target.entries[i][j].coefficient(exp) * coeff.conjugate()
-                den += abs(coeff) ** 2
-    assert abs(lambdas[0] - num / den) < 1e-8 * abs(lambdas[0])
+    fit = np.vdot(basis.coeffs, target.coeffs) / basis.coefficient_norm() ** 2
+    assert abs(lambdas[0] - fit) < 1e-8 * abs(lambdas[0])
     assert all(r.passed for r in reports)
 
 
@@ -244,22 +236,41 @@ def test_presentation_both_constructions(ctx_i, psi_i, on_samples, off_samples, 
 
 def test_presentation_rejects_generic_matrix(psi_i, on_samples, off_samples):
     rng = np.random.default_rng(55)
-    entries = [[MultiPoly({(1, 0, 0): complex(rng.normal(), rng.normal()),
-                           (0, 1, 0): complex(rng.normal(), rng.normal()),
-                           (0, 0, 1): complex(rng.normal(), rng.normal())})
-                for _ in range(6)] for _ in range(6)]
-    reports = verify_presentation(PolyMatrix(entries), psi_i, 1,
+    reports = verify_presentation(random_poly_matrix(rng, 6, 6, 1), psi_i, 1,
                                   on_samples, off_samples)
     named = {r.name: r for r in reports}
     assert not named["presentation.det"].passed
     assert not named["presentation.corank_on_curve"].passed
 
 
-def test_det_scalar_value_k1(ctx_i, psi_i, spec1):
-    from hessecubic.poly import det
+def test_det_scalar_value_k1(ctx_i, psi_i, spec1, on_samples, off_samples):
+    # det A = c * w^2 with c = det(M_0 jet)^2 / w^2 = (th0 th1 th2)(a)^2
     a, _ = build_analytic(spec1)
-    ok, _ = equal_up_to_scalar(det(a), hesse_form(psi_i) ** 2, tol=1e-7)
-    assert ok
+    named = {r.name: r for r in verify_presentation(a, psi_i, 1, on_samples, off_samples)}
+    th = theta_vector(A_Z, ctx_i)
+    expected = (th[0] * th[1] * th[2]) ** 2
+    assert named["presentation.det"].residual < 1e-7
+    assert abs(named["presentation.det"].inputs["scalar"] - expected) < 1e-10 * abs(expected)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_det_gate_catches_perturbed_diagonal_block(ctx_i, psi_i, on_samples, off_samples, k):
+    # det A is the product of the diagonal-block determinants, so scaling one
+    # coefficient of any diagonal block by 1 + 1e-4 breaks det A = c * w^(k+1)
+    spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
+    lambdas, _ = calibrate_scalars(spec)
+    for matrix in (build_analytic(spec)[0], build_algebraic(spec, lambdas)):
+        named = {r.name: r for r in verify_presentation(matrix, psi_i, k,
+                                                        on_samples, off_samples)}
+        assert named["presentation.det"].passed
+        for i in range(k + 1):
+            for r, c in ((0, 0), (1, 2), (2, 1)):
+                mutated = PolyMatrix(matrix.coeffs.copy())
+                entry = mutated.coeffs[3 * i + r, 3 * i + c]
+                entry[np.flatnonzero(entry)[0]] *= 1 + 1e-4
+                named = {rep.name: rep for rep in verify_presentation(
+                    mutated, psi_i, k, on_samples, off_samples)}
+                assert not named["presentation.det"].passed, (i, r, c)
 
 
 # -- elimination fit ----------------------------------------------------------

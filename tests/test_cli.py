@@ -1,12 +1,26 @@
 """CLI smoke tests: emit/check/sweep, exit codes, determinism."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+import hessecubic
+from hessecubic import ThetaContext, hesse_psi
+from hessecubic.cli import build_check_suite, main
+
+
+# the child interpreter imports the same package as this one
+_SRC = str(Path(hessecubic.__file__).resolve().parents[1])
+_ENV = {**os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*args, timeout=300):
     return subprocess.run([sys.executable, "-m", "hessecubic.cli", *args],
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=timeout, env=_ENV)
 
 
 def test_emit_json_k1(tmp_path):
@@ -149,3 +163,28 @@ def test_negative_real_part_arguments():
     assert proc.returncode == 0
     proc = run_cli("check", "--tau", "-0.4+0.9i", "--a", "-0.17+0.11i", "--k", "1")
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("tau, a, k", [
+    ("i", "0.41-0.08i", 6), ("i", "0.41-0.08i", 7), ("i", "0.41-0.08i", 8),
+    ("1.5i", "0.1+0.1i", 6),
+    ("-0.4460692976183436+1.2292111009818978i", "0.21338928216799946-0.13641744182926643i", 6),
+])
+def test_emit_calibration_overflow_is_a_named_error(capfd, tau, a, k):
+    # theta grows without bound along the orbit (-2)^l a: the failure names
+    # the offset and nothing but the JSON error object reaches stderr
+    assert main(["emit", "--tau", tau, "--a", a, "--k", str(k)]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert "offset l = " in json.loads(lines[0])["error"]
+
+
+def test_psi_nondegenerate_measures_distance_to_psi_cubed_one():
+    ctx = ThetaContext(tau=1j)
+    psi = hesse_psi(ctx)
+    record = next(r for r in build_check_suite(1j, 0.3, 1, 42)
+                  if r.name == "theta.psi_nondegenerate")
+    assert record.residual == ctx.check_tol / abs(psi ** 3 - 1)
+    assert record.passed

@@ -1,4 +1,6 @@
 """Projective points, curve membership, negation and the -2a map."""
+import cmath
+
 import numpy as np
 import pytest
 
@@ -164,7 +166,20 @@ def test_analytic_consistency_sweep(ctx_i):
 
 def test_curve_config_rejects_singular_psi():
     with pytest.raises(ValueError):
-        CurveConfig(psi=-1.0)
+        CurveConfig(psi=1.0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_singular_locus_is_psi_cubed_one(k):
+    # at psi = omega^k every partial 3*x_i^2 - 3*psi*x_j*x_l of w vanishes at
+    # [1 : 1 : psi^2], a point of the curve; psi = -1 stays smooth
+    psi = cmath.exp(2j * cmath.pi * k / 3)
+    x = (1.0, 1.0, psi ** 2)
+    grad = [3 * x[i] ** 2 - 3 * psi * x[(i + 1) % 3] * x[(i + 2) % 3] for i in range(3)]
+    assert max(abs(g) for g in grad) < 1e-12
+    with pytest.raises(ValueError):
+        CurveConfig(psi=psi)
+    CurveConfig(psi=-1.0)
 
 
 def test_point_json_round_trip(ctx_i):

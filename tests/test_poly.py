@@ -1,115 +1,143 @@
-"""Sparse polynomial arithmetic, determinants, ranks, scalar comparison."""
+"""Dense polynomial matrices: products, evaluation, sampled determinants, ranks."""
+import json
+
 import numpy as np
 import pytest
 
-from hessecubic import (MultiPoly, NotSquare, PolyMatrix, ZeroReference, det,
-                        embed, equal_up_to_scalar, eval_matrix, hesse_form,
-                        moore_matrix, numeric_rank)
-from hessecubic.poly import DROP_EPS
-from oracles import (brute_det3, matrix_close, moore_det_closed_form, poly_close,
-                     random_sparse_poly)
+from hessecubic import (NotSquare, PolyMatrix, UlrichSpec, ZeroReference,
+                        build_analytic, det_scalar_fit, embed, eval_matrix,
+                        evaluate, hesse_form, l_matrix, moore_matrix, numeric_rank,
+                        offcurve_sample_triples)
+from hessecubic.poly import monomials
+from oracles import (brute_det3, matrix_close, moore_det_closed_form,
+                     random_poly_matrix, random_triple)
+
+
+def _decode(entry) -> dict:
+    """One entry's JSON term list, read back without the package."""
+    return {tuple(t["exp"]): complex(*t["coeff"]) for t in entry}
 
 
 def test_hesse_form_fermat_case():
     w = hesse_form(0.0)
-    assert w.terms == {(3, 0, 0): 1.0, (0, 3, 0): 1.0, (0, 0, 3): 1.0}
+    terms = {exp: c for exp, c in zip(monomials(3), w) if c}
+    assert terms == {(3, 0, 0): 1.0, (0, 3, 0): 1.0, (0, 0, 3): 1.0}
 
 
 def test_hesse_form_at_ones():
     psi = 0.7 - 0.2j
-    assert abs(hesse_form(psi)((1, 1, 1)) - (3 - 3 * psi)) < 1e-14
+    assert abs(evaluate(hesse_form(psi), (1, 1, 1)) - (3 - 3 * psi)) < 1e-14
 
 
 def test_hesse_form_vanishes_on_curve(ctx_i, psi_i):
     x = embed(0.3, ctx_i).coords
-    assert abs(hesse_form(psi_i)(x)) < 1e-9
+    assert abs(evaluate(hesse_form(psi_i), x)) < 1e-9
+
+
+def test_monomials_sorted():
+    for d in range(5):
+        exps = monomials(d)
+        assert list(exps) == sorted(exps)
+        assert len(exps) == (d + 1) * (d + 2) // 2
+        assert all(sum(e) == d and min(e) >= 0 for e in exps)
 
 
 def test_ring_distributivity():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        p, q, r = (random_sparse_poly(rng) for _ in range(3))
-        assert poly_close((p + q) * r, p * r + q * r, tol=1e-13)
+        p, q = (random_poly_matrix(rng, 2, 3, 1) for _ in range(2))
+        r = random_poly_matrix(rng, 3, 2, 2)
+        assert matrix_close((p + q) @ r, p @ r + q @ r, tol=1e-13)
 
 
 def test_degree_additivity_generic():
     rng = np.random.default_rng(4)
-    for _ in range(10):
-        p, q = random_sparse_poly(rng), random_sparse_poly(rng)
-        if p.is_zero() or q.is_zero():
-            continue
-        assert (p * q).total_degree() == p.total_degree() + q.total_degree()
+    for d1, d2 in ((0, 0), (1, 1), (1, 2), (3, 2)):
+        prod = random_poly_matrix(rng, 2, 2, d1) @ random_poly_matrix(rng, 2, 2, d2)
+        assert prod.degree == d1 + d2
+        assert np.all(np.abs(prod.coeffs) > 0)
 
 
 def test_eval_homomorphism():
     rng = np.random.default_rng(6)
     for _ in range(10):
-        p, q = random_sparse_poly(rng), random_sparse_poly(rng)
-        xs = tuple(complex(rng.normal(), rng.normal()) for _ in range(3))
-        lhs = (p * q)(xs)
-        rhs = p(xs) * q(xs)
-        assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs) + abs(rhs))
+        p, q = random_poly_matrix(rng, 2, 3, 2), random_poly_matrix(rng, 3, 2, 1)
+        xs = random_triple(rng)
+        lhs = eval_matrix(p @ q, xs)
+        rhs = eval_matrix(p, xs) @ eval_matrix(q, xs)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12 * (1 + np.max(np.abs(rhs)))
 
 
-def test_pruning_of_cancellation_dust():
-    p = MultiPoly({(1, 0, 0): 1.0})
-    q = MultiPoly({(1, 0, 0): -1.0 + 0.5 * DROP_EPS})
-    assert (p + q).is_zero()
+@pytest.mark.parametrize("k", range(9))
+def test_block_product_matches_numpy_both_orders(ctx_i, k):
+    # (A@B)(x) = A(x)@B(x) and (B@A)(x) = B(x)@A(x), componentwise
+    a, b = build_analytic(UlrichSpec(k=k, ctx=ctx_i, a_z=0.3))
+    rng = np.random.default_rng(20 + k)
+    points = [random_triple(rng) for _ in range(3)]
+    for left, right in ((a, b), (b, a)):
+        prod = left @ right
+        for xs in points:
+            l_x, r_x = eval_matrix(left, xs), eval_matrix(right, xs)
+            err = np.abs(eval_matrix(prod, xs) - l_x @ r_x) / (1 + np.abs(l_x) @ np.abs(r_x))
+            assert err.max() < 1e-13
 
 
-def test_negative_exponent_rejected():
-    with pytest.raises(ValueError):
-        MultiPoly({(-1, 0, 0): 1.0})
+def test_eval_stack_matches_single_points(ctx_i):
+    m = l_matrix(embed(0.3, ctx_i))
+    rng = np.random.default_rng(7)
+    xs = [random_triple(rng) for _ in range(4)]
+    stacked = eval_matrix(m, xs)
+    assert stacked.shape == (4, 3, 3)
+    for values, x in zip(stacked, xs):
+        assert np.array_equal(values, eval_matrix(m, x))
 
 
-def test_det_identity():
-    assert poly_close(det(PolyMatrix.diagonal(MultiPoly.constant(1.0), 3)),
-                      MultiPoly.constant(1.0), tol=1e-15)
+def test_det_identity(psi_i):
+    # det(w * I_3) = w^3 exactly: c = 1
+    off = offcurve_sample_triples(psi_i, 10, 43)
+    w = hesse_form(psi_i)
+    c, residual = det_scalar_fit(eval_matrix(PolyMatrix.diagonal(w, 3), off),
+                                 evaluate(w, off) ** 3)
+    assert abs(c - 1.0) < 1e-13 and residual < 1e-14
 
 
 def test_det_not_square():
     with pytest.raises(NotSquare):
-        det(PolyMatrix.zeros(2, 3))
+        det_scalar_fit(np.zeros((4, 2, 3)), np.ones(4))
 
 
 def test_moore_det_closed_form(ctx_i):
     a = embed(0.3, ctx_i)
-    expected = moore_det_closed_form(a.coords)
-    assert poly_close(det(moore_matrix(a)), expected, tol=1e-12)
+    m = moore_matrix(a)
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        xs = random_triple(rng)
+        expected = moore_det_closed_form(a.coords, xs)
+        assert abs(np.linalg.det(eval_matrix(m, xs)) - expected) < 1e-12 * (1 + abs(expected))
 
 
 def test_det_multiplicative_numeric():
     rng = np.random.default_rng(8)
     for _ in range(10):
-        m1 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        m2 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        p1 = PolyMatrix([[MultiPoly.constant(m1[i, j]) for j in range(3)] for i in range(3)])
-        p2 = PolyMatrix([[MultiPoly.constant(m2[i, j]) for j in range(3)] for i in range(3)])
-        lhs = det(p1 @ p2).coefficient((0, 0, 0))
-        rhs = brute_det3(m1) * brute_det3(m2)
+        p1, p2 = random_poly_matrix(rng, 3, 3, 0), random_poly_matrix(rng, 3, 3, 0)
+        xs = random_triple(rng)
+        lhs = np.linalg.det(eval_matrix(p1 @ p2, xs))
+        rhs = brute_det3(p1.coeffs[:, :, 0]) * brute_det3(p2.coeffs[:, :, 0])
         assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
 
 
-def test_det_block_triangular(ctx_i):
+def test_det_block_triangular(ctx_i, psi_i):
     m = moore_matrix(embed(0.3, ctx_i))
     n = moore_matrix(embed(0.17 + 0.2j, ctx_i))
-    big = PolyMatrix.zeros(6, 6)
     rng = np.random.default_rng(12)
-    for i in range(3):
-        for j in range(3):
-            big.entries[i][j] = m.entries[i][j]
-            big.entries[3 + i][3 + j] = n.entries[i][j]
-            big.entries[i][3 + j] = MultiPoly.variable(0) * complex(rng.normal())
-    assert poly_close(det(big), det(m) * det(n), tol=1e-11)
-
-
-def test_interpolation_agrees_with_cofactor(ctx_i):
-    from hessecubic import UlrichSpec, build_analytic
-    for k in (1, 2):
-        a, _ = build_analytic(UlrichSpec(k=k, ctx=ctx_i, a_z=0.3))
-        d_cof = det(a, force="cofactor")
-        d_int = det(a, force="interpolate")
-        assert (d_cof - d_int).norm() < 1e-9 * (1 + d_cof.norm())
+    big = PolyMatrix.zeros(6, 6, 1)
+    big.coeffs[:3, :3] = m.coeffs
+    big.coeffs[3:, 3:] = n.coeffs
+    big.coeffs[:3, 3:] = random_poly_matrix(rng, 3, 3, 1).coeffs
+    off = offcurve_sample_triples(psi_i, 10, 43)
+    reference = np.linalg.det(eval_matrix(m, off)) * np.linalg.det(eval_matrix(n, off))
+    c, residual = det_scalar_fit(eval_matrix(big, off), reference)
+    assert abs(c - 1.0) < 1e-12 and residual < 1e-12
 
 
 def test_eval_linear_matrix_at_origin(ctx_i):
@@ -118,8 +146,7 @@ def test_eval_linear_matrix_at_origin(ctx_i):
 
 
 def test_eval_hesse_diagonal_on_curve(ctx_i, psi_i):
-    w = hesse_form(psi_i)
-    diag = PolyMatrix.diagonal(w, 3)
+    diag = PolyMatrix.diagonal(hesse_form(psi_i), 3)
     x = embed(0.21 + 0.13j, ctx_i).coords
     assert np.linalg.norm(eval_matrix(diag, x)) < 1e-8
 
@@ -144,49 +171,81 @@ def test_rank_tol_validation():
         numeric_rank(np.eye(2), rank_tol=0.0)
 
 
+# -- the scalar fit behind both determinant gates ----------------------------
+
+def _one_by_one(poly: np.ndarray) -> PolyMatrix:
+    return PolyMatrix(poly[None, None, :])
+
+
 def test_equal_up_to_scalar_basic(psi_i):
+    off = offcurve_sample_triples(psi_i, 10, 43)
     w = hesse_form(psi_i)
-    ok, c = equal_up_to_scalar(w * 2.0, w, tol=1e-9)
-    assert ok and abs(c - 2.0) < 1e-12
+    c, residual = det_scalar_fit(eval_matrix(_one_by_one(2.0 * w), off), evaluate(w, off))
+    assert residual < 1e-14 and abs(c - 2.0) < 1e-12
 
 
 def test_equal_up_to_scalar_distinct_support(psi_i):
+    off = offcurve_sample_triples(psi_i, 10, 43)
     w = hesse_form(psi_i)
-    ok, _ = equal_up_to_scalar(w, w + MultiPoly.variable(0), tol=1e-9)
-    assert not ok
+    other = w.copy()
+    other[monomials(3).index((2, 1, 0))] = 1.0
+    _, residual = det_scalar_fit(eval_matrix(_one_by_one(other), off), evaluate(w, off))
+    assert residual > 1e-3
 
 
 def test_equal_up_to_scalar_reflexive_symmetric():
     rng = np.random.default_rng(14)
-    p = random_sparse_poly(rng)
-    ok, c = equal_up_to_scalar(p, p, tol=1e-12)
-    assert ok and abs(c - 1.0) < 1e-12
-    q = p * (0.3 - 1.7j)
-    ok1, c1 = equal_up_to_scalar(p, q, tol=1e-9)
-    ok2, c2 = equal_up_to_scalar(q, p, tol=1e-9)
-    assert ok1 and ok2
+    xs = [random_triple(rng) for _ in range(10)]
+    p = random_poly_matrix(rng, 1, 1, 3)
+    p_vals = eval_matrix(p, xs)
+    c, residual = det_scalar_fit(p_vals, p_vals[:, 0, 0])
+    assert residual < 1e-14 and abs(c - 1.0) < 1e-12
+    q_vals = p_vals * (0.3 - 1.7j)
+    c1, r1 = det_scalar_fit(p_vals, q_vals[:, 0, 0])
+    c2, r2 = det_scalar_fit(q_vals, p_vals[:, 0, 0])
+    assert r1 < 1e-9 and r2 < 1e-9
     assert abs(c1 * c2 - 1.0) < 1e-10
 
 
 def test_equal_up_to_scalar_zero_reference():
     with pytest.raises(ZeroReference):
-        equal_up_to_scalar(MultiPoly.constant(1.0), MultiPoly.zero(), tol=1e-9)
+        det_scalar_fit(np.ones((3, 1, 1)), np.zeros(3))
 
+
+def test_det_fit_of_vanishing_determinant():
+    # a determinant that is exactly zero at every sample fits c = 0
+    with np.errstate(all="raise"):
+        c, residual = det_scalar_fit(np.zeros((5, 3, 3)), np.ones(5))
+    assert c == 0 and residual == 0.0
+
+
+# -- serialization -------------------------------------------------------------
 
 def test_multipoly_json_round_trip():
+    # one entry with every monomial present: its term list round trips in order
     rng = np.random.default_rng(15)
-    p = random_sparse_poly(rng)
-    assert poly_close(MultiPoly.from_json(p.to_json()), p, tol=1e-15)
+    p = random_poly_matrix(rng, 1, 1, 3)
+    entry = p.to_json()["entries"][0][0]
+    assert [tuple(t["exp"]) for t in entry] == list(monomials(3))
+    decoded = _decode(entry)
+    assert all(decoded[e] == c for e, c in zip(monomials(3), p.coeffs[0, 0]))
 
 
 def test_polymatrix_json_round_trip(ctx_i):
     m = moore_matrix(embed(0.3, ctx_i))
-    m2 = PolyMatrix.from_json(m.to_json())
-    assert matrix_close(m, m2, tol=1e-15)
-    assert m2.is_linear()
+    data = json.loads(json.dumps(m.to_json()))
+    assert (data["rows"], data["cols"]) == (3, 3)
+    decoded = PolyMatrix.zeros(3, 3, 1)
+    for i, row in enumerate(data["entries"]):
+        for j, entry in enumerate(row):
+            for exp, c in _decode(entry).items():
+                decoded.coeffs[i, j, monomials(1).index(exp)] = c
+    assert matrix_close(m, decoded, tol=1e-15)
+    # zero coefficients are not serialized: one term per Moore entry
+    assert all(len(entry) == 1 for row in data["entries"] for entry in row)
 
 
 def test_linear_flag(ctx_i):
-    assert moore_matrix(embed(0.3, ctx_i)).is_linear()
-    quad = PolyMatrix([[MultiPoly.monomial((2, 0, 0))]])
-    assert not quad.is_linear()
+    assert moore_matrix(embed(0.3, ctx_i)).degree == 1
+    assert l_matrix(embed(0.3, ctx_i)).degree == 2
+    assert PolyMatrix.zeros(2, 2, 3).degree == 3
