@@ -16,13 +16,13 @@ from .errors import (AllIndicesDegenerate, AllZero, CalibrationFailed,
                      DegenerateProbe, DenominatorZero, HesseCubicError,
                      IllConditioned, InconsistentFactor, InconsistentPsi,
                      NonconvergentSeries, NotSquare, OrderTooHigh, SizeMismatch,
-                     ZeroReference)
+                     ThetaOverflow, ZeroReference)
 from .moore import (l_derivative, l_matrix, moore_derivative, moore_from_coords,
                     moore_matrix, theta_relation_residuals)
 from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
                    numeric_rank)
 from .report import CheckReport, all_passed, check, to_json_lines
-from .theta import (ThetaContext, automorphy_factor, basis_provenance, hesse_psi,
-                    theta_eval, theta_vector)
+from .theta import (ThetaContext, automorphy_jet, basis_provenance, hesse_psi,
+                    theta_jet, theta_vector)
 
 __version__ = "0.1.0"

@@ -30,12 +30,13 @@ import numpy as np
 
 from .curve import (CurveConfig, ProjectivePoint, embed, is_three_torsion,
                     iterate_double_neg)
-from .errors import CalibrationFailed, DenominatorZero, IllConditioned, SizeMismatch
-from .moore import l_derivative, moore_derivative, moore_from_coords
+from .errors import (CalibrationFailed, DenominatorZero, IllConditioned, SizeMismatch,
+                     ThetaOverflow)
+from .moore import l_derivative, moore_from_coords
 from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
                    monomial_index, numeric_rank)
 from .report import CheckReport, check
-from .theta import ThetaContext, automorphy_factor, hesse_psi, theta_vector
+from .theta import ThetaContext, automorphy_jet, hesse_psi, theta_jet, theta_vector
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ def build_analytic(spec: UlrichSpec) -> tuple[PolyMatrix, PolyMatrix]:
     if spec.a_z is None:
         raise ValueError("analytic construction needs a_z")
     k = spec.k
-    m_jets = [moore_derivative(spec.a_z, spec.ctx, d) for d in range(k + 1)]
-    l_jets = [l_derivative(spec.a_z, spec.ctx, d) for d in range(k + 1)]
+    m_jets = [moore_from_coords(row) for row in theta_jet(spec.a_z, spec.ctx, k)]
+    l_jets = l_derivative(spec.a_z, spec.ctx, k)
     a = _binomial_blocks(k, lambda d, n: m_jets[d].scale(n))
     b = _binomial_blocks(k, lambda d, n: l_jets[d].scale(n))
     return a, b
@@ -144,8 +145,8 @@ def derivative_elimination_fit(a_z: complex, ctx: ThetaContext) -> tuple[complex
 
 def _elimination_system(a_z: complex, ctx: ThetaContext) -> np.ndarray:
     """Columns theta(a), V(a) | theta'(a) of the elimination least squares."""
-    th = np.array(theta_vector(a_z, ctx))
-    return np.column_stack([th, tangent_rep(th), theta_vector(a_z, ctx, order=1)])
+    jet = theta_jet(a_z, ctx, 1)
+    return np.column_stack([jet[0], tangent_rep(jet[0]), jet[1]])
 
 
 def _elimination_solve(system: np.ndarray) -> tuple[complex, complex, float]:
@@ -267,8 +268,10 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
     # Everything the least-squares solves below consume, offset by offset:
     # the tangent iterates V^l(theta(a)) are never normalized, and theta grows
     # without bound at (-2)^l a, so either can overflow.
-    jets = [_finite_at(d, lambda: theta_vector(spec.a_z, ctx, order=d))
-            for d in range(spec.k + 1)]
+    try:
+        jets = theta_jet(spec.a_z, ctx, spec.k)
+    except ThetaOverflow as exc:
+        raise _overflow_at(exc.order) from exc
     reps = [jets[0]]
     for l in range(1, spec.k + 1):
         reps.append(_finite_at(l, lambda: tangent_rep(reps[-1])))
@@ -310,8 +313,7 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
 
     # block (0,1) of the analytic matrix after eliminating s(a), rescaled to
     # the normalized-point diagonal
-    m0 = moore_derivative(spec.a_z, ctx, 0)
-    m1 = moore_derivative(spec.a_z, ctx, 1)
+    m0, m1 = moore_from_coords(jets[0]), moore_from_coords(jets[1])
     target = (m1 - m0.scale(s)).scale(1.0 / nu0)
     fitted = moore_from_coords(iterate_double_neg(base, 1).coords).scale(lambdas[0])
     agree = (target - fitted).coefficient_norm() / target.coefficient_norm()
@@ -330,20 +332,24 @@ def _finite_at(l: int, compute) -> np.ndarray:
     with np.errstate(all="ignore"):
         try:
             value = np.asarray(compute(), dtype=complex)
-        except OverflowError:
-            value = np.full(1, np.nan)
+        except (OverflowError, ThetaOverflow) as exc:
+            raise _overflow_at(l) from exc
     if not np.all(np.isfinite(value)):
-        raise CalibrationFailed(f"theta values or tangent representatives overflow "
-                                f"at offset l = {l}")
+        raise _overflow_at(l)
     return value
+
+
+def _overflow_at(l: int) -> CalibrationFailed:
+    return CalibrationFailed(f"theta values or tangent representatives overflow "
+                             f"at offset l = {l}")
 
 
 def elimination_consequence_residual(a_z: complex, ctx: ThetaContext) -> float:
     """Coefficient norm of M' - s*M - c*M_V, the matrix form of the fit."""
     s, c, _ = derivative_elimination_fit(a_z, ctx)
-    m0 = moore_derivative(a_z, ctx, 0)
-    m1 = moore_derivative(a_z, ctx, 1)
-    mv = moore_from_coords(tangent_rep(theta_vector(a_z, ctx)))
+    jet = theta_jet(a_z, ctx, 1)
+    m0, m1 = moore_from_coords(jet[0]), moore_from_coords(jet[1])
+    mv = moore_from_coords(tangent_rep(jet[0]))
     return (m1 - m0.scale(s) - mv.scale(c)).coefficient_norm()
 
 
@@ -443,7 +449,7 @@ def section_basis(spec: UlrichSpec, z: complex) -> list[SectionVector]:
     if spec.a_z is None:
         raise ValueError("sections need the analytic point a_z")
     k = spec.k
-    jets = [theta_vector(z + spec.a_z, spec.ctx, order=d) for d in range(k + 1)]
+    jets = theta_jet(z + spec.a_z, spec.ctx, k).tolist()
     out = []
     for column in range(k + 1):
         for index in range(3):
@@ -463,7 +469,7 @@ def automorphy_block(spec: UlrichSpec, lam: complex, z: complex) -> np.ndarray:
     if spec.a_z is None:
         raise ValueError("the block factor needs the analytic point a_z")
     k = spec.k
-    jets = [automorphy_factor(spec.a_z, lam, z, spec.ctx, order=d) for d in range(k + 1)]
+    jets = automorphy_jet(spec.a_z, lam, z, spec.ctx, k)
     f = np.zeros((k + 1, k + 1), dtype=complex)
     for i in range(k + 1):
         for j in range(i, k + 1):
@@ -508,10 +514,7 @@ def jet_kernel_residual(spec: UlrichSpec, z: complex) -> float:
     a, _ = build_analytic(spec)
     x = embed(z, spec.ctx).coords
     numeric = eval_matrix(a, x)
-    stacked = np.concatenate([
-        np.array(theta_vector(z + spec.a_z, spec.ctx, order=spec.k - b))
-        for b in range(spec.k + 1)
-    ])
+    stacked = theta_jet(z + spec.a_z, spec.ctx, spec.k)[::-1].ravel()
     return float(np.max(np.abs(numeric @ stacked)))
 
 

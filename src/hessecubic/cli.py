@@ -349,21 +349,24 @@ def run_sweep(args) -> int:
     taus = [parse_complex(t) for t in args.taus.split(",")] if args.taus else []
     azs = [parse_complex(t) for t in args.azs.split(",")] if args.azs else []
     ks = parse_int_list(args.ks) if args.ks else []
-    aggregate: dict[str, float] = {}
+    # record name -> (max residual, config of the first record reaching it)
+    aggregate: dict[str, tuple[float, dict]] = {}
     lines = []
     for tau in taus:
         for a_z in azs:
             for k in ks:
+                config = {"tau": [tau.real, tau.imag], "a": [a_z.real, a_z.imag], "k": k}
                 for rep in _sweep_config(tau, a_z, k, args.seed):
                     record = rep.to_dict()
-                    record["config"] = {"tau": [tau.real, tau.imag],
-                                        "a": [a_z.real, a_z.imag], "k": k}
+                    record["config"] = config
                     lines.append(json.dumps(record, sort_keys=True))
-                    key = rep.name
-                    aggregate[key] = max(aggregate.get(key, 0.0), rep.residual)
+                    worst = aggregate.get(rep.name)
+                    if worst is None or rep.residual > worst[0]:
+                        aggregate[rep.name] = (max(0.0, rep.residual), config)
     for name in sorted(aggregate):
-        lines.append(json.dumps({"aggregate": name, "max_residual": aggregate[name]},
-                                sort_keys=True))
+        residual, config = aggregate[name]
+        lines.append(json.dumps({"aggregate": name, "max_residual": residual,
+                                 "worst_config": config}, sort_keys=True))
     payload = "\n".join(lines)
     _write_output(payload if payload else "", args.out)
     return 0

@@ -6,7 +6,15 @@ class HesseCubicError(Exception):
 
 
 class NonconvergentSeries(HesseCubicError):
-    """The theta series cannot converge (Im tau <= 0)."""
+    """The theta series cannot converge (Im tau <= 0) or needs too many terms."""
+
+
+class ThetaOverflow(HesseCubicError):
+    """A theta series overflows double precision; `order` is the lowest such order."""
+
+    def __init__(self, message: str, order: int = 0):
+        super().__init__(message)
+        self.order = order
 
 
 class OrderTooHigh(HesseCubicError):

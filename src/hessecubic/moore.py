@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 import warnings
 
+import numpy as np
+
 from .curve import ProjectivePoint, embed
 from .errors import DenominatorZero
 from .poly import PolyMatrix, monomial_index
 from .report import CheckReport, check
-from .theta import ThetaContext, leibniz_product, leibniz_quotient, theta_vector
+from .theta import ThetaContext, leibniz_product, leibniz_quotient, theta_jet, theta_vector
 
 # (r, c) -> (p, q): entry a_p * x_q
 MOORE_PATTERN = (
@@ -96,21 +98,24 @@ def moore_derivative(a_z: complex, ctx: ThetaContext, i: int = 0) -> PolyMatrix:
     return moore_from_coords(theta_vector(a_z, ctx, order=i))
 
 
-def l_derivative(a_z: complex, ctx: ThetaContext, i: int = 0) -> PolyMatrix:
-    """i-th a-derivative of L_{a,x} along a_j = theta_j(a_z).
+def l_derivative(a_z: complex, ctx: ThetaContext, max_order: int) -> list[PolyMatrix]:
+    """[L, L', ..., L^(max_order)]: a-derivatives of L_{a,x} along a_j = theta_j(a_z).
 
-    Each coefficient of L is a ratio of products of theta values; its jet is
-    formed with the Leibniz product/quotient rules, no finite differences.
+    Each coefficient of L is a ratio of products of theta values; the jets of
+    all six ratios come from one Leibniz quotient over the theta jet at a_z,
+    no finite differences.
     """
-    jets = [[theta_vector(a_z, ctx, order=m)[j] for m in range(i + 1)] for j in range(3)]
-    order0 = [jet[0] for jet in jets]
-    scale = max(abs(v) for v in order0)
-    if min(abs(v) for v in order0) < 1e-9 * scale:
+    jet = theta_jet(a_z, ctx, max_order)
+    values = np.abs(jet[0])
+    if values.min() < 1e-9 * values.max():
         raise DenominatorZero("L derivative needs all coordinates nonzero (point in E[3])")
-    den = leibniz_product(leibniz_product(jets[0], jets[1]), jets[2])
-    return _l_entries(
-        lambda p, q: leibniz_quotient(leibniz_product(jets[p], jets[q]), den)[i],
-        lambda s: leibniz_quotient(leibniz_product(jets[s], jets[s]), den)[i])
+    den = leibniz_product(leibniz_product(jet[:, 0], jet[:, 1]), jet[:, 2])
+    # numerators a_p*a_q for the pairs, then a_s^2
+    left, right = [1, 0, 0, 0, 1, 2], [2, 1, 2, 0, 1, 2]
+    ratios = leibniz_quotient(leibniz_product(jet[:, left], jet[:, right]), den).tolist()
+    slot = {(1, 2): 0, (0, 1): 1, (0, 2): 2}
+    return [_l_entries(lambda p, q: row[slot[p, q]], lambda s: row[3 + s])
+            for row in ratios]
 
 
 def theta_relation_residuals(a_z: complex, z: complex, ctx: ThetaContext,
@@ -123,10 +128,11 @@ def theta_relation_residuals(a_z: complex, z: complex, ctx: ThetaContext,
     if order > 8:
         raise ValueError("relation order capped at 8")
     x = embed(z, ctx).coords
+    a_jet = theta_jet(a_z, ctx, order).tolist()
+    y_jet = theta_jet(z + a_z, ctx, order).tolist()
     residuals = [0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j]
     for j in range(order + 1):
-        avec = theta_vector(a_z, ctx, order=j)
-        yvec = theta_vector(z + a_z, ctx, order=order - j)
+        avec, yvec = a_jet[j], y_jet[order - j]
         weight = math.comb(order, j)
         for r in range(3):
             residuals[r] += weight * sum(avec[p] * x[q] * yvec[col]

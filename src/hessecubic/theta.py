@@ -27,17 +27,36 @@ so the scalar automorphy factor at lambda = 1 is the constant -1, not +1.
 That sign is forced (sections with inflectional zero sets and plain parity
 cannot be 1-periodic) and is harmless: every cocycle and section-transport
 identity below holds with it.
+
+All values come from theta_jet, which sums the three series once over a
+window of indices around the peak term and gets every derivative order
+0..m from that one sum (term-wise differentiation multiplies each term by a
+power of 6*pi*i*(n+a)).  The window is the narrowest one for which an
+a-priori Gaussian tail bound (Deconinck et al., "Computing Riemann theta
+functions", Math. Comp. 2004) keeps the discarded tail below trunc_eps times
+the largest retained term at every requested order.  A window wider than
+600 terms per side raises NonconvergentSeries and a sum that overflows
+double precision raises ThetaOverflow; nothing is truncated silently.  The
+terms are added from the outside in, so a wider window only prepends
+negligible terms.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (AllIndicesDegenerate, DegenerateProbe, InconsistentFactor,
-                     InconsistentPsi, NonconvergentSeries, OrderTooHigh)
+                     InconsistentPsi, NonconvergentSeries, OrderTooHigh, ThetaOverflow)
 
 MAX_ORDER = 12
+# window half-width beyond which a series counts as nonconvergent
+_MAX_HALF_WIDTH = 600
+# jets kept per process; one check request reads about 150 distinct ones
+_CACHE_SIZE = 256
 
 _TWO_PI_I = 2j * math.pi
 
@@ -46,6 +65,10 @@ _OMEGA = cmath.exp(2j * math.pi / 3)
 _CHAR_A = (0.5, 1.0 / 6.0, 5.0 / 6.0)
 _PHASE = (1.0 + 0.0j, _OMEGA ** 2, _OMEGA)
 _CHAR_B = 0.5
+_CHAR_A_ARRAY = np.array(_CHAR_A)
+_PHASE_ARRAY = np.array(_PHASE)
+_BINOM = np.array([[math.comb(i, j) for j in range(MAX_ORDER + 1)]
+                   for i in range(MAX_ORDER + 1)], dtype=float)
 
 # probes for the modulus, chosen away from zeros of theta0*theta1*theta2
 _PSI_PROBES = (0.17, 0.31 + 0.2j, 0.23 - 0.11j, 0.41 + 0.07j, 0.13 + 0.29j)
@@ -73,70 +96,99 @@ class ThetaContext:
             raise ValueError("check_tol must exceed trunc_eps")
 
 
-def _series(a: float, u: complex, sigma: complex, order: int, trunc_eps: float,
-            extra_depth: int = 0) -> complex:
-    """Sum (2*pi*i*(n+a))^order * exp(pi*i*(n+a)^2*sigma + 2*pi*i*(n+a)*(u+b)).
+def _half_width(t_star: float, centers: list[float], s: float, order: int,
+                trunc_eps: float) -> int:
+    """Smallest R >= the Gaussian estimate whose window meets the tail bound.
 
-    Terms are added outward from the index of largest magnitude; each side
-    stops after three consecutive terms below trunc_eps * (|partial sum| + 1).
-    extra_depth forces that many additional terms per side (used by the
-    truncation-stability check).
+    Write |exp(pi*i*t^2*sigma + 2*pi*i*t*(u+b))| = P * exp(-pi*s*(t - t*)^2)
+    with s = Im sigma, t* = -Im(u)/s and P independent of t.  For one
+    characteristic a the window is t = c + j, |j| <= R, around the lattice
+    point c = n + a nearest t* (one entry of `centers`).  Every discarded t
+    has |t - t*| >= rho = R + 1/2, and the discarded distances on each side
+    step by 1.  With |t| <= |t*| + |t - t*| an order-m term there is at most
+    P*h(|t - t*|),
+
+        h(y) = (6*pi*(|t*| + y))^m * exp(-pi*s*y^2),
+
+    and for y >= rho
+
+        h(y+1)/h(y) <= q = (1 + 1/(|t*| + rho))^m * exp(-pi*s*(2*rho + 1)).
+
+    If q < 1 each side sums to at most P*h(rho)/(1 - q), a geometric series.
+    The window is accepted when 2*h(rho)/(1 - q) <= trunc_eps * |6*pi*c|^m *
+    exp(-pi*s*(c - t*)^2) for every characteristic: the discarded tail is
+    then at most trunc_eps times the retained term at c, hence at most
+    trunc_eps times the largest retained term.  Because |c| <= |t*| + rho and
+    q grows with m, the test at m = `order` covers every lower order.
     """
-    im_sigma = sigma.imag
-    # |term| peaks where the real exponent -pi*(t^2 Im sigma + 2 t Im(u+b)) does
-    t_star = -(u + _CHAR_B).imag / im_sigma
-    n0 = round(t_star - a)
-
-    def term(n: int) -> complex:
-        t = n + a
-        val = cmath.exp(1j * math.pi * t * t * sigma + _TWO_PI_I * t * (u + _CHAR_B))
-        if order:
-            val *= (_TWO_PI_I * t) ** order
-        return val
-
-    total = term(n0)
-    for direction in (1, -1):
-        small = 0
-        forced = extra_depth
-        n = n0
-        while True:
-            n += direction
-            if abs(n - n0) > 600:
-                break
-            t = term(n)
-            total += t
-            if abs(t) < trunc_eps * (abs(total) + 1.0):
-                small += 1
-                if small >= 3:
-                    if forced <= 0:
-                        break
-                    forced -= 1
-                    small = 0
-            else:
-                small = 0
-    return total
+    log_eps = math.log(trunc_eps)
+    reference = log_eps + min(order * math.log(6 * math.pi * abs(c))
+                              - math.pi * s * (c - t_star) ** 2 for c in centers)
+    r = max(0, math.ceil(math.sqrt(max(0.0, -log_eps) / (math.pi * s)) - 0.5))
+    while r <= _MAX_HALF_WIDTH:
+        rho = r + 0.5
+        reach = abs(t_star) + rho
+        log_q = order * math.log1p(1.0 / reach) - math.pi * s * (2 * rho + 1)
+        if log_q < 0 and (math.log(2.0) + order * math.log(6 * math.pi * reach)
+                          - math.pi * s * rho * rho
+                          - math.log(-math.expm1(log_q))) <= reference:
+            return r
+        r += 1
+    raise NonconvergentSeries(
+        f"theta series needs more than {_MAX_HALF_WIDTH} terms per side at "
+        f"Im(3 tau) = {s:.3e}, trunc_eps = {trunc_eps:.1e}")
 
 
-def theta_eval(index: int, z: complex, ctx: ThetaContext, order: int = 0,
-               _extra_depth: int = 0) -> complex:
-    """order-th z-derivative of th_index at z, by term-wise differentiation."""
-    if index not in (0, 1, 2):
-        raise ValueError(f"index must be 0, 1 or 2, got {index}")
-    if order < 0:
+@functools.lru_cache(maxsize=64)
+def _outside_in(r: int) -> np.ndarray:
+    """Offsets -r..r in summation order r, -r, r-1, ..., 1, -1, 0.
+
+    Summing from the outside in means a wider window only prepends terms
+    that are negligible against every partial sum they meet.
+    """
+    return np.array([sign * j for j in range(r, 0, -1) for sign in (1, -1)] + [0],
+                    dtype=float)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _sum_jet(tau: complex, trunc_eps: float, z: complex, max_order: int,
+             pad: int = 0) -> np.ndarray:
+    """The (max_order+1, 3) jet at z; `pad` widens the window beyond the bound."""
+    u, sigma = 3 * z, 3 * tau
+    t_star = -u.imag / sigma.imag
+    n0 = [round(t_star - a) for a in _CHAR_A]
+    r = _half_width(t_star, [n + a for n, a in zip(n0, _CHAR_A)], sigma.imag,
+                    max_order, trunc_eps) + pad
+    t = (np.array(n0, dtype=float)[:, None] + _outside_in(r)) + _CHAR_A_ARRAY[:, None]
+    terms = np.empty((max_order + 1,) + t.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms[0] = np.exp(t * (t * (1j * math.pi * sigma) + _TWO_PI_I * (u + _CHAR_B)))
+        terms[1:] = 3 * _TWO_PI_I * t  # d/dz = 3 d/du at u = 3z
+        jet = np.cumprod(terms, axis=0).cumsum(axis=2)[:, :, -1] * _PHASE_ARRAY
+    if not np.isfinite(jet).all():
+        order = int(np.argmin(np.isfinite(jet).all(axis=1)))
+        raise ThetaOverflow(f"theta series overflows at z = {z}, tau = {tau} "
+                            f"(derivative order {order})", order=order)
+    jet.flags.writeable = False
+    return jet
+
+
+def theta_jet(z: complex, ctx: ThetaContext, max_order: int = 0) -> np.ndarray:
+    """Row m holds the m-th z-derivatives of (th0, th1, th2) at z, m <= max_order.
+
+    The array is shared through a bounded cache keyed on (tau, trunc_eps, z,
+    max_order) and is read-only.
+    """
+    if max_order < 0:
         raise ValueError("order must be non-negative")
-    if order > MAX_ORDER:
-        raise OrderTooHigh(f"derivative order {order} exceeds the cap {MAX_ORDER}")
-    if complex(ctx.tau).imag <= 0:
-        raise NonconvergentSeries(f"Im(tau) must be positive, got tau={ctx.tau}")
-    # d/dz = 3 d/du at u = 3z
-    raw = _series(_CHAR_A[index], 3 * z, 3 * ctx.tau, order, ctx.trunc_eps,
-                  extra_depth=_extra_depth)
-    return _PHASE[index] * 3 ** order * raw
+    if max_order > MAX_ORDER:
+        raise OrderTooHigh(f"derivative order {max_order} exceeds the cap {MAX_ORDER}")
+    return _sum_jet(complex(ctx.tau), ctx.trunc_eps, complex(z), max_order)
 
 
 def theta_vector(z: complex, ctx: ThetaContext, order: int = 0) -> tuple[complex, complex, complex]:
-    """(th0, th1, th2) at z, differentiated `order` times."""
-    return tuple(theta_eval(i, z, ctx, order) for i in range(3))
+    """(th0, th1, th2) at z, differentiated `order` times: one row of the jet."""
+    return tuple(theta_jet(z, ctx, order)[order].tolist())
 
 
 def hesse_psi(ctx: ThetaContext) -> complex:
@@ -161,54 +213,47 @@ def hesse_psi(ctx: ThetaContext) -> complex:
     return sum(values) / len(values)
 
 
-def leibniz_product(u: list[complex], v: list[complex]) -> list[complex]:
-    """Jet of a product: (u*v)^(m) = sum_j C(m,j) u^(j) v^(m-j)."""
-    m = min(len(u), len(v))
-    return [sum(math.comb(i, j) * u[j] * v[i - j] for j in range(i + 1)) for i in range(m)]
+def leibniz_product(u, v) -> np.ndarray:
+    """Jet of a product along axis 0: (u*v)^(m) = sum_j C(m,j) u^(j) v^(m-j)."""
+    u, v = np.asarray(u), np.asarray(v)
+    return np.array([_BINOM[i, :i + 1] @ (u[:i + 1] * v[i::-1])
+                     for i in range(min(len(u), len(v)))])
 
 
-def leibniz_quotient(num: list[complex], den: list[complex]) -> list[complex]:
-    """Jet of a quotient f = num/den, from num^(m) = (f*den)^(m)."""
+def leibniz_quotient(num, den) -> np.ndarray:
+    """Jet of f = num/den along axis 0, from num^(m) = (f*den)^(m).
+
+    den is the jet of one scalar function; num may carry trailing axes.
+    """
+    num, den = np.asarray(num), np.asarray(den)
     m = min(len(num), len(den))
-    f: list[complex] = []
+    f = np.empty(num[:m].shape, dtype=complex)
     for i in range(m):
-        acc = num[i]
-        for j in range(1, i + 1):
-            acc -= math.comb(i, j) * den[j] * f[i - j]
-        f.append(acc / den[0])
+        f[i] = (num[i] - (_BINOM[i, 1:i + 1] * den[1:i + 1]) @ f[:i][::-1]) / den[0]
     return f
 
 
-def automorphy_factor(a_z: complex, lam: complex, z: complex, ctx: ThetaContext,
-                      order: int = 0) -> complex:
-    """order-th z-derivative of e_a(lambda, z) = th_i(z+a+lambda) / th_i(z+a).
+def automorphy_jet(a_z: complex, lam: complex, z: complex, ctx: ThetaContext,
+                   max_order: int = 0) -> np.ndarray:
+    """z-derivatives 0..max_order of e_a(lambda, z) = th_i(z+a+lambda) / th_i(z+a).
 
     Uses the first index whose denominator is not near zero and checks that
     all non-degenerate indices give the same ratio.  For lambda = 1 the value
     is the constant -1 (the basis is anti-periodic); for lambda = tau it is
     -exp(-3*pi*i*tau - 6*pi*i*(z+a)).
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if order > MAX_ORDER:
-        raise OrderTooHigh(f"derivative order {order} exceeds the cap {MAX_ORDER}")
-    dens = [theta_eval(i, z + a_z, ctx) for i in range(3)]
-    scale = max(abs(d) for d in dens)
-    good = [i for i in range(3) if abs(dens[i]) > 1e-6 * scale] if scale > 0 else []
-    if not good:
+    den = theta_jet(z + a_z, ctx, max_order)
+    num = theta_jet(z + a_z + lam, ctx, max_order)
+    dens = np.abs(den[0])
+    good = np.flatnonzero(dens > 1e-6 * dens.max())
+    if not len(good):
         raise AllIndicesDegenerate(f"theta basis vanishes at z+a = {z + a_z}")
-    ratios = [theta_eval(i, z + a_z + lam, ctx) / dens[i] for i in good]
-    base = ratios[0]
-    worst = max(abs(r - base) for r in ratios)
-    if worst > ctx.check_tol * (1.0 + abs(base)):
+    ratios = num[0, good] / den[0, good]
+    worst = float(np.max(np.abs(ratios - ratios[0])))
+    if worst > ctx.check_tol * (1.0 + abs(ratios[0])):
         raise InconsistentFactor(
             f"automorphy ratio disagrees across indices by {worst:.3e}")
-    if order == 0:
-        return base
-    i = good[0]
-    num = [theta_eval(i, z + a_z + lam, ctx, m) for m in range(order + 1)]
-    den = [theta_eval(i, z + a_z, ctx, m) for m in range(order + 1)]
-    return leibniz_quotient(num, den)[order]
+    return leibniz_quotient(num[:, good[0]], den[:, good[0]])
 
 
 def basis_provenance() -> dict:

@@ -2,9 +2,13 @@
 
 These deliberately avoid the code paths they check: derivatives come from
 finite differences (with Richardson extrapolation), matrix inverses from
-cofactors, polynomial identities from numpy evaluations at sample points.
+cofactors, polynomial identities from numpy evaluations at sample points,
+theta values from a plain fixed-window series sum.
 """
 from __future__ import annotations
+
+import cmath
+import math
 
 import numpy as np
 
@@ -31,6 +35,30 @@ def richardson_derivative(f, z: complex, order: int, h: float = 0.02,
         table = [(4 ** lev * table[j + 1] - table[j]) / (4 ** lev - 1)
                  for j in range(len(table) - 1)]
     return table[0]
+
+
+def theta_series_oracle(z: complex, tau: complex, order: int,
+                        half_width: int = 30) -> tuple[list[complex], float]:
+    """order-th z-derivatives of (th0, th1, th2) by a plain fixed-window sum.
+
+    th_i(z) = phase_i * sum_n exp(pi*i*t^2*3tau + 2*pi*i*t*(3z + 1/2)),
+    t = n + a_i, with (a_i) = (1/2, 1/6, 5/6) and (phase_i) = (1, w^2, w),
+    w = exp(2*pi*i/3), summed term by term over |n| <= half_width; each
+    derivative multiplies a term by 6*pi*i*t.  Also returns the largest
+    term modulus, the scale of the rounding error.
+    """
+    omega = cmath.exp(2j * math.pi / 3)
+    values, largest = [], 0.0
+    for a, phase in ((0.5, 1.0), (1 / 6, omega ** 2), (5 / 6, omega)):
+        total = 0j
+        for n in range(-half_width, half_width + 1):
+            t = n + a
+            term = ((6j * math.pi * t) ** order
+                    * cmath.exp(3j * math.pi * t * t * tau + 2j * math.pi * t * (3 * z + 0.5)))
+            largest = max(largest, abs(term))
+            total += term
+        values.append(phase * total)
+    return values, largest
 
 
 def brute_det3(m: np.ndarray) -> complex:

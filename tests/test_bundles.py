@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hessecubic import (DenominatorZero, PolyMatrix, SizeMismatch,
+from hessecubic import (CalibrationFailed, DenominatorZero, PolyMatrix, SizeMismatch,
                         UlrichSpec, automorphy_block, automorphy_cocycle_residual,
                         automorphy_transport_residual, build_algebraic,
                         build_analytic, calibrate_scalars, curve_sample_points,
@@ -13,9 +13,9 @@ from hessecubic import (DenominatorZero, PolyMatrix, SizeMismatch,
                         jet_kernel_residual, l_derivative, moore_derivative,
                         numeric_rank, offcurve_sample_triples,
                         relation_annihilation_residual, relation_matrix,
-                        section_basis, tangent_rep, theta_vector,
+                        section_basis, tangent_rep, theta_jet, theta_vector,
                         verify_factorization, verify_presentation)
-from hessecubic.bundles import equilibrate
+from hessecubic.bundles import _finite_at, equilibrate
 from hessecubic.moore import moore_from_coords
 from oracles import matrix_close, random_poly_matrix
 
@@ -51,7 +51,7 @@ def _block(m: PolyMatrix, i: int, j: int) -> PolyMatrix:
 def test_analytic_k0_is_moore_pair(ctx_i):
     a, b = build_analytic(UlrichSpec(k=0, ctx=ctx_i, a_z=A_Z))
     assert matrix_close(a, moore_derivative(A_Z, ctx_i, 0), tol=1e-15)
-    assert matrix_close(b, l_derivative(A_Z, ctx_i, 0), tol=1e-15)
+    assert matrix_close(b, l_derivative(A_Z, ctx_i, 0)[0], tol=1e-15)
 
 
 def test_analytic_k1_block_layout(ctx_i, spec1):
@@ -154,6 +154,17 @@ def test_calibration_rejects_orbit_through_torsion(ctx_i):
     with pytest.raises(DenominatorZero) as err:
         calibrate_scalars(spec)
     assert err.value.iteration == 2
+
+
+def test_calibration_names_the_overflowing_jet_order(ctx_i):
+    # at Im a = 8.4 the theta values fit in a double, their 9th derivatives not
+    with pytest.raises(CalibrationFailed, match="overflow at offset l = 9$"):
+        calibrate_scalars(UlrichSpec(k=9, ctx=ctx_i, a_z=8.4j))
+
+
+def test_finite_at_maps_series_overflow_to_the_offset(ctx_i):
+    with pytest.raises(CalibrationFailed, match="overflow at offset l = 3$"):
+        _finite_at(3, lambda: theta_jet(0.1 + 40j, ctx_i))
 
 
 def test_calibration_converges_at_k4(ctx_i):

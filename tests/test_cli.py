@@ -137,6 +137,13 @@ def test_sweep_sixty_configurations():
     configs = {json.dumps(l["config"], sort_keys=True) for l in lines if "config" in l}
     assert len(configs) == 60
     assert all(a["max_residual"] < 1e-7 for a in lines if "aggregate" in a)
+    # each aggregate names a configuration whose record reaches the maximum
+    records = [l for l in lines if "config" in l]
+    for agg in (l for l in lines if "aggregate" in l):
+        same = [r for r in records if r["name"] == agg["aggregate"]]
+        assert agg["max_residual"] == max(r["residual"] for r in same)
+        assert any(r["residual"] == agg["max_residual"] and r["config"] == agg["worst_config"]
+                   for r in same)
 
 
 def test_sweep_empty_range():
@@ -179,6 +186,19 @@ def test_emit_calibration_overflow_is_a_named_error(capfd, tau, a, k):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert "offset l = " in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("command, tau", [
+    ("check", "0.0001i"), ("emit", "0.0001i"),     # terms overflow a double
+    ("check", "0.00001i"), ("emit", "0.00001i"),   # window beyond the term cap
+])
+def test_theta_series_limits_are_named_errors(capfd, command, tau):
+    assert main([command, "--tau", tau, "--k", "1"]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert "theta series" in json.loads(lines[0])["error"]
 
 
 def test_psi_nondegenerate_measures_distance_to_psi_cubed_one():

@@ -1,13 +1,17 @@
 """Theta basis: series values, derivatives, modulus, automorphy factors."""
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessecubic import (InconsistentPsi, NonconvergentSeries, OrderTooHigh,
-                        ThetaContext, automorphy_factor, hesse_psi,
-                        theta_eval, theta_vector)
-from oracles import central_difference, richardson_derivative
+                        ThetaContext, ThetaOverflow, automorphy_jet, hesse_psi,
+                        theta_jet, theta_vector)
+from hessecubic.theta import MAX_ORDER, _sum_jet
+from oracles import central_difference, richardson_derivative, theta_series_oracle
 
 
 def test_origin_is_inflection_point(ctx_i):
@@ -20,8 +24,8 @@ def test_first_derivative_matches_central_difference(ctx_i):
     rng = np.random.default_rng(7)
     for index in range(3):
         z = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3))
-        exact = theta_eval(index, z, ctx_i, order=1)
-        fd = central_difference(lambda w: theta_eval(index, w, ctx_i), z, h=1e-5)
+        exact = theta_jet(z, ctx_i, 1)[1, index]
+        fd = central_difference(lambda w: theta_vector(w, ctx_i)[index], z, h=1e-5)
         assert abs(exact - fd) < 1e-6 * (1 + abs(exact))
 
 
@@ -29,8 +33,8 @@ def test_first_derivative_matches_central_difference(ctx_i):
 def test_richardson_orders(ctx_i, order):
     z = 0.21 + 0.13j
     for index in range(3):
-        exact = theta_eval(index, z, ctx_i, order=order)
-        approx = richardson_derivative(lambda w: theta_eval(index, w, ctx_i), z, order)
+        exact = theta_jet(z, ctx_i, order)[order, index]
+        approx = richardson_derivative(lambda w: theta_vector(w, ctx_i)[index], z, order)
         assert abs(exact - approx) < 1e-6 * (1 + abs(exact))
 
 
@@ -57,9 +61,72 @@ def test_symmetry_relations(ctx_i):
 def test_truncation_depth_stability(ctx_i):
     for z in (0.3, 0.1 + 0.4j, -0.45 + 0.2j):
         for order in (0, 2):
-            base = theta_eval(0, z, ctx_i, order=order)
-            deeper = theta_eval(0, z, ctx_i, order=order, _extra_depth=10)
+            base = theta_jet(z, ctx_i, order)[order, 0]
+            # ten more terms per side than the tail bound asks for
+            deeper = _sum_jet(complex(ctx_i.tau), ctx_i.trunc_eps, complex(z), order,
+                              10)[order, 0]
             assert abs(base - deeper) <= 10 * ctx_i.trunc_eps * (1 + abs(base))
+
+
+@settings(max_examples=150, deadline=None)
+@given(re_tau=st.floats(-0.5, 0.5), lift=st.floats(0.0, 1.0),
+       re_z=st.floats(-1.0, 1.0), im_z=st.floats(-1.0, 1.0),
+       order=st.integers(0, MAX_ORDER))
+def test_theta_jet_matches_fixed_window_oracle(re_tau, lift, re_z, im_z, order):
+    # tau over the fundamental domain |Re tau| <= 1/2, |tau| >= 1, Im tau <= 2;
+    # every value in this box is representable, so no error is expected
+    floor = math.sqrt(1.0 - re_tau ** 2)
+    tau = complex(re_tau, floor + lift * (2.0 - floor))
+    z = complex(re_z, im_z)
+    jet = theta_jet(z, ThetaContext(tau=tau), order)
+    expected, largest = theta_series_oracle(z, tau, order)
+    assert jet.shape == (order + 1, 3)
+    assert np.max(np.abs(jet[order] - expected)) <= 1e-12 * largest
+
+
+def test_lower_orders_do_not_depend_on_the_requested_order(ctx_i):
+    z = 0.21 + 0.13j
+    full = theta_jet(z, ctx_i, MAX_ORDER)
+    for order in range(MAX_ORDER + 1):
+        row = theta_jet(z, ctx_i, order)[order]
+        assert np.max(np.abs(row - full[order])) <= 1e-14 * np.max(np.abs(full[order]))
+
+
+def test_jet_is_read_only(ctx_i):
+    jet = theta_jet(0.3, ctx_i, 2)
+    with pytest.raises(ValueError):
+        jet[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        jet[1] *= 2
+
+
+def test_jet_cache_stays_bounded():
+    for step in range(2 * _sum_jet.cache_info().maxsize):
+        theta_jet(0.1, ThetaContext(tau=complex(0.01 * step, 1.0 + 0.001 * step)), 1)
+    info = _sum_jet.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_overflow_at_large_imaginary_part_is_named(ctx_i):
+    # |th(z)| grows like exp(3*pi*Im(z)^2/Im(tau)): past Im z ~ 8.6 at tau = i
+    # no double holds it
+    with pytest.raises(ThetaOverflow) as info:
+        theta_jet(0.1 + 40j, ctx_i)
+    assert info.value.order == 0
+
+
+def test_overflow_only_in_unrequested_orders_does_not_fail(ctx_i):
+    z = 8.4j  # order 0 fits in a double, the order-12 derivative does not
+    assert np.all(np.isfinite(theta_jet(z, ctx_i, 0)))
+    with pytest.raises(ThetaOverflow) as info:
+        theta_jet(z, ctx_i, MAX_ORDER)
+    assert 0 < info.value.order <= MAX_ORDER
+
+
+def test_window_beyond_the_cap_is_nonconvergent():
+    # Im(3 tau) = 3e-5 needs ~860 terms per side for trunc_eps = 1e-30
+    with pytest.raises(NonconvergentSeries):
+        theta_jet(0.1, ThetaContext(tau=1e-5j))
 
 
 def test_psi_probe_independence(ctx_i):
@@ -88,7 +155,7 @@ def test_hesse_identity_differentiated_at_zero(ctx_i, psi_i):
 def test_order_cap():
     ctx = ThetaContext(tau=1j)
     with pytest.raises(OrderTooHigh):
-        theta_eval(0, 0.1, ctx, order=13)
+        theta_jet(0.1, ctx, 13)
 
 
 def test_lower_half_plane_rejected():
@@ -110,18 +177,18 @@ def test_context_tolerance_invariants():
 def test_factor_at_one_is_constant_minus_one(ctx_i):
     # the Hesse basis is anti-periodic: e(1, z) = -1 exactly, derivatives 0
     for z in (0.1, 0.27 + 0.31j, -0.4 + 0.05j):
-        e0 = automorphy_factor(0.3, 1.0, z, ctx_i, order=0)
-        assert abs(e0 + 1.0) < 1e-9
+        e = automorphy_jet(0.3, 1.0, z, ctx_i, 2)
+        assert abs(e[0] + 1.0) < 1e-9
         for order in (1, 2):
-            assert abs(automorphy_factor(0.3, 1.0, z, ctx_i, order=order)) < 1e-7
+            assert abs(e[order]) < 1e-7
 
 
 def test_factor_cocycle(ctx_i):
     tau = ctx_i.tau
     for z in (0.13, 0.22 + 0.09j):
-        lhs = automorphy_factor(0.3, 1 + tau, z, ctx_i)
-        rhs = (automorphy_factor(0.3, 1.0, z + tau, ctx_i)
-               * automorphy_factor(0.3, tau, z, ctx_i))
+        lhs = automorphy_jet(0.3, 1 + tau, z, ctx_i)[0]
+        rhs = (automorphy_jet(0.3, 1.0, z + tau, ctx_i)[0]
+               * automorphy_jet(0.3, tau, z, ctx_i)[0])
         assert abs(lhs - rhs) < ctx_i.check_tol * (1 + abs(lhs))
 
 
@@ -129,25 +196,25 @@ def test_factor_cocycle(ctx_i):
 def test_factor_transports_theta(ctx_i, lam_name):
     lam = 1.0 if lam_name == "one" else ctx_i.tau
     a_z, z = 0.3, 0.17 + 0.11j
-    e = automorphy_factor(a_z, lam, z, ctx_i)
+    e = automorphy_jet(a_z, lam, z, ctx_i)[0]
     for i in range(3):
-        lhs = e * theta_eval(i, z + a_z, ctx_i)
-        rhs = theta_eval(i, z + lam + a_z, ctx_i)
+        lhs = e * theta_vector(z + a_z, ctx_i)[i]
+        rhs = theta_vector(z + lam + a_z, ctx_i)[i]
         assert abs(lhs - rhs) < ctx_i.check_tol * (1 + abs(rhs))
 
 
 def test_factor_derivative_matches_finite_difference(ctx_i):
     tau = ctx_i.tau
     a_z, z = 0.3, 0.19 + 0.07j
-    exact = automorphy_factor(a_z, tau, z, ctx_i, order=1)
-    fd = central_difference(lambda w: automorphy_factor(a_z, tau, w, ctx_i), z, h=1e-5)
+    exact = automorphy_jet(a_z, tau, z, ctx_i, 1)[1]
+    fd = central_difference(lambda w: automorphy_jet(a_z, tau, w, ctx_i)[0], z, h=1e-5)
     assert abs(exact - fd) < 1e-6 * (1 + abs(exact))
 
 
 def test_factor_known_form_at_tau(ctx_i):
     # e(tau, z) = -exp(-3 pi i tau - 6 pi i (z + a)) for this basis
     a_z, z = 0.21, 0.05 + 0.13j
-    e = automorphy_factor(a_z, ctx_i.tau, z, ctx_i)
+    e = automorphy_jet(a_z, ctx_i.tau, z, ctx_i)[0]
     predicted = -cmath.exp(-3j * cmath.pi * ctx_i.tau - 6j * cmath.pi * (z + a_z))
     assert abs(e - predicted) < 1e-9 * (1 + abs(e))
 
@@ -161,8 +228,8 @@ def test_quasi_periodicity_large_shifts(ctx_i):
         factor = (-1) ** (m + n) * cmath.exp(-3j * cmath.pi * n * n * tau
                                              - 6j * cmath.pi * n * z)
         for i in range(3):
-            lhs = theta_eval(i, z + m + n * tau, ctx_i)
-            rhs = factor * theta_eval(i, z, ctx_i)
+            lhs = theta_vector(z + m + n * tau, ctx_i)[i]
+            rhs = factor * theta_vector(z, ctx_i)[i]
             assert abs(lhs - rhs) < 1e-9 * (1 + abs(lhs))
 
 
