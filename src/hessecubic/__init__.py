@@ -10,18 +10,17 @@ from .bundles import (SectionVector, UlrichSpec, automorphy_block,
                       relation_matrix, section_basis, tangent_rep,
                       verify_factorization, verify_presentation)
 from .curve import (CurveConfig, ProjectivePoint, double_neg, embed,
-                    is_three_torsion, iterate_double_neg, negate, on_curve,
-                    proj_distance)
+                    is_three_torsion, iterate_double_neg, negate, on_curve)
 from .errors import (AllIndicesDegenerate, AllZero, CalibrationFailed,
                      DegenerateProbe, DenominatorZero, HesseCubicError,
                      IllConditioned, InconsistentFactor, InconsistentPsi,
-                     NonconvergentSeries, NotSquare, OrderTooHigh, SizeMismatch,
-                     ThetaOverflow, ZeroReference)
+                     NonconvergentSeries, NotSquare, OrderTooHigh, SamplingFailed,
+                     SizeMismatch, ThetaOverflow, ZeroReference)
 from .moore import (l_derivative, l_matrix, moore_derivative, moore_from_coords,
                     moore_matrix, theta_relation_residuals)
 from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
                    numeric_rank)
-from .report import CheckReport, all_passed, check, to_json_lines
+from .report import CheckReport, check
 from .theta import (ThetaContext, automorphy_jet, basis_provenance, hesse_psi,
                     theta_jet, theta_vector)
 

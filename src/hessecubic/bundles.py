@@ -23,6 +23,7 @@ mu_l = (-2)^(l(l-1)/2) * c^l, which are exact for l <= 2).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,13 +31,13 @@ import numpy as np
 
 from .curve import (CurveConfig, ProjectivePoint, embed, is_three_torsion,
                     iterate_double_neg)
-from .errors import (CalibrationFailed, DenominatorZero, IllConditioned, SizeMismatch,
-                     ThetaOverflow)
+from .errors import (CalibrationFailed, DenominatorZero, IllConditioned, SamplingFailed,
+                     SizeMismatch, ThetaOverflow)
 from .moore import l_derivative, moore_from_coords
 from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
                    monomial_index, numeric_rank)
 from .report import CheckReport, check
-from .theta import ThetaContext, automorphy_jet, hesse_psi, theta_jet, theta_vector
+from .theta import ThetaContext, automorphy_jet, hesse_psi, theta_jet
 
 
 @dataclass(frozen=True)
@@ -362,14 +363,15 @@ def equilibrate(n: np.ndarray, passes: int = 4) -> np.ndarray:
 
     Rank-preserving; compresses the block-scale spread of jet matrices
     (theta derivatives grow like (6*pi)^d) so that singular value
-    thresholding sees the structural zeros, not the scaling.
+    thresholding sees the structural zeros, not the scaling.  Acts on the
+    last two axes, so a stack is scaled matrix by matrix.
     """
-    n = np.asarray(n, dtype=complex).copy()
+    n = np.array(n, dtype=complex)
     for _ in range(passes):
-        rn = np.linalg.norm(n, axis=1, keepdims=True)
+        rn = np.linalg.norm(n, axis=-1, keepdims=True)
         rn[rn == 0] = 1.0
         n /= rn
-        cn = np.linalg.norm(n, axis=0, keepdims=True)
+        cn = np.linalg.norm(n, axis=-2, keepdims=True)
         cn[cn == 0] = 1.0
         n /= cn
     return n
@@ -392,56 +394,60 @@ def verify_presentation(a: PolyMatrix, psi: complex, k: int,
     reports = [check("presentation.det", det_residual, det_tol,
                      inputs={"k": k, "scalar": scalar})]
 
-    worst_on = 0
-    for values in eval_matrix(a, [p.coords for p in curve_samples]):
-        rank = numeric_rank(equilibrate(values))
-        worst_on = max(worst_on, abs(rank - 2 * (k + 1)))
+    on_values = eval_matrix(a, [p.coords for p in curve_samples])
+    worst_on = np.max(np.abs(numeric_rank(equilibrate(on_values)) - 2 * (k + 1)))
     reports.append(check("presentation.corank_on_curve", float(worst_on), 0.5,
                          inputs={"k": k, "samples": len(curve_samples)}))
 
-    worst_off = 0
-    for values in off_values:
-        rank = numeric_rank(equilibrate(values))
-        worst_off = max(worst_off, abs(rank - size))
+    worst_off = np.max(np.abs(numeric_rank(equilibrate(off_values)) - size))
     reports.append(check("presentation.rank_off_curve", float(worst_off), 0.5,
                          inputs={"k": k, "samples": len(off_samples)}))
     return reports
 
 
+# rejection sampling gives up after this many draws per requested sample
+_DRAWS_PER_SAMPLE = 1000
+
+
+def _rejection_sample(draw, accept, count: int, what: str) -> list:
+    """The first `count` accepted draws; no further draw once they are found."""
+    draws = (draw() for _ in range(_DRAWS_PER_SAMPLE * count))
+    out = list(itertools.islice(filter(accept, draws), count))
+    if len(out) < count:
+        raise SamplingFailed(f"found {len(out)} of {count} {what} in "
+                             f"{_DRAWS_PER_SAMPLE * count} draws")
+    return out
+
+
 def curve_sample_points(ctx: ThetaContext, count: int, seed: int) -> list[ProjectivePoint]:
     """Deterministic on-curve samples away from E[3]."""
     rng = np.random.default_rng(seed)
-    psi = hesse_psi(ctx)
-    cfg = CurveConfig(psi=psi)
-    out: list[ProjectivePoint] = []
-    while len(out) < count:
-        z = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45))
-        p = embed(z, ctx)
-        if not is_three_torsion(p, cfg) and min(abs(v) for v in p.coords) > 1e-3:
-            out.append(p)
-    return out
+    cfg = CurveConfig(psi=hesse_psi(ctx))
+    return _rejection_sample(
+        lambda: embed(complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45)), ctx),
+        lambda p: not is_three_torsion(p, cfg) and min(abs(v) for v in p.coords) > 1e-3,
+        count, "curve points away from E[3]")
 
 
 def offcurve_sample_triples(psi: complex, count: int, seed: int) -> list[tuple]:
     """Deterministic generic triples with |w(x)| bounded away from zero."""
     rng = np.random.default_rng(seed)
     w = hesse_form(psi)
-    out = []
-    while len(out) < count:
-        xs = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3))
-        if abs(evaluate(w, xs)) > 1e-2:
-            out.append(xs)
-    return out
+    return _rejection_sample(
+        lambda: tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)),
+        lambda xs: abs(evaluate(w, xs)) > 1e-2,
+        count, "triples off the curve")
 
 
 # ---------------------------------------------------------------------------
 # sections and automorphy
 # ---------------------------------------------------------------------------
 
-def _section_weight(k: int, column: int, row: int) -> float:
+def _section_weights(k: int) -> np.ndarray:
     # component r of column c carries C(c,r)/C(k,r); every printed small-k
     # value matches and the transport identity below pins the general case
-    return math.comb(column, row) / math.comb(k, row)
+    return np.array([[math.comb(column, row) / math.comb(k, row) for row in range(k + 1)]
+                     for column in range(k + 1)])
 
 
 def section_basis(spec: UlrichSpec, z: complex) -> list[SectionVector]:
@@ -449,19 +455,13 @@ def section_basis(spec: UlrichSpec, z: complex) -> list[SectionVector]:
     if spec.a_z is None:
         raise ValueError("sections need the analytic point a_z")
     k = spec.k
-    jets = theta_jet(z + spec.a_z, spec.ctx, k).tolist()
-    out = []
-    for column in range(k + 1):
-        for index in range(3):
-            comps = []
-            for row in range(k + 1):
-                if row > column:
-                    comps.append(0.0 + 0.0j)
-                else:
-                    comps.append(_section_weight(k, column, row)
-                                 * jets[column - row][index])
-            out.append(SectionVector(components=tuple(comps), index=index, column=column))
-    return out
+    jets = theta_jet(z + spec.a_z, spec.ctx, k)
+    column, row = np.indices((k + 1, k + 1))
+    terms = _section_weights(k)[:, :, None] * jets[np.maximum(column - row, 0)]
+    # comps[column, index, row], exactly zero for row > column
+    comps = np.where((row <= column)[:, :, None], terms, 0j).transpose(0, 2, 1)
+    return [SectionVector(components=tuple(comps[c, i].tolist()), index=i, column=c)
+            for c in range(k + 1) for i in range(3)]
 
 
 def automorphy_block(spec: UlrichSpec, lam: complex, z: complex) -> np.ndarray:
@@ -470,10 +470,9 @@ def automorphy_block(spec: UlrichSpec, lam: complex, z: complex) -> np.ndarray:
         raise ValueError("the block factor needs the analytic point a_z")
     k = spec.k
     jets = automorphy_jet(spec.a_z, lam, z, spec.ctx, k)
+    i, j = np.triu_indices(k + 1)
     f = np.zeros((k + 1, k + 1), dtype=complex)
-    for i in range(k + 1):
-        for j in range(i, k + 1):
-            f[i, j] = math.comb(k - i, j - i) * jets[j - i]
+    f[i, j] = [math.comb(k - r, d) for r, d in zip(i, j - i)] * jets[j - i]
     return f
 
 
@@ -485,15 +484,10 @@ def automorphy_transport_residual(spec: UlrichSpec, lam: complex, z: complex) ->
     carries that scale.
     """
     f = automorphy_block(spec, lam, z)
-    here = section_basis(spec, z)
-    there = section_basis(spec, z + lam)
-    worst = 0.0
-    for v0, v1 in zip(here, there):
-        lhs = f @ np.array(v0.components)
-        rhs = np.array(v1.components)
-        scale = 1.0 + float(np.max(np.abs(lhs)) + np.max(np.abs(rhs)))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
-    return worst
+    lhs = np.array([v.components for v in section_basis(spec, z)]) @ f.T
+    rhs = np.array([v.components for v in section_basis(spec, z + lam)])
+    scale = 1.0 + np.max(np.abs(lhs), axis=1) + np.max(np.abs(rhs), axis=1)
+    return float(np.max(np.max(np.abs(lhs - rhs), axis=1) / scale))
 
 
 def automorphy_cocycle_residual(spec: UlrichSpec, z: complex) -> float:
@@ -537,18 +531,9 @@ def relation_annihilation_residual(spec: UlrichSpec, z: complex) -> float:
     column k - beta (theta index i), exactly as the rank-two display stacks
     them.
     """
-    k = spec.k
-    rel = relation_matrix(spec)
-    xs = theta_vector(z, spec.ctx)
-    sections = {(v.column, v.index): np.array(v.components)
-                for v in section_basis(spec, z)}
-    worst = 0.0
-    for r in range(spec.size):
-        acc = np.zeros(k + 1, dtype=complex)
-        for beta in range(k + 1):
-            for i in range(3):
-                sigma = 3 * beta + i
-                weight = sum(rel[r, 3 * sigma + j] * xs[j] for j in range(3))
-                acc += weight * sections[(k - beta, i)]
-        worst = max(worst, float(np.max(np.abs(acc))))
-    return worst
+    # weights[r, sigma] = sum_j rel[r, 3*sigma + j] * th_j(z)
+    weights = relation_matrix(spec).reshape(spec.size, spec.size, 3) @ theta_jet(z, spec.ctx)[0]
+    # section slot sigma = 3*beta + i holds basis column k - beta, index i
+    sections = np.array([v.components for v in section_basis(spec, z)])
+    sections = sections.reshape(spec.k + 1, 3, spec.k + 1)[::-1].reshape(spec.size, -1)
+    return float(np.max(np.abs(weights @ sections)))

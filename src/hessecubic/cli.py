@@ -22,8 +22,8 @@ from .bundles import (UlrichSpec, automorphy_cocycle_residual,
                       verify_factorization, verify_presentation)
 from .curve import CurveConfig, ProjectivePoint, embed, is_three_torsion, on_curve
 from .errors import HesseCubicError
-from .moore import (l_matrix, moore_derivative, moore_matrix,
-                    theta_relation_residuals)
+from .moore import (l_from_coords, l_matrix, moore_derivative, moore_from_coords,
+                    moore_matrix, theta_relation_residuals)
 from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
                    numeric_rank)
 from .report import CheckReport, check
@@ -170,31 +170,25 @@ def _moore_checks(ctx: ThetaContext, psi: complex, rng, off: list[tuple],
     reports = []
     a_grid = [0.23, 0.31 + 0.07j, -0.19 + 0.11j]
     z_grid = [0.11, -0.27 + 0.09j, 0.41 + 0.13j]
-    for order in range(max_order + 1):
-        worst = 0.0
-        tol = 0.0
-        for a_z in a_grid:
-            for z in z_grid:
-                rep = theta_relation_residuals(a_z, z, ctx, order)
-                worst = max(worst, rep.residual)
-                tol = rep.tol
-        reports.append(check(f"moore.relation.order{order}", worst, tol,
-                             {"grid": [len(a_grid), len(z_grid)]}))
+    # rows: grid points; columns: orders 0..max_order
+    grid = [theta_relation_residuals(a_z, z, ctx, max_order)
+            for a_z in a_grid for z in z_grid]
+    for order, reps in enumerate(zip(*grid)):
+        reports.append(check(f"moore.relation.order{order}", max(r.residual for r in reps),
+                             reps[0].tol, {"grid": [len(a_grid), len(z_grid)]}))
 
     w = hesse_form(psi)
-    w_id = PolyMatrix.diagonal(w, 3)
-    w_off = evaluate(w, off)
-    off_diagonal = ~np.eye(3, dtype=bool)
-    worst_ml = worst_lm = worst_off = worst_det = 0.0
-    for p in curve_sample_points(ctx, 20, int(rng.integers(1 << 30))):
-        m, l = moore_matrix(p), l_matrix(p)
-        ml, lm = m @ l, l @ m
-        worst_ml = max(worst_ml, (ml - w_id).coefficient_norm())
-        worst_lm = max(worst_lm, (lm - w_id).coefficient_norm())
-        worst_off = max(worst_off, np.linalg.norm(ml.coeffs, axis=2)[off_diagonal].max())
-        scalar, fit = det_scalar_fit(eval_matrix(m, off), w_off)
-        prod = p.coords[0] * p.coords[1] * p.coords[2]
-        worst_det = max(worst_det, fit, abs(scalar - prod) / abs(prod))
+    samples = curve_sample_points(ctx, 20, int(rng.integers(1 << 30)))
+    coords = np.array([p.coords for p in samples])
+    m, l = moore_from_coords(coords), l_from_coords(coords)
+    ml, lm = m @ l, l @ m
+    w_id = PolyMatrix.diagonal(w, 3).coeffs
+    worst_ml = np.linalg.norm((ml.coeffs - w_id).reshape(len(samples), -1), axis=1).max()
+    worst_lm = np.linalg.norm((lm.coeffs - w_id).reshape(len(samples), -1), axis=1).max()
+    worst_off = np.linalg.norm(ml.coeffs, axis=-1)[:, ~np.eye(3, dtype=bool)].max()
+    scalar, fit = det_scalar_fit(eval_matrix(m, off), evaluate(w, off))
+    prod = coords.prod(axis=1)
+    worst_det = max(fit.max(), (np.abs(scalar - prod) / np.abs(prod)).max())
     reports.append(check("moore.ml_identity", worst_ml, 1e-8, {"samples": 20}))
     reports.append(check("moore.lm_identity", worst_lm, 1e-8, {"samples": 20}))
     reports.append(check("moore.offdiagonal", worst_off, 1e-12, {"samples": 20}))
@@ -332,8 +326,7 @@ def _sweep_config(tau: complex, a_z: complex, k: int, seed: int) -> list[CheckRe
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         worst = max(worst, abs(evaluate(w, theta_vector(z, ctx))))
     reports = [check("theta.hesse_identity", worst, 1e-9, {})]
-    for order in (0, 1):
-        rep = theta_relation_residuals(a_z, 0.11, ctx, order)
+    for order, rep in enumerate(theta_relation_residuals(a_z, 0.11, ctx, 1)):
         rep.name = f"moore.relation.order{order}"
         reports.append(rep)
     if k >= 1:

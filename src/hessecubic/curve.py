@@ -47,10 +47,6 @@ class ProjectivePoint:
     def to_json(self) -> list:
         return [[v.real, v.imag] for v in self.coords]
 
-    @classmethod
-    def from_json(cls, data) -> "ProjectivePoint":
-        return cls.from_coords([complex(re, im) for re, im in data])
-
 
 @dataclass(frozen=True)
 class CurveConfig:
@@ -67,14 +63,6 @@ class CurveConfig:
 def embed(z: complex, ctx: ThetaContext) -> ProjectivePoint:
     """The point [th0(z) : th1(z) : th2(z)] of the Hesse cubic."""
     return ProjectivePoint.from_coords(theta_vector(z, ctx))
-
-
-def proj_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
-    """1 - |<p,q>|^2 / (|p|^2 |q|^2); zero iff equal projective classes."""
-    u, v = p.as_array(), q.as_array()
-    inner = abs(np.vdot(u, v)) ** 2
-    d = 1.0 - inner / ((np.linalg.norm(u) ** 2) * (np.linalg.norm(v) ** 2))
-    return float(max(d, 0.0))
 
 
 def on_curve(p: ProjectivePoint, cfg: CurveConfig) -> float:

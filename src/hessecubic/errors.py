@@ -67,3 +67,7 @@ class CalibrationFailed(HesseCubicError):
 
 class IllConditioned(HesseCubicError):
     """A least-squares system lost rank."""
+
+
+class SamplingFailed(HesseCubicError):
+    """Rejection sampling found too few acceptable points within its draw budget."""

@@ -12,6 +12,10 @@ adj(M)/(a0*a1*a2), so M*L = L*M = w*I there: a rank-one matrix factorization
 of the cubic.  Derivative matrices replace theta values by theta derivatives
 at a; derivatives of L go through the rational coefficient functions by the
 chain rule.
+
+The Moore and L patterns are fixed index arrays built at import: a matrix,
+or a stack of them, is one fancy-index assignment of its coordinates (Moore)
+or of its six coefficient ratios (L) into a zero coefficient array.
 """
 from __future__ import annotations
 
@@ -33,12 +37,15 @@ MOORE_PATTERN = (
     ((1, 2), (0, 1), (2, 0)),
 )
 
-# entry (r, c) of a0*a1*a2 * L: a_p*a_q*x_r^2 - a_s^2*x_t*x_u
+# entry (r, c) of a0*a1*a2 * L: a_p*a_q*x_v^2 - a_s^2*x_t*x_u
 _L_TABLE = (
     (((1, 2), 0, 0, (1, 2)), ((0, 1), 1, 2, (0, 2)), ((0, 2), 2, 1, (0, 1))),
     (((0, 1), 2, 2, (0, 1)), ((0, 2), 0, 1, (1, 2)), ((1, 2), 1, 0, (0, 2))),
     (((0, 2), 1, 1, (0, 2)), ((1, 2), 2, 0, (0, 1)), ((0, 1), 0, 2, (1, 2))),
 )
+
+# the six coefficient ratios of L, in this order, over a0*a1*a2
+_L_PAIRS = ((1, 2), (0, 1), (0, 2), (0, 0), (1, 1), (2, 2))
 
 
 def _monomial(*indices) -> int:
@@ -49,14 +56,29 @@ def _monomial(*indices) -> int:
     return monomial_index(len(indices))[tuple(exp)]
 
 
+_BINOM_TABLE = np.array([[math.comb(n, j) for j in range(9)] for n in range(9)], dtype=float)
+
+# Fixed scatter patterns: coefficient array positions (row, col, monomial)
+# and the source slot of the value written there.
+_ROWS, _COLS = np.divmod(np.arange(9), 3)
+_MOORE_P = np.array([[p for p, _ in row] for row in MOORE_PATTERN])
+_MOORE_Q = np.array([[q for _, q in row] for row in MOORE_PATTERN])
+_MOORE_MONO = np.array([_monomial(q) for q in _MOORE_Q.ravel()])
+_L_ENTRIES = [entry for row in _L_TABLE for entry in row]
+_L_POS = (np.tile(_ROWS, 2), np.tile(_COLS, 2),
+          np.array([_monomial(v, v) for _, v, _, _ in _L_ENTRIES]
+                   + [_monomial(t, u) for _, _, _, (t, u) in _L_ENTRIES]))
+# slots 0..5 hold the ratios, 6..11 their negatives
+_L_SRC = np.array([_L_PAIRS.index(pq) for pq, _, _, _ in _L_ENTRIES]
+                  + [9 + s for _, _, s, _ in _L_ENTRIES])
+
+
 def moore_from_coords(coords) -> PolyMatrix:
-    """Moore-patterned matrix of linear forms from a raw coordinate triple."""
-    a = [complex(v) for v in coords]
-    out = PolyMatrix.zeros(3, 3, 1)
-    for r, row in enumerate(MOORE_PATTERN):
-        for c, (p, q) in enumerate(row):
-            out.coeffs[r, c, _monomial(q)] = a[p]
-    return out
+    """Moore-patterned matrices of linear forms from coordinate triples (..., 3)."""
+    a = np.asarray(coords, dtype=complex)
+    out = np.zeros(a.shape[:-1] + (3, 3, 3), dtype=complex)
+    out[..., _ROWS, _COLS, _MOORE_MONO] = a[..., _MOORE_P.ravel()]
+    return PolyMatrix(out)
 
 
 def moore_matrix(a: ProjectivePoint) -> PolyMatrix:
@@ -65,24 +87,28 @@ def moore_matrix(a: ProjectivePoint) -> PolyMatrix:
     return moore_from_coords(a.coords)
 
 
-def _l_entries(quad, cross) -> PolyMatrix:
-    """Entry (r, c) = quad(p, q) * x_r^2 - cross(s) * x_t*x_u, indices from _L_TABLE."""
-    out = PolyMatrix.zeros(3, 3, 2)
-    for r in range(3):
-        for c in range(3):
-            (p, q), sq_var, s, (t, u) = _L_TABLE[r][c]
-            out.coeffs[r, c, _monomial(sq_var, sq_var)] = quad(p, q)
-            out.coeffs[r, c, _monomial(t, u)] = -cross(s)
-    return out
+def _l_entries(ratios) -> PolyMatrix:
+    """L-patterned matrices from the ratios (..., 6) in _L_PAIRS order."""
+    ratios = np.asarray(ratios, dtype=complex)
+    signed = np.concatenate([ratios, -ratios], axis=-1)
+    out = np.zeros(ratios.shape[:-1] + (3, 3, 6), dtype=complex)
+    out[(...,) + _L_POS] = signed[..., _L_SRC]
+    return PolyMatrix(out)
 
 
 def l_from_coords(coords) -> PolyMatrix:
-    a = [complex(v) for v in coords]
-    scale = max(abs(v) for v in a)
-    if min(abs(v) for v in a) < 1e-9 * scale:
-        raise DenominatorZero("L matrix needs all coordinates nonzero (point in E[3])")
-    pref = 1.0 / (a[0] * a[1] * a[2])
-    return _l_entries(lambda p, q: pref * a[p] * a[q], lambda s: pref * a[s] ** 2)
+    """L partners of coordinate triples (..., 3); the ratios use Python complex
+    arithmetic, which rounds unlike numpy's, to keep emitted L reproducible."""
+    a = np.asarray(coords, dtype=complex)
+    ratios = []
+    for point in a.reshape(-1, 3).tolist():
+        scale = max(abs(v) for v in point)
+        if min(abs(v) for v in point) < 1e-9 * scale:
+            raise DenominatorZero("L matrix needs all coordinates nonzero (point in E[3])")
+        pref = 1.0 / (point[0] * point[1] * point[2])
+        ratios.append([pref * point[p] * point[q] for p, q in _L_PAIRS[:3]]
+                      + [pref * v ** 2 for v in point])
+    return _l_entries(np.reshape(ratios, a.shape[:-1] + (6,)))
 
 
 def l_matrix(a: ProjectivePoint) -> PolyMatrix:
@@ -110,35 +136,34 @@ def l_derivative(a_z: complex, ctx: ThetaContext, max_order: int) -> list[PolyMa
     if values.min() < 1e-9 * values.max():
         raise DenominatorZero("L derivative needs all coordinates nonzero (point in E[3])")
     den = leibniz_product(leibniz_product(jet[:, 0], jet[:, 1]), jet[:, 2])
-    # numerators a_p*a_q for the pairs, then a_s^2
-    left, right = [1, 0, 0, 0, 1, 2], [2, 1, 2, 0, 1, 2]
-    ratios = leibniz_quotient(leibniz_product(jet[:, left], jet[:, right]), den).tolist()
-    slot = {(1, 2): 0, (0, 1): 1, (0, 2): 2}
-    return [_l_entries(lambda p, q: row[slot[p, q]], lambda s: row[3 + s])
-            for row in ratios]
+    left, right = (list(v) for v in zip(*_L_PAIRS))
+    ratios = leibniz_quotient(leibniz_product(jet[:, left], jet[:, right]), den)
+    return list(map(PolyMatrix, _l_entries(ratios).coeffs))
 
 
 def theta_relation_residuals(a_z: complex, z: complex, ctx: ThetaContext,
-                             order: int = 0) -> CheckReport:
-    """Residual of sum_j C(order,j) M^(j)_{a,x(z)} theta^(order-j)(z+a) = 0.
+                             max_order: int = 0) -> list[CheckReport]:
+    """Residuals of sum_j C(n,j) M^(j)_{a,x(z)} theta^(n-j)(z+a) = 0, n = 0..max_order.
 
     Three scalar identities per order, evaluated at x = embed(z); the order-0
-    case is the Moore relation itself, order >= 1 its a-derivatives.
+    case is the Moore relation itself, order >= 1 its a-derivatives.  Every
+    order comes from one jet pair at a and z+a in one contraction; one
+    report per order.
     """
-    if order > 8:
+    if max_order > 8:
         raise ValueError("relation order capped at 8")
-    x = embed(z, ctx).coords
-    a_jet = theta_jet(a_z, ctx, order).tolist()
-    y_jet = theta_jet(z + a_z, ctx, order).tolist()
-    residuals = [0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j]
-    for j in range(order + 1):
-        avec, yvec = a_jet[j], y_jet[order - j]
-        weight = math.comb(order, j)
-        for r in range(3):
-            residuals[r] += weight * sum(avec[p] * x[q] * yvec[col]
-                                         for col, (p, q) in enumerate(MOORE_PATTERN[r]))
-    worst = max(abs(v) for v in residuals)
-    tol = ctx.check_tol * 10 ** min(order, 2)
-    return check("moore.relation", worst, tol,
-                 inputs={"a_z": complex(a_z), "z": complex(z),
-                         "tau": complex(ctx.tau), "order": order})
+    x = np.array(embed(z, ctx).coords)
+    a_jet = theta_jet(a_z, ctx, max_order)
+    y_jet = theta_jet(z + a_z, ctx, max_order)
+    # moore[j, r, c] = theta_p^(j)(a) * x_q for (p, q) = MOORE_PATTERN[r][c]
+    moore = a_jet[:, _MOORE_P] * x[_MOORE_Q]
+    orders = np.arange(max_order + 1)
+    # weights[n, j, i] = C(n, j) if i = n - j (the Leibniz rule), else 0
+    weights = _BINOM_TABLE[:max_order + 1, :max_order + 1, None] * np.eye(max_order + 1)[
+        np.subtract.outer(orders, orders)]
+    residuals = np.einsum("nji,jrc,ic->nr", weights, moore, y_jet)
+    worst = np.max(np.abs(residuals), axis=1)
+    return [check("moore.relation", worst[n], ctx.check_tol * 10 ** min(n, 2),
+                  inputs={"a_z": complex(a_z), "z": complex(z),
+                          "tau": complex(ctx.tau), "order": n})
+            for n in range(max_order + 1)]

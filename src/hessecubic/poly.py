@@ -92,23 +92,27 @@ class PolyMatrix:
 
     @property
     def rows(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-3]
 
     @property
     def cols(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-2]
 
     @property
     def degree(self) -> int:
-        return _degree(self.coeffs.shape[2])
+        return _degree(self.coeffs.shape[-1])
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """Matrix product; leading stack axes broadcast as in numpy matmul."""
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        # outer product over the shared index: (i, a, j, b) -> (i, j, a*b)
-        outer = np.tensordot(self.coeffs, other.coeffs, axes=([1], [0]))
-        pairs = outer.transpose(0, 2, 1, 3).reshape(self.rows, other.cols, -1)
-        return PolyMatrix(pairs @ _product_table(self.degree, other.degree))
+        # one matmul over the shared index: (..., i*a, k) @ (..., k, j*b)
+        (r, k, m1), (s, m2) = self.coeffs.shape[-3:], other.coeffs.shape[-2:]
+        left = np.swapaxes(self.coeffs, -1, -2).reshape(self.coeffs.shape[:-3] + (r * m1, k))
+        outer = left @ other.coeffs.reshape(other.coeffs.shape[:-2] + (s * m2,))
+        pairs = np.swapaxes(outer.reshape(outer.shape[:-2] + (r, m1, s, m2)), -3, -2)
+        return PolyMatrix(pairs.reshape(pairs.shape[:-2] + (m1 * m2,))
+                          @ _product_table(self.degree, other.degree))
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.coeffs.shape != other.coeffs.shape:
@@ -138,45 +142,55 @@ class PolyMatrix:
 
 
 def eval_matrix(m: PolyMatrix, xs) -> np.ndarray:
-    """Entrywise evaluation at a triple (rows, cols), or at a stack (n, rows, cols)."""
-    return np.einsum("ijm,...m->...ij", m.coeffs, _monomial_values(xs, m.degree))
+    """Entrywise evaluation of every matrix of the stack at every triple.
+
+    Coefficients (..., rows, cols, C(d+2, 2)) at triples of shape (*T, 3)
+    give values of shape (..., *T, rows, cols).
+    """
+    values = _monomial_values(xs, m.degree)
+    out = np.einsum("...ijm,tm->...tij", m.coeffs, values.reshape(-1, values.shape[-1]))
+    return out.reshape(m.coeffs.shape[:-3] + values.shape[:-1] + out.shape[-2:])
 
 
-def det_scalar_fit(values: np.ndarray, reference: np.ndarray) -> tuple[complex, float]:
+def det_scalar_fit(values: np.ndarray, reference: np.ndarray):
     """Sampled test of det N = c * r: least-squares c and its relative residual.
 
-    values is a stack of square evaluations N(x_s), reference the values
-    r(x_s) at the same points.  With d_s = det N(x_s) the residual is
-    |d - c*r| / |d|, the sine of the angle between d and r: it does not
-    depend on the size of c.  A determinant that vanishes at every sample
-    fits c = 0 with residual 0.
+    values is a stack (..., n, s, s) of evaluations N(x_s), reference the
+    values r(x_s) at the same n points, broadcast over the leading axes.
+    With d_s = det N(x_s) the residual is |d - c*r| / |d|, the sine of the
+    angle between d and r: it does not depend on the size of c.  A
+    determinant that vanishes at every sample fits c = 0 with residual 0.
+    One fit gives (complex, float), a stack of fits two arrays.
     """
     values = np.asarray(values, dtype=complex)
     if values.shape[-1] != values.shape[-2]:
         raise NotSquare(f"{values.shape[-2]}x{values.shape[-1]} matrix has no determinant")
-    r = np.asarray(reference, dtype=complex)
-    r_norm = np.linalg.norm(r)
-    if r_norm == 0.0:
-        raise ZeroReference("reference vanishes at every sample point")
     d = np.linalg.det(values)
-    d_norm = np.linalg.norm(d)
-    if d_norm == 0.0:
-        return 0j, 0.0
-    c = np.vdot(r, d) / r_norm ** 2
-    return complex(c), float(np.linalg.norm(d - c * r) / d_norm)
+    r = np.broadcast_to(np.asarray(reference, dtype=complex), d.shape)
+    r_norm = np.linalg.norm(r, axis=-1)
+    if np.any(r_norm == 0.0):
+        raise ZeroReference("reference vanishes at every sample point")
+    d_norm = np.linalg.norm(d, axis=-1)
+    vanishes = d_norm == 0.0
+    c = np.where(vanishes, 0.0, np.sum(r.conj() * d, axis=-1) / r_norm ** 2)
+    residual = np.linalg.norm(d - c[..., None] * r, axis=-1) / np.where(vanishes, 1.0, d_norm)
+    if c.ndim == 0:
+        return complex(c), float(residual)
+    return c, residual
 
 
-def numeric_rank(n: np.ndarray, rank_tol: float | None = None) -> int:
-    """Number of singular values above rank_tol (default 1e-7 * largest)."""
+def numeric_rank(n: np.ndarray, rank_tol: float | None = None):
+    """Number of singular values above rank_tol (default 1e-7 * largest).
+
+    A stack (..., rows, cols) gets one rank per matrix, each against its own
+    largest singular value, from one SVD call.
+    """
+    if rank_tol is not None and rank_tol <= 0:
+        raise ValueError("rank_tol must be positive")
     n = np.asarray(n, dtype=complex)
     if n.size == 0:
         return 0
     svals = np.linalg.svd(n, compute_uv=False)
-    top = svals[0] if len(svals) else 0.0
-    if top == 0.0:
-        return 0
-    if rank_tol is None:
-        rank_tol = 1e-7 * top
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    return int(np.sum(svals > rank_tol))
+    threshold = 1e-7 * svals[..., :1] if rank_tol is None else rank_tol
+    ranks = np.sum(svals > threshold, axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks

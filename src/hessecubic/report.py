@@ -45,11 +45,3 @@ def check(name: str, residual: float, tol: float, inputs: dict | None = None) ->
     residual = float(residual)
     return CheckReport(name=name, residual=residual, tol=float(tol),
                        passed=residual < tol, inputs=inputs or {})
-
-
-def all_passed(reports: list[CheckReport]) -> bool:
-    return all(r.passed for r in reports)
-
-
-def to_json_lines(reports: list[CheckReport]) -> str:
-    return "\n".join(r.to_json() for r in reports)

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: derivatives come from
 finite differences (with Richardson extrapolation), matrix inverses from
 cofactors, polynomial identities from numpy evaluations at sample points,
-theta values from a plain fixed-window series sum.
+theta values from a plain fixed-window series sum, Moore and L matrices and
+the Moore relations entry by entry in plain Python.
 """
 from __future__ import annotations
 
@@ -12,7 +13,9 @@ import math
 
 import numpy as np
 
-from hessecubic.poly import PolyMatrix
+from hessecubic.curve import ProjectivePoint
+from hessecubic.moore import MOORE_PATTERN
+from hessecubic.poly import PolyMatrix, monomial_index
 
 
 def central_difference(f, z: complex, h: float = 1e-5) -> complex:
@@ -61,6 +64,19 @@ def theta_series_oracle(z: complex, tau: complex, order: int,
     return values, largest
 
 
+def proj_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
+    """1 - |<p,q>|^2 / (|p|^2 |q|^2); zero iff equal projective classes."""
+    u, v = p.as_array(), q.as_array()
+    inner = abs(np.vdot(u, v)) ** 2
+    d = 1.0 - inner / ((np.linalg.norm(u) ** 2) * (np.linalg.norm(v) ** 2))
+    return float(max(d, 0.0))
+
+
+def point_from_json(data) -> ProjectivePoint:
+    """Inverse of ProjectivePoint.to_json: [[re, im], ...] back to a point."""
+    return ProjectivePoint.from_coords([complex(re, im) for re, im in data])
+
+
 def brute_det3(m: np.ndarray) -> complex:
     """Rule-of-Sarrus determinant of a numeric 3x3 matrix."""
     return (m[0, 0] * m[1, 1] * m[2, 2] + m[0, 1] * m[1, 2] * m[2, 0]
@@ -104,3 +120,109 @@ def random_poly_matrix(rng, rows: int, cols: int, degree: int) -> PolyMatrix:
 def matrix_close(a: PolyMatrix, b: PolyMatrix, tol: float = 1e-10) -> bool:
     return (a - b).coefficient_norm() <= tol * (1.0 + a.coefficient_norm()
                                                 + b.coefficient_norm())
+
+
+def relation_residual_oracle(a_jet, y_jet, x, order: int) -> list[complex]:
+    """The three order-`order` Moore relation residuals by a plain triple loop.
+
+    sum_j C(order,j) * sum_col a_jet[j][p] * x[q] * y_jet[order-j][col] for
+    row r, (p, q) = MOORE_PATTERN[r][col]; jets are lists of rows.
+    """
+    residuals = [0j, 0j, 0j]
+    for j in range(order + 1):
+        avec, yvec = a_jet[j], y_jet[order - j]
+        weight = math.comb(order, j)
+        for r in range(3):
+            residuals[r] += weight * sum(avec[p] * x[q] * yvec[col]
+                                         for col, (p, q) in enumerate(MOORE_PATTERN[r]))
+    return residuals
+
+
+def _monomial(*indices) -> int:
+    exp = [0, 0, 0]
+    for i in indices:
+        exp[i] += 1
+    return monomial_index(len(indices))[tuple(exp)]
+
+
+def moore_entrywise(coords) -> np.ndarray:
+    """Coefficients of the Moore matrix, written entry by entry."""
+    a = [complex(v) for v in coords]
+    out = np.zeros((3, 3, 3), dtype=complex)
+    for r, row in enumerate(MOORE_PATTERN):
+        for c, (p, q) in enumerate(row):
+            out[r, c, _monomial(q)] = a[p]
+    return out
+
+
+# entry (r, c) of a0*a1*a2 * L: a_p*a_q*x_v^2 - a_s^2*x_t*x_u
+_L_TABLE = (
+    (((1, 2), 0, 0, (1, 2)), ((0, 1), 1, 2, (0, 2)), ((0, 2), 2, 1, (0, 1))),
+    (((0, 1), 2, 2, (0, 1)), ((0, 2), 0, 1, (1, 2)), ((1, 2), 1, 0, (0, 2))),
+    (((0, 2), 1, 1, (0, 2)), ((1, 2), 2, 0, (0, 1)), ((0, 1), 0, 2, (1, 2))),
+)
+
+
+def l_entrywise(coords) -> np.ndarray:
+    """Coefficients of L = adj(M)/(a0*a1*a2), written entry by entry."""
+    a = [complex(v) for v in coords]
+    pref = 1.0 / (a[0] * a[1] * a[2])
+    out = np.zeros((3, 3, 6), dtype=complex)
+    for r in range(3):
+        for c in range(3):
+            (p, q), v, s, (t, u) = _L_TABLE[r][c]
+            out[r, c, _monomial(v, v)] = pref * a[p] * a[q]
+            out[r, c, _monomial(t, u)] = -(pref * a[s] ** 2)
+    return out
+
+
+def section_components_oracle(jets, k: int) -> list[list[complex]]:
+    """Section basis components, column by column then theta index, entry by entry.
+
+    Component r of column c is C(c,r)/C(k,r) * th^(c-r)(z+a), zero for r > c;
+    jets is the list of rows th^(m)(z+a), m = 0..k.
+    """
+    out = []
+    for column in range(k + 1):
+        for index in range(3):
+            out.append([math.comb(column, row) / math.comb(k, row) * jets[column - row][index]
+                        if row <= column else 0j for row in range(k + 1)])
+    return out
+
+
+def automorphy_block_oracle(jets, k: int) -> np.ndarray:
+    """(k+1)-square upper-triangular block C(k-i, j-i) * e^(j-i), entry by entry."""
+    f = np.zeros((k + 1, k + 1), dtype=complex)
+    for i in range(k + 1):
+        for j in range(i, k + 1):
+            f[i, j] = math.comb(k - i, j - i) * jets[j - i]
+    return f
+
+
+def transport_residual_oracle(f: np.ndarray, here, there) -> float:
+    """max over sections of |f v(z) - v(z+lambda)| / (1 + |f v| + |v(z+lambda)|), one by one."""
+    worst = 0.0
+    for v0, v1 in zip(here, there):
+        lhs = f @ np.array(v0.components)
+        rhs = np.array(v1.components)
+        scale = 1.0 + float(np.max(np.abs(lhs)) + np.max(np.abs(rhs)))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
+    return worst
+
+
+def annihilation_residual_oracle(rel: np.ndarray, xs, sections, k: int) -> float:
+    """max |sum over slots of (relation row . x) * section| by a plain triple loop.
+
+    Slot sigma = 3*beta + i pairs block column beta with basis column k - beta.
+    """
+    by_key = {(v.column, v.index): np.array(v.components) for v in sections}
+    worst = 0.0
+    for r in range(rel.shape[0]):
+        acc = np.zeros(k + 1, dtype=complex)
+        for beta in range(k + 1):
+            for i in range(3):
+                sigma = 3 * beta + i
+                weight = sum(rel[r, 3 * sigma + j] * xs[j] for j in range(3))
+                acc += weight * by_key[(k - beta, i)]
+        worst = max(worst, float(np.max(np.abs(acc))))
+    return worst

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from hessecubic import (CalibrationFailed, DenominatorZero, PolyMatrix, SizeMismatch,
+from hessecubic import (CalibrationFailed, CurveConfig, DenominatorZero, PolyMatrix,
+                        SamplingFailed, SizeMismatch, ThetaContext,
                         UlrichSpec, automorphy_block, automorphy_cocycle_residual,
                         automorphy_transport_residual, build_algebraic,
                         build_analytic, calibrate_scalars, curve_sample_points,
@@ -15,9 +16,16 @@ from hessecubic import (CalibrationFailed, DenominatorZero, PolyMatrix, SizeMism
                         relation_annihilation_residual, relation_matrix,
                         section_basis, tangent_rep, theta_jet, theta_vector,
                         verify_factorization, verify_presentation)
-from hessecubic.bundles import _finite_at, equilibrate
+from hessecubic import bundles
+from hessecubic.bundles import _finite_at, _rejection_sample, equilibrate
+from hessecubic.curve import is_three_torsion
+from hessecubic.poly import evaluate, hesse_form
+from hessecubic.theta import hesse_psi
 from hessecubic.moore import moore_from_coords
-from oracles import matrix_close, random_poly_matrix
+from hessecubic.theta import automorphy_jet
+from oracles import (annihilation_residual_oracle, automorphy_block_oracle, matrix_close,
+                     random_poly_matrix, section_components_oracle,
+                     transport_residual_oracle)
 
 A_Z = 0.3
 
@@ -308,6 +316,49 @@ def test_elimination_rejects_torsion(ctx_i):
         derivative_elimination_fit(1.0 / 3.0, ctx_i)
 
 
+# -- sample points ---------------------------------------------------------------
+
+def test_rejection_sampler_stops_after_its_draw_budget():
+    draws = []
+    with pytest.raises(SamplingFailed, match="found 0 of 3"):
+        _rejection_sample(lambda: draws.append(1), lambda _: False, 3, "points")
+    assert len(draws) == 3000
+
+
+def test_rejection_sampler_stops_drawing_once_complete():
+    draws = iter(range(100))
+    assert _rejection_sample(lambda: next(draws), lambda n: n % 2, 3, "odd") == [1, 3, 5]
+    assert next(draws) == 6
+
+
+@pytest.mark.parametrize("tau", [1j, 0.2 + 1.3j, 4j])
+def test_samplers_draw_the_unbounded_loop_sequence(tau):
+    # the draw budget only adds an exit: the samples equal the plain loop's
+    ctx = ThetaContext(tau=tau)
+    psi = hesse_psi(ctx)
+    cfg = CurveConfig(psi=psi)
+    rng = np.random.default_rng(5)
+    expected = []
+    while len(expected) < 10:
+        p = embed(complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45)), ctx)
+        if not is_three_torsion(p, cfg) and min(abs(v) for v in p.coords) > 1e-3:
+            expected.append(p)
+    assert curve_sample_points(ctx, 10, 5) == expected
+    rng = np.random.default_rng(6)
+    expected = []
+    while len(expected) < 10:
+        xs = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3))
+        if abs(evaluate(hesse_form(psi), xs)) > 1e-2:
+            expected.append(xs)
+    assert offcurve_sample_triples(psi, 10, 6) == expected
+
+
+def test_curve_sampler_fails_by_name_near_the_cusp():
+    # at Im tau = 5 every sampled point has a coordinate below 1e-3
+    with pytest.raises(SamplingFailed, match="curve points"):
+        curve_sample_points(ThetaContext(tau=5j), 2, 0)
+
+
 # -- sections and automorphy ---------------------------------------------------
 
 def test_section_basis_k0(ctx_i):
@@ -352,6 +403,62 @@ def test_sections_linearly_independent(ctx_i, spec2):
         columns.append(np.array([v.components for v in section_basis(spec2, z)]).T)
     stacked = np.vstack(columns)  # (len(zs)*(k+1)) x 3(k+1)
     assert numeric_rank(equilibrate(stacked)) == 9
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_section_basis_matches_entrywise_oracle(ctx_i, k):
+    spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
+    basis = section_basis(spec, 0.11)
+    expected = section_components_oracle(theta_jet(0.11 + A_Z, ctx_i, k).tolist(), k)
+    assert [list(v.components) for v in basis] == expected
+    assert [(v.column, v.index) for v in basis] == [(c, i) for c in range(k + 1)
+                                                    for i in range(3)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_automorphy_block_matches_entrywise_oracle(ctx_i, k):
+    spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
+    for lam in (1.0, ctx_i.tau):
+        jets = automorphy_jet(A_Z, lam, 0.11, ctx_i, k)
+        assert np.array_equal(automorphy_block(spec, lam, 0.11),
+                              automorphy_block_oracle(jets, k))
+
+
+def _sections_elsewhere(monkeypatch, shift: complex):
+    # sections taken at z + shift break the identities, so the residuals are
+    # of the size of their terms and comparable between implementations
+    original = section_basis
+    monkeypatch.setattr(bundles, "section_basis", lambda spec, z: original(spec, z + shift))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_transport_residual_matches_loop_oracle(monkeypatch, ctx_i, k):
+    spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
+    z = 0.13 + 0.05j
+    for lam in (1.0, ctx_i.tau):
+        # a wrong factor breaks the identity, so the residual is of the size
+        # of its terms and comparable between implementations
+        f = automorphy_block(spec, lam, z) * np.linspace(1.0, 1.1, (k + 1) ** 2).reshape(k + 1, -1)
+        expected = transport_residual_oracle(f, section_basis(spec, z),
+                                             section_basis(spec, z + lam))
+        with monkeypatch.context() as patch:
+            patch.setattr(bundles, "automorphy_block", lambda spec, lam, z: f)
+            got = automorphy_transport_residual(spec, lam, z)
+        assert expected > 1e-3
+        assert abs(got - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_annihilation_residual_matches_loop_oracle(monkeypatch, ctx_i, k):
+    spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
+    # sections at another point break the identity (see above)
+    shifted = section_basis(spec, 0.16)
+    expected = annihilation_residual_oracle(relation_matrix(spec), theta_vector(0.11, ctx_i),
+                                            shifted, k)
+    monkeypatch.setattr(bundles, "section_basis", lambda spec, z: shifted)
+    got = relation_annihilation_residual(spec, 0.11)
+    assert expected > 1e-3
+    assert abs(got - expected) <= 1e-12 * expected
 
 
 def test_automorphy_block_at_one(ctx_i, spec2):

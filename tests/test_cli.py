@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,19 @@ def test_theta_series_limits_are_named_errors(capfd, command, tau):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert "theta series" in json.loads(lines[0])["error"]
+
+
+def test_sampling_failure_is_a_named_error(capfd):
+    # near the nodal cusp no curve sample clears the E[3] margin
+    start = time.perf_counter()
+    assert main(["check", "--tau", "5i", "--k", "1"]) == 1
+    elapsed = time.perf_counter() - start
+    out, err = capfd.readouterr()
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert "draws" in json.loads(lines[0])["error"]
+    assert elapsed < 10.0
 
 
 def test_psi_nondegenerate_measures_distance_to_psi_cubed_one():

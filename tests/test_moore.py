@@ -9,9 +9,12 @@ from hessecubic import (DenominatorZero, PolyMatrix, ProjectivePoint,
                         l_derivative, l_matrix, moore_derivative, moore_matrix,
                         offcurve_sample_triples, theta_relation_residuals,
                         theta_vector)
-from hessecubic.moore import moore_from_coords
+from hessecubic import moore
+from hessecubic.moore import l_from_coords, moore_from_coords
 from hessecubic.poly import monomials
-from oracles import adjugate3, matrix_close, random_triple
+from hessecubic.theta import ThetaContext, theta_jet
+from oracles import (adjugate3, l_entrywise, matrix_close, moore_entrywise,
+                     random_triple, relation_residual_oracle)
 
 
 def _terms(coeffs) -> dict:
@@ -176,26 +179,81 @@ def test_iterated_leibniz(ctx_i):
 
 
 def test_relation_order_zero(ctx_i):
-    rep = theta_relation_residuals(0.3, 0.11, ctx_i, order=0)
+    rep = theta_relation_residuals(0.3, 0.11, ctx_i, max_order=0)[0]
     assert rep.residual < 1e-9
     assert rep.passed
 
 
 def test_relation_order_one(ctx_i):
-    rep = theta_relation_residuals(0.3, 0.11, ctx_i, order=1)
+    rep = theta_relation_residuals(0.3, 0.11, ctx_i, max_order=1)[1]
     assert rep.residual < 1e-8
     assert rep.passed
 
 
 def test_relation_holds_at_torsion_base(ctx_i):
     # the identity survives at a in E[3]; only invertibility degenerates
-    rep = theta_relation_residuals(0.0, 0.11, ctx_i, order=0)
+    rep = theta_relation_residuals(0.0, 0.11, ctx_i, max_order=0)[0]
     assert rep.residual < 1e-9
 
 
 def test_relation_order_cap(ctx_i):
     with pytest.raises(ValueError):
-        theta_relation_residuals(0.3, 0.11, ctx_i, order=9)
+        theta_relation_residuals(0.3, 0.11, ctx_i, max_order=9)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.2 + 1.3j, -0.31 + 1.12j])
+def test_relation_residuals_match_loop_oracle(monkeypatch, tau):
+    ctx = ThetaContext(tau=tau)
+    a_z, z = 0.23 + 0.04j, -0.27 + 0.09j
+    # move x off the relation's locus so every residual is of the size of its terms
+    monkeypatch.setattr(moore, "embed", lambda z, ctx: embed(z + 0.05, ctx))
+    reports = theta_relation_residuals(a_z, z, ctx, max_order=8)
+    a_jet = theta_jet(a_z, ctx, 8).tolist()
+    y_jet = theta_jet(z + a_z, ctx, 8).tolist()
+    x = embed(z + 0.05, ctx).coords
+    for order, rep in enumerate(reports):
+        expected = max(abs(v) for v in relation_residual_oracle(a_jet, y_jet, x, order))
+        assert expected > 1e-3
+        assert abs(rep.residual - expected) <= 1e-12 * expected
+
+
+def test_relation_reports_keep_names_tolerances_and_inputs(ctx_i):
+    reports = theta_relation_residuals(0.3, 0.11, ctx_i, max_order=4)
+    assert [r.name for r in reports] == ["moore.relation"] * 5
+    assert [r.tol for r in reports] == [ctx_i.check_tol * 10 ** min(n, 2) for n in range(5)]
+    assert [r.inputs["order"] for r in reports] == list(range(5))
+    assert all(sorted(r.inputs) == ["a_z", "order", "tau", "z"] for r in reports)
+    assert all(r.passed for r in reports)
+
+
+def _oracle_points(ctx):
+    rng = np.random.default_rng(34)
+    points = [random_triple(rng) for _ in range(20)]
+    points += [embed(z, ctx).coords for z in (0.1, 0.3 + 0.07j, -0.21 + 0.13j)]
+    return points + [(1.0, 1.0, 1.0), (2.0, 3.0, 5.0)]
+
+
+def test_moore_from_coords_matches_entrywise_oracle(ctx_i):
+    points = _oracle_points(ctx_i)
+    for point in points:
+        assert np.array_equal(moore_from_coords(point).coeffs, moore_entrywise(point))
+    stacked = moore_from_coords(np.array(points)).coeffs
+    assert np.array_equal(stacked, [moore_entrywise(p) for p in points])
+
+
+def test_l_from_coords_matches_entrywise_oracle(ctx_i):
+    # bit for bit: emitted L coefficients must not change
+    points = _oracle_points(ctx_i)
+    for point in points:
+        assert np.array_equal(l_from_coords(point).coeffs, l_entrywise(point))
+    stacked = l_from_coords(np.array(points)).coeffs
+    assert np.array_equal(stacked, [l_entrywise(p) for p in points])
+
+
+def test_l_from_coords_rejects_a_torsion_point_in_a_stack(ctx_i):
+    points = [embed(0.1, ctx_i).coords, (0.0, 1.0, -1.0)]
+    with pytest.raises(DenominatorZero):
+        l_from_coords(points)
 
 
 def test_moore_from_coords_pattern():

@@ -8,6 +8,7 @@ from hessecubic import (NotSquare, PolyMatrix, UlrichSpec, ZeroReference,
                         build_analytic, det_scalar_fit, embed, eval_matrix,
                         evaluate, hesse_form, l_matrix, moore_matrix, numeric_rank,
                         offcurve_sample_triples)
+from hessecubic.bundles import equilibrate
 from hessecubic.poly import monomials
 from oracles import (brute_det3, matrix_close, moore_det_closed_form,
                      random_poly_matrix, random_triple)
@@ -90,6 +91,95 @@ def test_eval_stack_matches_single_points(ctx_i):
     assert stacked.shape == (4, 3, 3)
     for values, x in zip(stacked, xs):
         assert np.array_equal(values, eval_matrix(m, x))
+
+
+def _low_rank(rng, size: int, rank: int, scale: float) -> np.ndarray:
+    left = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
+    right = rng.normal(size=(rank, size)) + 1j * rng.normal(size=(rank, size))
+    return scale * (left @ right)
+
+
+def _svd_rank(m: np.ndarray) -> int:
+    svals = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(svals > 1e-7 * svals[0])) if svals[0] > 0 else 0
+
+
+def test_stacked_rank_and_equilibrate_match_per_matrix():
+    # one stack: a zero matrix, rank-deficient matrices, scales 1e-8..1e8
+    rng = np.random.default_rng(30)
+    ranks = [0, 1, 3, 5, 6, 2, 6, 4, 6]
+    scales = [1.0, 1e-8, 1e-4, 1.0, 1e8, 1e8, 1e-8, 1e3, 1e-2]
+    stack = np.array([_low_rank(rng, 6, r, s) for r, s in zip(ranks, scales)])
+    # a 1e10 row/column spread inside one matrix, as in jet block matrices:
+    # the plain rank loses it, the equilibrated one does not
+    spread = np.diag(10.0 ** np.arange(-3, 3))
+    stack[-1] = spread @ stack[-1] @ spread
+    plain = [_svd_rank(m) for m in stack]
+    assert plain[:-1] == ranks[:-1] and plain[-1] < 6
+    assert numeric_rank(stack).tolist() == plain
+    assert [numeric_rank(m) for m in stack] == plain
+    eq = equilibrate(stack)
+    assert eq.shape == stack.shape
+    for single, stacked in zip(stack, eq):
+        assert np.allclose(equilibrate(single), stacked, rtol=1e-14, atol=0)
+    assert numeric_rank(eq).tolist() == ranks
+    assert [_svd_rank(m) for m in eq] == ranks
+    # leading axes of any depth
+    assert numeric_rank(stack.reshape(3, 3, 6, 6)).tolist() == np.reshape(plain, (3, 3)).tolist()
+
+
+def test_stacked_product_matches_per_slice():
+    rng = np.random.default_rng(31)
+    left = np.array([random_poly_matrix(rng, 3, 4, 1).coeffs for _ in range(5)])
+    right = np.array([random_poly_matrix(rng, 4, 2, 2).coeffs for _ in range(5)])
+    prod = PolyMatrix(left) @ PolyMatrix(right)
+    assert prod.coeffs.shape == (5, 3, 2, 10)
+    for i in range(5):
+        single = (PolyMatrix(left[i]) @ PolyMatrix(right[i])).coeffs
+        assert np.allclose(prod.coeffs[i], single, rtol=1e-14, atol=1e-14)
+    # an unstacked factor broadcasts against the stack
+    shared = PolyMatrix(right[0])
+    broadcast = PolyMatrix(left) @ shared
+    for i in range(5):
+        single = (PolyMatrix(left[i]) @ shared).coeffs
+        assert np.allclose(broadcast.coeffs[i], single, rtol=1e-14, atol=1e-14)
+
+
+def test_stacked_eval_matches_per_slice():
+    rng = np.random.default_rng(32)
+    coeffs = np.array([[random_poly_matrix(rng, 2, 3, 2).coeffs for _ in range(3)]
+                       for _ in range(2)])
+    xs = np.array([[random_triple(rng) for _ in range(4)] for _ in range(5)])
+    values = eval_matrix(PolyMatrix(coeffs), xs)
+    assert values.shape == (2, 3, 5, 4, 2, 3)
+    for i in range(2):
+        for j in range(3):
+            single = PolyMatrix(coeffs[i, j])
+            assert np.allclose(values[i, j], eval_matrix(single, xs), rtol=1e-14, atol=1e-14)
+            for a in range(5):
+                for b in range(4):
+                    assert np.allclose(values[i, j, a, b], eval_matrix(single, xs[a, b]),
+                                       rtol=1e-14, atol=1e-14)
+
+
+def test_stacked_det_fit_matches_per_slice(ctx_i, psi_i):
+    off = offcurve_sample_triples(psi_i, 10, 43)
+    w_off = evaluate(hesse_form(psi_i), off)
+    rng = np.random.default_rng(33)
+    stack = np.array([moore_matrix(embed(0.1, ctx_i)).coeffs,
+                      random_poly_matrix(rng, 3, 3, 1).coeffs,
+                      np.zeros((3, 3, 3)),
+                      moore_matrix(embed(0.23 + 0.05j, ctx_i)).coeffs])
+    values = eval_matrix(PolyMatrix(stack), off)
+    c, residual = det_scalar_fit(values, w_off)
+    assert c.shape == residual.shape == (len(stack),)
+    for i in range(len(stack)):
+        c_i, residual_i = det_scalar_fit(values[i], w_off)
+        assert abs(c[i] - c_i) <= 1e-13 * abs(c_i)
+        assert abs(residual[i] - residual_i) <= 1e-13 * max(residual_i, 1e-3)
+    # a vanishing determinant fits c = 0 with residual 0, as in a single call
+    assert c[2] == 0 and residual[2] == 0
+    assert max(residual[0], residual[3]) < 1e-8 and residual[1] > 1e-3
 
 
 def test_det_identity(psi_i):
