@@ -9,8 +9,8 @@ from .bundles import (SectionVector, UlrichSpec, automorphy_block,
                       offcurve_sample_triples, relation_annihilation_residual,
                       relation_matrix, section_basis, tangent_rep,
                       verify_factorization, verify_presentation)
-from .curve import (CurveConfig, ProjectivePoint, double_neg, embed,
-                    is_three_torsion, iterate_double_neg, negate, on_curve)
+from .curve import (CurveConfig, ProjectivePoint, double_neg, doubling_orbit, embed,
+                    is_three_torsion, on_curve)
 from .errors import (AllIndicesDegenerate, AllZero, CalibrationFailed,
                      DegenerateProbe, DenominatorZero, HesseCubicError,
                      IllConditioned, InconsistentFactor, InconsistentPsi,

@@ -15,22 +15,29 @@ The elimination rests on the componentwise identity
     theta'_i(a) = s(a) * theta_i(a) + c * V_i(a),
 
 where V(a) = [a0(a2^3-a1^3), a1(a0^3-a2^3), a2(a1^3-a0^3)] / (a0*a1*a2) is
-the tangent-line representative of -2a and c does not depend on a.  The
-calibrated scalars solve the full two-sided block equivalence
-U * A_analytic * W = A_algebraic(lambda) at the coefficient-vector level
-(Gauss-Newton, initialized at the iterated-elimination values
-mu_l = (-2)^(l(l-1)/2) * c^l, which are exact for l <= 2).
+the tangent-line representative of -2a and c does not depend on a.  Nor on
+a lattice translate of a: theta(a + m + n*tau) = e*theta(a) and V is
+homogeneous of degree 1, so the fits along the doubling orbit use (-2)^l a
+reduced into the fundamental parallelogram, where theta stays bounded.
+
+The calibrated scalars solve the two-sided block equivalence
+U * A_analytic * W = A_algebraic(lambda) with U, W unit upper triangular.
+Moore-pattern blocks are linear in their coefficient vectors, so A and the
+target T(lambda) are (k+1, k+1, 3) arrays; the residual is the upper
+triangle of U*A*W - T and its Jacobian comes from the product rule.
+Gauss-Newton starts at the iterated-elimination values
+mu_l = (-2)^(l(l-1)/2) * c^l, which are exact for l <= 2.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import (CurveConfig, ProjectivePoint, embed, is_three_torsion,
-                    iterate_double_neg)
+from .curve import CurveConfig, ProjectivePoint, doubling_orbit, embed, is_three_torsion
 from .errors import (CalibrationFailed, DenominatorZero, IllConditioned, SamplingFailed,
                      SizeMismatch, ThetaOverflow)
 from .moore import l_derivative, moore_from_coords
@@ -59,11 +66,6 @@ class UlrichSpec:
     def size(self) -> int:
         return 3 * (self.k + 1)
 
-    def base_point(self) -> ProjectivePoint:
-        if self.point is not None:
-            return self.point
-        return embed(self.a_z, self.ctx)
-
 
 @dataclass(frozen=True)
 class SectionVector:
@@ -82,22 +84,36 @@ def build_analytic(spec: UlrichSpec) -> tuple[PolyMatrix, PolyMatrix]:
     """The derivative block matrices (A, B); upper triangular, 3(k+1) square."""
     if spec.a_z is None:
         raise ValueError("analytic construction needs a_z")
-    k = spec.k
-    m_jets = [moore_from_coords(row) for row in theta_jet(spec.a_z, spec.ctx, k)]
-    l_jets = l_derivative(spec.a_z, spec.ctx, k)
-    a = _binomial_blocks(k, lambda d, n: m_jets[d].scale(n))
-    b = _binomial_blocks(k, lambda d, n: l_jets[d].scale(n))
-    return a, b
+    m_jets = moore_from_coords(theta_jet(spec.a_z, spec.ctx, spec.k)).coeffs
+    l_jets = np.array([l.coeffs for l in l_derivative(spec.a_z, spec.ctx, spec.k)])
+    return _block_matrix(_offset_blocks(m_jets)), _block_matrix(_offset_blocks(l_jets))
 
 
-def _binomial_blocks(k: int, block) -> PolyMatrix:
-    """Upper block-triangular matrix with block (i, j) = block(j-i, C(k-i, j-i))."""
-    blocks = {(i, j): block(j - i, math.comb(k - i, j - i))
-              for i in range(k + 1) for j in range(i, k + 1)}
-    out = PolyMatrix.zeros(3 * (k + 1), 3 * (k + 1), blocks[0, 0].degree)
-    for (i, j), b in blocks.items():
-        out.coeffs[3 * i:3 * i + 3, 3 * j:3 * j + 3] = b.coeffs
+def _block_binomials(k: int) -> list[list[int]]:
+    """C(k-i, j-i), the weight of block (i, j) in every construction; 0 below the diagonal."""
+    return [[math.comb(k - i, j - i) if j >= i else 0 for j in range(k + 1)]
+            for i in range(k + 1)]
+
+
+def _offset_blocks(jets) -> np.ndarray:
+    """(k+1, k+1, ...) array with block (i, j) = C(k-i, j-i) * jets[j-i], zero below."""
+    jets = np.asarray(jets)
+    i, j = _triu(len(jets))
+    weights = np.array(_block_binomials(len(jets) - 1))[i, j]
+    out = np.zeros((len(jets),) + jets.shape, dtype=complex)
+    out[i, j] = weights.reshape((-1,) + (1,) * (jets.ndim - 1)) * jets[j - i]
     return out
+
+
+# np.triu_indices costs ~20 us a call and each Gauss-Newton step needs four;
+# the cached arrays are shared, so callers only index with them
+_triu = functools.lru_cache(maxsize=32)(np.triu_indices)
+
+
+def _block_matrix(blocks: np.ndarray) -> PolyMatrix:
+    """The 3(k+1)-square polynomial matrix with the (k+1, k+1, 3, 3, m) blocks."""
+    size = 3 * len(blocks)
+    return PolyMatrix(blocks.transpose(0, 2, 1, 3, 4).reshape(size, size, -1))
 
 
 def verify_factorization(a: PolyMatrix, b: PolyMatrix, psi: complex,
@@ -167,82 +183,80 @@ def build_algebraic(spec: UlrichSpec, lambdas: list[complex] | None = None) -> P
     analytic matrix.
     """
     k = spec.k
-    base = spec.base_point()
-    points = []
-    for l in range(k + 1):
-        p = iterate_double_neg(base, l)
-        if min(abs(c) for c in p.coords) < 1e-8:
-            raise DenominatorZero(f"point (-2)^{l} a lies in E[3]", iteration=l)
-        points.append(p)
+    points = _orbit(spec)
     weights = [1.0 + 0.0j] + list(lambdas or [1.0 + 0.0j] * k)
     if len(weights) != k + 1:
         raise ValueError(f"need {k} offset scalars, got {len(weights) - 1}")
-
-    def block(d: int, n: int) -> PolyMatrix:
+    binom = _block_binomials(k)
+    coords = np.zeros((k + 1, k + 1, 3), dtype=complex)
+    for i, j in zip(*_triu(k + 1)):
         # Python scalars, not arrays: emitted coefficients stay bit-reproducible
-        coords = [c * n for c in points[d].coords]
-        if weights[d] != 1:
-            coords = [c * weights[d] for c in coords]
-        return moore_from_coords(coords)
+        block = [c * binom[i][j] for c in points[j - i].coords]
+        if weights[j - i] != 1:
+            block = [c * weights[j - i] for c in block]
+        coords[i, j] = block
+    return _block_matrix(moore_from_coords(coords).coeffs)
 
-    return _binomial_blocks(k, block)
+
+def _orbit(spec: UlrichSpec) -> list[ProjectivePoint]:
+    """[a, -2a, ..., (-2)^k a] for the base point a; no point may lie in E[3]."""
+    orbit = doubling_orbit(spec.point if spec.point is not None
+                           else embed(spec.a_z, spec.ctx), spec.k)
+    for l, p in enumerate(orbit):
+        if min(abs(c) for c in p.coords) < 1e-8:
+            raise DenominatorZero(f"point (-2)^{l} a lies in E[3]", iteration=l)
+    return orbit
+
+
+def _equivalence_system(a: np.ndarray, t: np.ndarray, u: np.ndarray, w: np.ndarray,
+                        lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual and Jacobian of U*A*W = T(lambda), T[i, j] = lambda_{j-i} * t[i, j].
+
+    The residual holds blocks (i, j), j >= i, in np.triu_indices order; the
+    Jacobian's columns are strict U, strict W and lambda_1..lambda_k:
+    d/du_pq = E_pq * (A*W), d/dw_pq = (U*A) * E_pq, and d/dlambda_d is
+    -t[i, j] on the blocks with j - i = d.
+    """
+    size = len(u)
+    i, j = _triu(size)
+    p, q = _triu(size, 1)
+    ua = np.einsum("im,mnc->inc", u, a)
+    aw = np.einsum("mnc,nj->mjc", a, w)
+    residual = (np.einsum("inc,nj->ijc", ua, w)[i, j] - lam[j - i, None] * t[i, j]).ravel()
+    # [block, unknown, component]
+    d_u = np.where((i[:, None] == p)[..., None], aw[q, j[:, None]], 0)
+    d_w = np.where((j[:, None] == q)[..., None], ua[i[:, None], p], 0)
+    d_lam = np.where(((j - i)[:, None] == np.arange(1, size))[..., None], -t[i, j][:, None], 0)
+    jac = np.concatenate([d_u, d_w, d_lam], axis=1)
+    return residual, jac.transpose(0, 2, 1).reshape(3 * len(i), -1)
 
 
 def _equivalence_solve(jets: list[np.ndarray], reps: list[np.ndarray],
                        chain: np.ndarray, max_iter: int = 60) -> tuple[np.ndarray, float]:
-    """Solve U * A * W = T(lambda) at the coefficient-vector level.
+    """Gauss-Newton for U, W and lambda with U * A * W = T(lambda), from lambda = `chain`.
 
-    A has blocks C(k-i, j-i) * jets[j-i] and T blocks C(k-i, j-i) *
-    lambda_{j-i} * reps[j-i]; Moore-pattern matrices are linear in their
-    coefficient vectors, so the block equations reduce to vectors in C^3.
-    Gauss-Newton on the bilinear system, lambda initialized at `chain`.
+    A and T have blocks C(k-i, j-i) * jets[j-i] and C(k-i, j-i) * lambda_{j-i} * reps[j-i].
     """
-    k = len(jets) - 1
     scale = max(np.linalg.norm(v) for v in jets)
+    a, t = _offset_blocks(jets), _offset_blocks(reps)
+    u, w = np.eye(len(jets), dtype=complex), np.eye(len(jets), dtype=complex)
     lam = np.concatenate([[1.0 + 0j], chain])
-    strict = [(i, m) for i in range(k + 1) for m in range(i + 1, k + 1)]
-    n_uw = len(strict)
-    u = np.eye(k + 1, dtype=complex)
-    w = np.eye(k + 1, dtype=complex)
-    blocks = [(i, j) for i in range(k + 1) for j in range(i, k + 1)]
-
-    def pack_residual() -> np.ndarray:
-        rows = []
-        for i, j in blocks:
-            acc = -math.comb(k - i, j - i) * lam[j - i] * reps[j - i]
-            for m in range(i, j + 1):
-                for n in range(m, j + 1):
-                    acc = acc + u[i, m] * math.comb(k - m, n - m) * jets[n - m] * w[n, j]
-            rows.append(acc)
-        return np.concatenate(rows)
-
-    for _ in range(max_iter):
-        residual = pack_residual()
-        if np.linalg.norm(residual) < 1e-13 * scale:
+    strict = _triu(len(jets), 1)
+    n_uw = len(strict[0])
+    for iteration in range(max_iter + 1):
+        residual, jac = _equivalence_system(a, t, u, w, lam)
+        if iteration == max_iter or np.linalg.norm(residual) < 1e-13 * scale:
             break
-        jac = np.zeros((residual.size, 2 * n_uw + k), dtype=complex)
-        for b, (i, j) in enumerate(blocks):
-            sl = slice(3 * b, 3 * b + 3)
-            for p, (bi, bm) in enumerate(strict):
-                if bi == i and bm <= j:
-                    acc = np.zeros(3, dtype=complex)
-                    for n in range(bm, j + 1):
-                        acc += math.comb(k - bm, n - bm) * jets[n - bm] * w[n, j]
-                    jac[sl, p] = acc
-                if bm == j and bi >= i:
-                    acc = np.zeros(3, dtype=complex)
-                    for m in range(i, bi + 1):
-                        acc += u[i, m] * math.comb(k - m, bi - m) * jets[bi - m]
-                    jac[sl, n_uw + p] = acc
-            d = j - i
-            if d >= 1:
-                jac[sl, 2 * n_uw + d - 1] = -math.comb(k - i, d) * reps[d]
-        step, _, _, _ = np.linalg.lstsq(jac, -residual, rcond=None)
-        for p, (bi, bm) in enumerate(strict):
-            u[bi, bm] += step[p]
-            w[bi, bm] += step[n_uw + p]
+        try:
+            step, _, _, _ = np.linalg.lstsq(jac, -residual, rcond=None)
+        except np.linalg.LinAlgError:
+            # LAPACK's SVD can fail on the rank-deficient Jacobian; the
+            # residual of the current iterate is then the result
+            break
+        u[strict] += step[:n_uw]
+        w[strict] += step[n_uw:2 * n_uw]
         lam[1:] += step[2 * n_uw:]
-    return lam[1:], float(np.linalg.norm(pack_residual()) / scale)
+    return lam[1:], float(np.linalg.norm(residual) / scale)
 
 
 def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport]]:
@@ -261,14 +275,10 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
     if spec.k < 1:
         raise ValueError("nothing to calibrate at k = 0")
     ctx = spec.ctx
-    base = spec.base_point()
-    for l in range(spec.k + 1):
-        orbit = iterate_double_neg(base, l)
-        if min(abs(v) for v in orbit.coords) < 1e-8:
-            raise DenominatorZero(f"point (-2)^{l} a lies in E[3]", iteration=l)
+    orbit = _orbit(spec)
     # Everything the least-squares solves below consume, offset by offset:
-    # the tangent iterates V^l(theta(a)) are never normalized, and theta grows
-    # without bound at (-2)^l a, so either can overflow.
+    # the jets at a and the tangent iterates V^l(theta(a)), which are never
+    # normalized, can overflow.
     try:
         jets = theta_jet(spec.a_z, ctx, spec.k)
     except ThetaOverflow as exc:
@@ -276,8 +286,11 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
     reps = [jets[0]]
     for l in range(1, spec.k + 1):
         reps.append(_finite_at(l, lambda: tangent_rep(reps[-1])))
-    systems = [_finite_at(l, lambda: _elimination_system((-2) ** l * spec.a_z, ctx))
-               for l in range(spec.k + 1)]
+    # c is the same at every lattice translate (see the module docstring)
+    fit_points = [spec.a_z] + [_lattice_reduced((-2) ** l * spec.a_z, ctx.tau)
+                               for l in range(1, spec.k + 1)]
+    systems = [_finite_at(l, lambda: _elimination_system(z, ctx))
+               for l, z in enumerate(fit_points)]
 
     s, c, fit_residual = _elimination_solve(systems[0])
     reports = [check("calibration.fit", fit_residual, 1e-6,
@@ -289,42 +302,34 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
     reports.append(check("calibration.equivalence", equiv_residual, 1e-8,
                          inputs={"k": spec.k}))
 
-    # rescale from raw theta representatives to the stored normalized points
-    nu0 = complex(np.vdot(base.as_array(), jets[0])
-                  / np.vdot(base.as_array(), base.as_array()))
-    lambdas: list[complex] = []
-    rep_drift = 0.0
-    c_drift = 0.0
-    for l in range(1, spec.k + 1):
-        point = iterate_double_neg(base, l).as_array()
-        nu = complex(np.vdot(point, reps[l]) / np.vdot(point, point))
-        rep_drift = max(rep_drift, float(np.linalg.norm(reps[l] - nu * point))
-                        / float(np.linalg.norm(reps[l])))
-        lambdas.append(lam_raw[l - 1] * nu / nu0)
-        # c must come out the same when fitted anywhere along the orbit
-        _, c_l, _ = _elimination_solve(systems[l])
-        c_drift = max(c_drift, abs(c_l - c) / abs(c))
-    reports.append(check("calibration.representative", rep_drift, 1e-8,
-                         inputs={"k": spec.k}))
-    reports.append(check("calibration.c_constancy", c_drift, 1e-6,
-                         inputs={"k": spec.k}))
+    # rescale from raw theta representatives to the stored normalized points:
+    # reps[l] = nu_l * (-2)^l a
+    points, reps = np.array([p.coords for p in orbit]), np.array(reps)
+    nu = np.einsum("lc,lc->l", points.conj(), reps) / np.einsum("lc,lc->l", points.conj(), points)
+    drift = np.linalg.norm(reps - nu[:, None] * points, axis=1) / np.linalg.norm(reps, axis=1)
+    rep_drift = float(np.max(drift[1:]))
+    lambdas = (lam_raw * nu[1:] / nu[0]).tolist()
+    # c must come out the same when fitted anywhere along the orbit
+    c_drift = max(abs(_elimination_solve(system)[1] - c) / abs(c) for system in systems[1:])
+    reports += [check("calibration.representative", rep_drift, 1e-8, inputs={"k": spec.k}),
+                check("calibration.c_constancy", c_drift, 1e-6, inputs={"k": spec.k})]
 
     pure_power = all(abs(lam_raw[l - 1] - lam_raw[0] ** l) < 1e-6 * abs(lam_raw[0]) ** l
                      for l in range(1, spec.k + 1))
 
     # block (0,1) of the analytic matrix after eliminating s(a), rescaled to
     # the normalized-point diagonal
-    m0, m1 = moore_from_coords(jets[0]), moore_from_coords(jets[1])
-    target = (m1 - m0.scale(s)).scale(1.0 / nu0)
-    fitted = moore_from_coords(iterate_double_neg(base, 1).coords).scale(lambdas[0])
+    target = moore_from_coords((jets[1] - s * jets[0]) / nu[0])
+    fitted = moore_from_coords(orbit[1].coords).scale(lambdas[0])
     agree = (target - fitted).coefficient_norm() / target.coefficient_norm()
     reports.append(check("calibration.block01", agree, 1e-6,
                          inputs={"lambda1": lambdas[0], "pure_power_form": pure_power}))
 
     if not all(r.passed for r in reports):
-        worst = max(r.residual / r.tol for r in reports)
+        worst = max(reports, key=lambda r: r.residual / r.tol)
         raise CalibrationFailed(
-            f"calibration residuals exceed tolerance (worst {worst:.3e}x)")
+            f"calibration residuals exceed tolerance (worst {worst.residual / worst.tol:.3e}x: "
+            f"{worst.name} {worst.residual:.3e})")
     return lambdas, reports
 
 
@@ -338,6 +343,12 @@ def _finite_at(l: int, compute) -> np.ndarray:
     if not np.all(np.isfinite(value)):
         raise _overflow_at(l)
     return value
+
+
+def _lattice_reduced(z: complex, tau: complex) -> complex:
+    """z + m + n*tau in the fundamental parallelogram centred at 0."""
+    z -= round(z.imag / tau.imag) * tau
+    return z - round(z.real)
 
 
 def _overflow_at(l: int) -> CalibrationFailed:
@@ -468,12 +479,7 @@ def automorphy_block(spec: UlrichSpec, lam: complex, z: complex) -> np.ndarray:
     """(k+1)-square factor with entries C(k-i, j-i) * e^(j-i)_a(lambda, z)."""
     if spec.a_z is None:
         raise ValueError("the block factor needs the analytic point a_z")
-    k = spec.k
-    jets = automorphy_jet(spec.a_z, lam, z, spec.ctx, k)
-    i, j = np.triu_indices(k + 1)
-    f = np.zeros((k + 1, k + 1), dtype=complex)
-    f[i, j] = [math.comb(k - r, d) for r, d in zip(i, j - i)] * jets[j - i]
-    return f
+    return _offset_blocks(automorphy_jet(spec.a_z, lam, z, spec.ctx, spec.k))
 
 
 def automorphy_transport_residual(spec: UlrichSpec, lam: complex, z: complex) -> float:

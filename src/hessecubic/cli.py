@@ -144,14 +144,17 @@ def run_emit(args) -> int:
 # check
 # ---------------------------------------------------------------------------
 
+def _hesse_identity_residual(ctx: ThetaContext, psi: complex, rng, samples: int) -> float:
+    """Largest |w(theta(z))| over random z, relative to the size of its terms."""
+    th = np.array([theta_vector(complex(*xy), ctx) for xy in rng.uniform(-0.5, 0.5, (samples, 2))])
+    size = np.sum(np.abs(th) ** 3, axis=1) + 3 * abs(psi) * np.abs(np.prod(th, axis=1))
+    return float(np.max(np.abs(evaluate(hesse_form(psi), th)) / size))
+
+
 def _theta_checks(ctx: ThetaContext, rng) -> list[CheckReport]:
     psi = hesse_psi(ctx)
-    w = hesse_form(psi)
-    worst = 0.0
-    for _ in range(10):
-        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        worst = max(worst, abs(evaluate(w, theta_vector(z, ctx))))
-    reports = [check("theta.hesse_identity", worst, 1e-9, {"tau": ctx.tau})]
+    reports = [check("theta.hesse_identity", _hesse_identity_residual(ctx, psi, rng, 10),
+                     1e-9, {"tau": ctx.tau})]
 
     sym = 0.0
     for _ in range(5):
@@ -206,6 +209,12 @@ def _mutate_analytic(a: PolyMatrix, b: PolyMatrix, k: int, mutate: str,
     return a, b
 
 
+def _suffixed(reports: list[CheckReport], suffix: str) -> list[CheckReport]:
+    for rep in reports:
+        rep.name += suffix
+    return reports
+
+
 def _factorization_checks(ctx: ThetaContext, psi: complex, a_z: complex, k_max: int,
                           mutate: str | None) -> list[CheckReport]:
     reports = []
@@ -216,9 +225,7 @@ def _factorization_checks(ctx: ThetaContext, psi: complex, a_z: complex, k_max: 
             a, b = _mutate_analytic(a, b, k, mutate, ctx, a_z)
         use_psi = psi + 1e-3 if mutate == "perturb-psi" else psi
         tol = 1e-8 if k == 1 else 1e-7
-        for rep in verify_factorization(a, b, use_psi, tol=tol):
-            rep.name = f"{rep.name}.k{k}"
-            reports.append(rep)
+        reports += _suffixed(verify_factorization(a, b, use_psi, tol=tol), f".k{k}")
     return reports
 
 
@@ -229,17 +236,11 @@ def _presentation_checks(ctx: ThetaContext, psi: complex, a_z: complex, k_max: i
     for k in range(1, min(k_max, 3) + 1):
         spec = UlrichSpec(k=k, ctx=ctx, a_z=a_z)
         a_an, _ = build_analytic(spec)
-        for rep in verify_presentation(a_an, psi, k, on, off):
-            rep.name = f"{rep.name}.analytic.k{k}"
-            reports.append(rep)
+        reports += _suffixed(verify_presentation(a_an, psi, k, on, off), f".analytic.k{k}")
         lambdas, cal_reports = calibrate_scalars(spec)
-        for rep in cal_reports:
-            rep.name = f"{rep.name}.k{k}"
-            reports.append(rep)
+        reports += _suffixed(cal_reports, f".k{k}")
         a_alg = build_algebraic(spec, lambdas)
-        for rep in verify_presentation(a_alg, psi, k, on, off):
-            rep.name = f"{rep.name}.algebraic.k{k}"
-            reports.append(rep)
+        reports += _suffixed(verify_presentation(a_alg, psi, k, on, off), f".algebraic.k{k}")
     return reports
 
 
@@ -319,13 +320,8 @@ def run_check(args) -> int:
 def _sweep_config(tau: complex, a_z: complex, k: int, seed: int) -> list[CheckReport]:
     ctx = ThetaContext(tau=tau)
     psi = hesse_psi(ctx)
-    w = hesse_form(psi)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(5):
-        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        worst = max(worst, abs(evaluate(w, theta_vector(z, ctx))))
-    reports = [check("theta.hesse_identity", worst, 1e-9, {})]
+    reports = [check("theta.hesse_identity", _hesse_identity_residual(ctx, psi, rng, 5), 1e-9, {})]
     for order, rep in enumerate(theta_relation_residuals(a_z, 0.11, ctx, 1)):
         rep.name = f"moore.relation.order{order}"
         reports.append(rep)

@@ -71,10 +71,6 @@ def on_curve(p: ProjectivePoint, cfg: CurveConfig) -> float:
     return abs(a0 ** 3 + a1 ** 3 + a2 ** 3 - 3 * cfg.psi * a0 * a1 * a2)
 
 
-def negate(p: ProjectivePoint) -> ProjectivePoint:
-    return p.negate()
-
-
 def double_neg(p: ProjectivePoint) -> ProjectivePoint:
     """The point -2a, by the cleared-denominator tangent formula.
 
@@ -92,17 +88,17 @@ def double_neg(p: ProjectivePoint) -> ProjectivePoint:
     ))
 
 
-def iterate_double_neg(p: ProjectivePoint, l: int) -> ProjectivePoint:
-    """l-fold composition of double_neg; l = 0 returns p unchanged."""
-    if l < 0:
+def doubling_orbit(p: ProjectivePoint, k: int) -> list[ProjectivePoint]:
+    """[p, -2p, 4p, ..., (-2)^k p] from k applications of double_neg."""
+    if k < 0:
         raise ValueError("iteration count must be non-negative")
-    q = p
-    for step in range(l):
+    orbit = [p]
+    for step in range(k):
         try:
-            q = double_neg(q)
+            orbit.append(double_neg(orbit[-1]))
         except DenominatorZero as exc:
             raise DenominatorZero(f"{exc} at iteration {step}", iteration=step) from exc
-    return q
+    return orbit
 
 
 def is_three_torsion(p: ProjectivePoint, cfg: CurveConfig) -> bool:

@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: derivatives come from
 finite differences (with Richardson extrapolation), matrix inverses from
 cofactors, polynomial identities from numpy evaluations at sample points,
 theta values from a plain fixed-window series sum, Moore and L matrices and
-the Moore relations entry by entry in plain Python.
+the Moore relations entry by entry in plain Python, the calibration's block
+equivalence by nested loops over blocks and unknowns.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from hessecubic.curve import ProjectivePoint
+from hessecubic.curve import ProjectivePoint, double_neg
 from hessecubic.moore import MOORE_PATTERN
 from hessecubic.poly import PolyMatrix, monomial_index
 
@@ -104,6 +105,13 @@ def moore_det_closed_form(a, xs) -> complex:
     x0, x1, x2 = (complex(v) for v in xs)
     return (a0 * a1 * a2 * (x0 ** 3 + x1 ** 3 + x2 ** 3)
             - (a0 ** 3 + a1 ** 3 + a2 ** 3) * x0 * x1 * x2)
+
+
+def iterate_double_neg_oracle(p: ProjectivePoint, l: int) -> ProjectivePoint:
+    """l-fold composition of double_neg, started from p."""
+    for _ in range(l):
+        p = double_neg(p)
+    return p
 
 
 def random_triple(rng) -> tuple[complex, complex, complex]:
@@ -226,3 +234,70 @@ def annihilation_residual_oracle(rel: np.ndarray, xs, sections, k: int) -> float
                 acc += weight * by_key[(k - beta, i)]
         worst = max(worst, float(np.max(np.abs(acc))))
     return worst
+
+
+def equivalence_residual_oracle(jets, reps, u, w, lam) -> np.ndarray:
+    """Blocks (i, j), j >= i, of U*A*W - T(lambda), summed term by term.
+
+    A has blocks C(k-i, j-i) * jets[j-i], T blocks C(k-i, j-i) * lam[j-i] *
+    reps[j-i]; U and W are upper triangular.
+    """
+    k = len(jets) - 1
+    rows = []
+    for i in range(k + 1):
+        for j in range(i, k + 1):
+            acc = -math.comb(k - i, j - i) * lam[j - i] * reps[j - i]
+            for m in range(i, j + 1):
+                for n in range(m, j + 1):
+                    acc = acc + u[i, m] * math.comb(k - m, n - m) * jets[n - m] * w[n, j]
+            rows.append(acc)
+    return np.concatenate(rows)
+
+
+def equivalence_jacobian_oracle(jets, reps, u, w) -> np.ndarray:
+    """Jacobian of the residual in (strict U, strict W, lambda_1..lambda_k), entry by entry."""
+    k = len(jets) - 1
+    strict = [(i, m) for i in range(k + 1) for m in range(i + 1, k + 1)]
+    blocks = [(i, j) for i in range(k + 1) for j in range(i, k + 1)]
+    n_uw = len(strict)
+    jac = np.zeros((3 * len(blocks), 2 * n_uw + k), dtype=complex)
+    for b, (i, j) in enumerate(blocks):
+        sl = slice(3 * b, 3 * b + 3)
+        for p, (bi, bm) in enumerate(strict):
+            if bi == i and bm <= j:
+                acc = np.zeros(3, dtype=complex)
+                for n in range(bm, j + 1):
+                    acc += math.comb(k - bm, n - bm) * jets[n - bm] * w[n, j]
+                jac[sl, p] = acc
+            if bm == j and bi >= i:
+                acc = np.zeros(3, dtype=complex)
+                for m in range(i, bi + 1):
+                    acc += u[i, m] * math.comb(k - m, bi - m) * jets[bi - m]
+                jac[sl, n_uw + p] = acc
+        d = j - i
+        if d >= 1:
+            jac[sl, 2 * n_uw + d - 1] = -math.comb(k - i, d) * reps[d]
+    return jac
+
+
+def equivalence_solve_oracle(jets, reps, chain, max_iter: int = 60):
+    """Gauss-Newton on U*A*W = T(lambda) with the loop residual and Jacobian."""
+    k = len(jets) - 1
+    scale = max(np.linalg.norm(v) for v in jets)
+    strict = [(i, m) for i in range(k + 1) for m in range(i + 1, k + 1)]
+    n_uw = len(strict)
+    u = np.eye(k + 1, dtype=complex)
+    w = np.eye(k + 1, dtype=complex)
+    lam = np.concatenate([[1.0 + 0j], chain])
+    for _ in range(max_iter):
+        residual = equivalence_residual_oracle(jets, reps, u, w, lam)
+        if np.linalg.norm(residual) < 1e-13 * scale:
+            break
+        jac = equivalence_jacobian_oracle(jets, reps, u, w)
+        step, _, _, _ = np.linalg.lstsq(jac, -residual, rcond=None)
+        for p, (bi, bm) in enumerate(strict):
+            u[bi, bm] += step[p]
+            w[bi, bm] += step[n_uw + p]
+        lam[1:] += step[2 * n_uw:]
+    residual = equivalence_residual_oracle(jets, reps, u, w, lam)
+    return lam[1:], float(np.linalg.norm(residual) / scale)

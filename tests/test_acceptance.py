@@ -11,9 +11,9 @@ from hessecubic import (PolyMatrix, ThetaContext, UlrichSpec,
                         automorphy_cocycle_residual, automorphy_transport_residual,
                         build_algebraic, build_analytic, calibrate_scalars,
                         curve_sample_points, derivative_elimination_fit,
-                        det_scalar_fit, double_neg, elimination_consequence_residual,
-                        embed, eval_matrix, evaluate, hesse_form, hesse_psi,
-                        iterate_double_neg, l_matrix, moore_derivative,
+                        det_scalar_fit, double_neg, doubling_orbit,
+                        elimination_consequence_residual, embed, eval_matrix, evaluate,
+                        hesse_form, hesse_psi, l_matrix, moore_derivative,
                         moore_matrix, numeric_rank, offcurve_sample_triples,
                         relation_annihilation_residual,
                         relation_matrix, theta_relation_residuals,
@@ -151,10 +151,9 @@ def test_criterion_7_point_map_oracle(ctx_i):
         worst = max(worst, proj_distance(double_neg(p), embed(-2 * z, ctx_i)))
         count += 1
     worst_iter = 0.0
+    orbit = doubling_orbit(embed(0.21, ctx_i), 3)
     for l in (1, 2, 3):
-        worst_iter = max(worst_iter, proj_distance(
-            iterate_double_neg(embed(0.21, ctx_i), l),
-            embed((-2) ** l * 0.21, ctx_i)))
+        worst_iter = max(worst_iter, proj_distance(orbit[l], embed((-2) ** l * 0.21, ctx_i)))
     passed = worst < 1e-8 and worst_iter < 1e-8
     _report(7, "point-map-oracle", passed,
             f"double_neg vs embed(-2z): {worst:.2e} < 1e-8 (50 pts); "

@@ -1,8 +1,11 @@
 """Block presentations: factorization, calibration, sections, automorphy."""
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hessecubic import (CalibrationFailed, CurveConfig, DenominatorZero, PolyMatrix,
                         SamplingFailed, SizeMismatch, ThetaContext,
@@ -10,7 +13,7 @@ from hessecubic import (CalibrationFailed, CurveConfig, DenominatorZero, PolyMat
                         automorphy_transport_residual, build_algebraic,
                         build_analytic, calibrate_scalars, curve_sample_points,
                         derivative_elimination_fit, elimination_consequence_residual,
-                        embed, iterate_double_neg,
+                        doubling_orbit, embed,
                         jet_kernel_residual, l_derivative, moore_derivative,
                         numeric_rank, offcurve_sample_triples,
                         relation_annihilation_residual, relation_matrix,
@@ -23,7 +26,9 @@ from hessecubic.poly import evaluate, hesse_form
 from hessecubic.theta import hesse_psi
 from hessecubic.moore import moore_from_coords
 from hessecubic.theta import automorphy_jet
-from oracles import (annihilation_residual_oracle, automorphy_block_oracle, matrix_close,
+from oracles import (annihilation_residual_oracle, automorphy_block_oracle,
+                     equivalence_jacobian_oracle, equivalence_residual_oracle,
+                     equivalence_solve_oracle, matrix_close,
                      random_poly_matrix, section_components_oracle,
                      transport_residual_oracle)
 
@@ -134,7 +139,7 @@ def test_algebraic_k1_block_layout(ctx_i, spec1):
     a = build_algebraic(spec1, lambdas)
     base = embed(A_Z, ctx_i)
     m_base = moore_from_coords(base.coords)
-    m_next = moore_from_coords(iterate_double_neg(base, 1).coords)
+    m_next = moore_from_coords(doubling_orbit(base, 1)[1].coords)
     assert matrix_close(_block(a, 0, 0), m_base, tol=1e-12)
     assert matrix_close(_block(a, 1, 1), m_base, tol=1e-12)
     assert matrix_close(_block(a, 0, 1), m_next.scale(lambdas[0]), tol=1e-12)
@@ -143,10 +148,11 @@ def test_algebraic_k1_block_layout(ctx_i, spec1):
 def test_algebraic_k2_offset_two_block(ctx_i, spec2):
     lambdas, _ = calibrate_scalars(spec2)
     a = build_algebraic(spec2, lambdas)
-    pt2 = iterate_double_neg(embed(A_Z, ctx_i), 2)
+    orbit = doubling_orbit(embed(A_Z, ctx_i), 2)
+    pt2 = orbit[2]
     expected = moore_from_coords(pt2.coords).scale(lambdas[1] * math.comb(2, 2))
     assert matrix_close(_block(a, 0, 2), expected, tol=1e-10)
-    expected01 = moore_from_coords(iterate_double_neg(embed(A_Z, ctx_i), 1).coords)
+    expected01 = moore_from_coords(orbit[1].coords)
     assert matrix_close(_block(a, 0, 1), expected01.scale(2 * lambdas[0]), tol=1e-10)
 
 
@@ -180,6 +186,114 @@ def test_calibration_converges_at_k4(ctx_i):
     assert all(r.passed for r in reports)
 
 
+def _calibration_inputs(ctx, a_z, k):
+    """Jets, tangent iterates and starting chain, formed as calibrate_scalars forms them."""
+    jets = theta_jet(a_z, ctx, k)
+    reps = [jets[0]]
+    for _ in range(k):
+        reps.append(tangent_rep(reps[-1]))
+    _, c, _ = derivative_elimination_fit(a_z, ctx)
+    chain = np.array([c ** d * (-2.0) ** (d * (d - 1) // 2) for d in range(1, k + 1)])
+    return list(jets), reps, chain
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_block_residual_and_jacobian_match_loop_oracle(ctx_i, k):
+    rng = np.random.default_rng(k)
+    jets, reps, _ = _calibration_inputs(ctx_i, 0.301 + 0.05j, k)
+
+    def unit_upper():
+        return np.eye(k + 1) + np.triu(rng.normal(size=(k + 1, k + 1))
+                                       + 1j * rng.normal(size=(k + 1, k + 1)), 1)
+
+    u, w = unit_upper(), unit_upper()
+    lam = np.concatenate([[1.0 + 0j], rng.normal(size=k) + 1j * rng.normal(size=k)])
+    residual, jac = bundles._equivalence_system(bundles._offset_blocks(jets),
+                                                bundles._offset_blocks(reps), u, w, lam)
+    expected = equivalence_residual_oracle(jets, reps, u, w, lam)
+    assert residual.shape == expected.shape
+    assert np.linalg.norm(residual - expected) <= 1e-12 * np.linalg.norm(expected)
+    got, expected = jac, equivalence_jacobian_oracle(jets, reps, u, w)
+    assert got.shape == expected.shape
+    assert np.array_equal(got == 0, expected == 0)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_block_solve_matches_loop_solver(ctx_i, k):
+    jets, reps, chain = _calibration_inputs(ctx_i, 0.301 + 0.05j, k)
+    lam, residual = bundles._equivalence_solve(jets, reps, chain)
+    lam_oracle, residual_oracle = equivalence_solve_oracle(jets, reps, chain)
+    assert residual < 1e-8 and residual_oracle < 1e-8
+    assert np.max(np.abs(lam - lam_oracle) / np.abs(lam_oracle)) <= 1e-10
+
+
+def test_failed_lstsq_ends_the_solve_at_the_current_iterate(ctx_i, monkeypatch):
+    jets, reps, chain = _calibration_inputs(ctx_i, 0.301 + 0.05j, 3)
+    start, _ = bundles._equivalence_system(
+        bundles._offset_blocks(jets), bundles._offset_blocks(reps), np.eye(4, dtype=complex),
+        np.eye(4, dtype=complex), np.concatenate([[1.0 + 0j], chain]))
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", failing)
+    lam, residual = bundles._equivalence_solve(jets, reps, chain)
+    assert np.array_equal(lam, chain)
+    assert residual == np.linalg.norm(start) / max(np.linalg.norm(v) for v in jets)
+
+
+def test_calibration_survives_an_lstsq_failure_at_the_rounding_floor():
+    # Gauss-Newton reaches ~1e-12 here, above its 1e-13 stop, and LAPACK's
+    # SVD fails on the Jacobian of a later iterate
+    spec = UlrichSpec(k=5, ctx=ThetaContext(tau=0.34161358082023807 + 0.982635655079061j),
+                      a_z=0.4149917991988276 - 0.12876540806486045j)
+    _, reports = calibrate_scalars(spec)
+    assert all(r.passed for r in reports)
+
+
+def test_calibration_failure_names_the_worst_record(ctx_i):
+    # a = 0.3 is 10-torsion: (-2)^5 a = -2a mod the lattice, so two offsets collide
+    with pytest.raises(CalibrationFailed) as info:
+        calibrate_scalars(UlrichSpec(k=5, ctx=ctx_i, a_z=A_Z))
+    match = re.fullmatch(r"calibration residuals exceed tolerance "
+                         r"\(worst (\S+)x: (calibration\.\w+) (\S+)\)", str(info.value))
+    assert match is not None
+    tols = {"calibration.fit": 1e-6, "calibration.equivalence": 1e-8,
+            "calibration.representative": 1e-8, "calibration.c_constancy": 1e-6,
+            "calibration.block01": 1e-6}
+    ratio, name, residual = float(match[1]), match[2], float(match[3])
+    assert ratio == pytest.approx(residual / tols[name], rel=1e-3)
+    assert ratio > 1.0
+
+
+@pytest.mark.parametrize("l", range(9))
+def test_lattice_reduction_is_a_translate_into_the_parallelogram(ctx_c, l):
+    tau = ctx_c.tau
+    z = (-2) ** l * (0.41 - 0.08j)
+    reduced = bundles._lattice_reduced(z, tau)
+    n = (z - reduced).imag / tau.imag
+    m = (z - reduced - round(n) * tau).real
+    assert abs(n - round(n)) < 1e-9 and abs(m - round(m)) < 1e-9
+    assert abs(reduced.imag) <= tau.imag / 2 + 1e-12
+    assert abs(reduced.real) <= 0.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(re_tau=st.floats(-0.5, 0.5), lift=st.floats(0.0, 1.0),
+       re_a=st.floats(0.05, 0.45), im_a=st.floats(-0.15, 0.15),
+       m=st.integers(-2, 2), n=st.integers(-2, 2))
+def test_elimination_scalar_is_lattice_invariant(re_tau, lift, re_a, im_a, m, n):
+    # tau and a over the benchmark's domain; a = 1/3 is the one E[3] point in it
+    floor = math.sqrt(1.0 - re_tau ** 2)
+    ctx = ThetaContext(tau=complex(re_tau, floor + lift * (2.0 - floor)))
+    a_z = complex(re_a, im_a)
+    assume(abs(a_z - 1.0 / 3.0) > 1e-3)
+    _, c, _ = derivative_elimination_fit(a_z, ctx)
+    _, c_moved, _ = derivative_elimination_fit(a_z + m + n * ctx.tau, ctx)
+    assert abs(c_moved - c) <= 1e-10 * abs(c)
+
+
 def test_presentation_complex_tau_k3(ctx_c, psi_c):
     spec = UlrichSpec(k=3, ctx=ctx_c, a_z=0.23 + 0.05j)
     lambdas, _ = calibrate_scalars(spec)
@@ -198,7 +312,7 @@ def test_calibration_lambda1_oracle(ctx_i, spec1):
     nu0 = complex(np.vdot(base.as_array(), vec) / np.vdot(base.as_array(), base.as_array()))
     target = (moore_derivative(A_Z, ctx_i, 1)
               - moore_derivative(A_Z, ctx_i, 0).scale(s)).scale(1.0 / nu0)
-    basis = moore_from_coords(iterate_double_neg(base, 1).coords)
+    basis = moore_from_coords(doubling_orbit(base, 1)[1].coords)
     fit = np.vdot(basis.coeffs, target.coeffs) / basis.coefficient_norm() ** 2
     assert abs(lambdas[0] - fit) < 1e-8 * abs(lambdas[0])
     assert all(r.passed for r in reports)
@@ -213,7 +327,7 @@ def test_calibration_chain_values(ctx_i, spec2):
     nu0 = complex(np.vdot(base.as_array(), vec) / np.vdot(base.as_array(), base.as_array()))
     rep = tangent_rep(vec)
     for l, mu in ((1, c), (2, -2 * c ** 2)):
-        point = iterate_double_neg(base, l).as_array()
+        point = doubling_orbit(base, l)[l].as_array()
         nu = complex(np.vdot(point, rep) / np.vdot(point, point))
         assert abs(lambdas[l - 1] - mu * nu / nu0) < 1e-7 * abs(lambdas[l - 1])
         if l < 2:

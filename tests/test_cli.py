@@ -6,11 +6,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hessecubic
 from hessecubic import ThetaContext, hesse_psi
-from hessecubic.cli import build_check_suite, main
+from hessecubic.cli import _hesse_identity_residual, build_check_suite, main
 
 
 # the child interpreter imports the same package as this one
@@ -178,15 +179,30 @@ def test_negative_real_part_arguments():
     ("1.5i", "0.1+0.1i", 6),
     ("-0.4460692976183436+1.2292111009818978i", "0.21338928216799946-0.13641744182926643i", 6),
 ])
-def test_emit_calibration_overflow_is_a_named_error(capfd, tau, a, k):
-    # theta grows without bound along the orbit (-2)^l a: the failure names
-    # the offset and nothing but the JSON error object reaches stderr
-    assert main(["emit", "--tau", tau, "--a", a, "--k", str(k)]) == 1
+def test_emit_at_high_k_calibrates_or_names_its_residual(capfd, tau, a, k):
+    # theta grows without bound along the unreduced orbit (-2)^l a; the fits
+    # use lattice-reduced points, so no overflow remains: either the bundle
+    # is written or one JSON error object names the failed calibration
+    code = main(["emit", "--tau", tau, "--a", a, "--k", str(k)])
     out, err = capfd.readouterr()
+    if code == 0:
+        assert err == ""
+        assert len(json.loads(out)["lambdas"]) == k
+        return
+    assert code == 1
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1
-    assert "offset l = " in json.loads(lines[0])["error"]
+    message = json.loads(lines[0])["error"]
+    assert "overflow" not in message
+    assert message.startswith("calibration residuals exceed tolerance")
+
+
+def test_emit_calibrates_past_the_old_overflow_at_k6(capfd):
+    assert main(["emit", "--tau", "i", "--a", "0.41-0.08i", "--k", "6"]) == 0
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert "A_algebraic" in json.loads(out)["matrices"]
 
 
 @pytest.mark.parametrize("command, tau", [
@@ -222,3 +238,21 @@ def test_psi_nondegenerate_measures_distance_to_psi_cubed_one():
                   if r.name == "theta.psi_nondegenerate")
     assert record.residual == ctx.check_tol / abs(psi ** 3 - 1)
     assert record.passed
+
+
+@pytest.mark.parametrize("tau", [1j, 0.2 + 1.3j, -0.31 + 1.12j])
+def test_hesse_identity_gate_catches_a_perturbed_psi(tau):
+    ctx = ThetaContext(tau=tau)
+    psi = hesse_psi(ctx)
+    exact = _hesse_identity_residual(ctx, psi, np.random.default_rng(42), 10)
+    perturbed = _hesse_identity_residual(ctx, psi + 1e-6, np.random.default_rng(42), 10)
+    assert exact < 1e-9 < perturbed
+
+
+def test_hesse_identity_is_relative_to_the_size_of_theta(capfd):
+    # |theta| reaches 1e3 at tau = 0.5+0.3i: the absolute residual was 1.6e-5
+    assert main(["check", "--tau", "0.5+0.3i", "--k", "1"]) == 0
+    out, _ = capfd.readouterr()
+    record = next(json.loads(l) for l in out.splitlines()
+                  if json.loads(l)["name"] == "theta.hesse_identity")
+    assert record["residual"] < 1e-13

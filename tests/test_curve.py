@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from hessecubic import (AllZero, CurveConfig, DenominatorZero, ProjectivePoint,
-                        double_neg, embed, is_three_torsion, iterate_double_neg,
-                        negate, on_curve)
-from oracles import point_from_json, proj_distance
+                        double_neg, doubling_orbit, embed, is_three_torsion, on_curve)
+from oracles import iterate_double_neg_oracle, point_from_json, proj_distance
 
 ORIGIN = ProjectivePoint.from_coords((0.0, 1.0, -1.0))
 
@@ -81,7 +80,7 @@ def test_proj_distance_symmetric():
 
 
 def test_negate_origin_is_fixed():
-    assert proj_distance(negate(ORIGIN), ORIGIN) < 1e-15
+    assert proj_distance(ORIGIN.negate(), ORIGIN) < 1e-15
 
 
 def test_negate_involution():
@@ -89,11 +88,11 @@ def test_negate_involution():
     for _ in range(10):
         p = ProjectivePoint.from_coords(tuple(complex(rng.normal(), rng.normal())
                                               for _ in range(3)))
-        assert negate(negate(p)).coords == p.coords
+        assert p.negate().negate().coords == p.coords
 
 
 def test_negate_matches_theta_oracle(ctx_i):
-    assert proj_distance(negate(embed(0.3, ctx_i)), embed(-0.3, ctx_i)) < 1e-8
+    assert proj_distance(embed(0.3, ctx_i).negate(), embed(-0.3, ctx_i)) < 1e-8
 
 
 def test_double_neg_matches_theta_oracle(ctx_i):
@@ -123,28 +122,40 @@ def test_double_neg_rejects_exact_zero_coordinate():
 def test_double_neg_commutes_with_negate(ctx_i):
     for z in (0.3, 0.21 + 0.17j, -0.37 + 0.05j):
         p = embed(z, ctx_i)
-        assert proj_distance(double_neg(negate(p)), negate(double_neg(p))) < 1e-8
+        assert proj_distance(double_neg(p.negate()), double_neg(p).negate()) < 1e-8
 
 
 def test_iterate_identity(ctx_i):
     p = embed(0.3, ctx_i)
-    assert iterate_double_neg(p, 0).coords == p.coords
+    assert doubling_orbit(p, 0) == [p]
 
 
 def test_iterate_two_steps(ctx_i):
-    assert proj_distance(iterate_double_neg(embed(0.3, ctx_i), 2),
-                         embed(1.2, ctx_i)) < 1e-8
+    assert proj_distance(doubling_orbit(embed(0.3, ctx_i), 2)[2], embed(1.2, ctx_i)) < 1e-8
 
 
 def test_iterate_then_negate(ctx_i):
-    assert proj_distance(negate(iterate_double_neg(embed(0.3, ctx_i), 1)),
+    assert proj_distance(doubling_orbit(embed(0.3, ctx_i), 1)[1].negate(),
                          embed(0.6, ctx_i)) < 1e-8
 
 
 def test_iterate_error_carries_index():
     with pytest.raises(DenominatorZero) as err:
-        iterate_double_neg(ORIGIN, 2)
+        doubling_orbit(ORIGIN, 2)
     assert err.value.iteration == 0
+
+
+@pytest.mark.parametrize("z", [0.3, 0.21 + 0.17j, -0.37 + 0.05j, 0.41 - 0.08j])
+def test_doubling_orbit_matches_the_iterate_bit_for_bit(ctx_i, z):
+    orbit = doubling_orbit(embed(z, ctx_i), 8)
+    assert len(orbit) == 9
+    for l, p in enumerate(orbit):
+        assert p.coords == iterate_double_neg_oracle(embed(z, ctx_i), l).coords
+
+
+def test_doubling_orbit_rejects_negative_length():
+    with pytest.raises(ValueError):
+        doubling_orbit(ORIGIN, -1)
 
 
 def test_is_three_torsion(ctx_i, cfg):
