@@ -1,7 +1,7 @@
 """Theta numerics, Moore matrix factorizations and block presentations
 of bundles on the Hesse cubic."""
 
-from .bundles import (SectionVector, UlrichSpec, automorphy_block,
+from .bundles import (UlrichSpec, automorphy_block,
                       automorphy_cocycle_residual, automorphy_transport_residual,
                       build_algebraic, build_analytic, calibrate_scalars,
                       curve_sample_points, derivative_elimination_fit,
@@ -15,13 +15,12 @@ from .errors import (AllIndicesDegenerate, AllZero, CalibrationFailed,
                      DegenerateProbe, DenominatorZero, HesseCubicError,
                      IllConditioned, InconsistentFactor, InconsistentPsi,
                      NonconvergentSeries, NotSquare, OrderTooHigh, SamplingFailed,
-                     SizeMismatch, ThetaOverflow, ZeroReference)
-from .moore import (l_derivative, l_matrix, moore_derivative, moore_from_coords,
-                    moore_matrix, theta_relation_residuals)
+                     SingularCurve, SizeMismatch, ThetaOverflow, ZeroReference)
+from .moore import (l_derivative, l_matrix, moore_from_coords, moore_matrix,
+                    theta_relation_residuals)
 from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
                    numeric_rank)
 from .report import CheckReport, check
-from .theta import (ThetaContext, automorphy_jet, basis_provenance, hesse_psi,
-                    theta_jet, theta_vector)
+from .theta import ThetaContext, automorphy_jet, basis_provenance, hesse_psi, theta_jet
 
 __version__ = "0.1.0"

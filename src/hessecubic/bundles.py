@@ -53,27 +53,15 @@ class UlrichSpec:
 
     k: int
     ctx: ThetaContext
-    a_z: complex | None = None
-    point: ProjectivePoint | None = None
+    a_z: complex
 
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("k must be non-negative")
-        if self.a_z is None and self.point is None:
-            raise ValueError("need an analytic point a_z or a projective point")
 
     @property
     def size(self) -> int:
         return 3 * (self.k + 1)
-
-
-@dataclass(frozen=True)
-class SectionVector:
-    """One global section: k+1 components, zeros below position `column`."""
-
-    components: tuple[complex, ...]
-    index: int
-    column: int
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +70,8 @@ class SectionVector:
 
 def build_analytic(spec: UlrichSpec) -> tuple[PolyMatrix, PolyMatrix]:
     """The derivative block matrices (A, B); upper triangular, 3(k+1) square."""
-    if spec.a_z is None:
-        raise ValueError("analytic construction needs a_z")
     m_jets = moore_from_coords(theta_jet(spec.a_z, spec.ctx, spec.k)).coeffs
-    l_jets = np.array([l.coeffs for l in l_derivative(spec.a_z, spec.ctx, spec.k)])
+    l_jets = l_derivative(spec.a_z, spec.ctx, spec.k).coeffs
     return _block_matrix(_offset_blocks(m_jets)), _block_matrix(_offset_blocks(l_jets))
 
 
@@ -118,21 +104,43 @@ def _block_matrix(blocks: np.ndarray) -> PolyMatrix:
 
 def verify_factorization(a: PolyMatrix, b: PolyMatrix, psi: complex,
                          tol: float = 1e-7) -> list[CheckReport]:
-    """Coefficient norms of A*B - w*I and B*A - w*I, reported separately.
+    """Entrywise backward errors of A*B = w*I and B*A = w*I, reported separately.
 
-    Normalized by 1 + |A|*|B| (backward-error style): jet coefficients grow
-    like (6*pi)^d with the block order, so the raw cancellation floor scales
-    with the product of the factor norms.
+    Entry (i, j) of A*B - w*I is measured against the terms that form it,
+
+        |(AB - wI)_ij| / (sum_m |A_im| * |B_mj| + |w| * delta_ij),
+
+    each |.| the 2-norm of one entry's coefficient vector (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 7), and the report is the
+    largest entry.  A norm over the whole matrix goes blind as k grows: jet
+    coefficients grow like (6*pi)^d with the block order, so the high-order
+    blocks swamp an error in a low-order one.
     """
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows or a.rows % 3:
         raise SizeMismatch(f"incompatible factor shapes {a.rows}x{a.cols}, {b.rows}x{b.cols}")
-    w_id = PolyMatrix.diagonal(hesse_form(psi), a.rows)
-    scale = 1.0 + a.coefficient_norm() * b.coefficient_norm()
+    w = hesse_form(psi)
+    w_id = PolyMatrix.diagonal(w, a.rows)
+    norm_a, norm_b = _entry_norms(a.coeffs), _entry_norms(b.coeffs)
+    w_diag = np.linalg.norm(w) * np.eye(a.rows)
     inputs = {"size": a.rows, "psi": complex(psi)}
     return [
-        check("factorization.AB", (a @ b - w_id).coefficient_norm() / scale, tol, inputs),
-        check("factorization.BA", (b @ a - w_id).coefficient_norm() / scale, tol, inputs),
+        check("factorization.AB", _backward_error(a @ b - w_id, norm_a @ norm_b + w_diag),
+              tol, inputs),
+        check("factorization.BA", _backward_error(b @ a - w_id, norm_b @ norm_a + w_diag),
+              tol, inputs),
     ]
+
+
+def _entry_norms(coeffs: np.ndarray) -> np.ndarray:
+    """2-norm of each entry's coefficient vector, (rows, cols, m) -> (rows, cols)."""
+    # over a float view: np.linalg.norm on the complex last axis costs twice as much
+    v = np.ascontiguousarray(coeffs).view(float)
+    return np.sqrt(np.einsum("ijm,ijm->ij", v, v))
+
+
+def _backward_error(residual: PolyMatrix, scale: np.ndarray) -> float:
+    # an entry with no nonzero term is an exact zero of the residual too
+    return float(np.max(_entry_norms(residual.coeffs) / np.where(scale > 0, scale, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +183,15 @@ def _elimination_solve(system: np.ndarray) -> tuple[complex, complex, float]:
     return complex(sol[0]), complex(sol[1]), residual
 
 
-def build_algebraic(spec: UlrichSpec, lambdas: list[complex] | None = None) -> PolyMatrix:
-    """Block matrix from the points (-2)^l a; lambda_0 is fixed to 1.
+def build_algebraic(point: ProjectivePoint, k: int,
+                    lambdas: list[complex] | None = None) -> PolyMatrix:
+    """Block matrix from the points (-2)^l a of the base point a; lambda_0 is fixed to 1.
 
     With lambdas omitted the printed form (all scalars 1) is built; pass the
     result of calibrate_scalars for the presentation equivalent to the
     analytic matrix.
     """
-    k = spec.k
-    points = _orbit(spec)
+    points = _orbit(point, k)
     weights = [1.0 + 0.0j] + list(lambdas or [1.0 + 0.0j] * k)
     if len(weights) != k + 1:
         raise ValueError(f"need {k} offset scalars, got {len(weights) - 1}")
@@ -198,10 +206,9 @@ def build_algebraic(spec: UlrichSpec, lambdas: list[complex] | None = None) -> P
     return _block_matrix(moore_from_coords(coords).coeffs)
 
 
-def _orbit(spec: UlrichSpec) -> list[ProjectivePoint]:
+def _orbit(point: ProjectivePoint, k: int) -> list[ProjectivePoint]:
     """[a, -2a, ..., (-2)^k a] for the base point a; no point may lie in E[3]."""
-    orbit = doubling_orbit(spec.point if spec.point is not None
-                           else embed(spec.a_z, spec.ctx), spec.k)
+    orbit = doubling_orbit(point, k)
     for l, p in enumerate(orbit):
         if min(abs(c) for c in p.coords) < 1e-8:
             raise DenominatorZero(f"point (-2)^{l} a lies in E[3]", iteration=l)
@@ -231,8 +238,12 @@ def _equivalence_system(a: np.ndarray, t: np.ndarray, u: np.ndarray, w: np.ndarr
     return residual, jac.transpose(0, 2, 1).reshape(3 * len(i), -1)
 
 
+# Gauss-Newton iterations before the equivalence solve gives up
+_MAX_ITER = 60
+
+
 def _equivalence_solve(jets: list[np.ndarray], reps: list[np.ndarray],
-                       chain: np.ndarray, max_iter: int = 60) -> tuple[np.ndarray, float]:
+                       chain: np.ndarray) -> tuple[np.ndarray, float]:
     """Gauss-Newton for U, W and lambda with U * A * W = T(lambda), from lambda = `chain`.
 
     A and T have blocks C(k-i, j-i) * jets[j-i] and C(k-i, j-i) * lambda_{j-i} * reps[j-i].
@@ -243,9 +254,9 @@ def _equivalence_solve(jets: list[np.ndarray], reps: list[np.ndarray],
     lam = np.concatenate([[1.0 + 0j], chain])
     strict = _triu(len(jets), 1)
     n_uw = len(strict[0])
-    for iteration in range(max_iter + 1):
+    for iteration in range(_MAX_ITER + 1):
         residual, jac = _equivalence_system(a, t, u, w, lam)
-        if iteration == max_iter or np.linalg.norm(residual) < 1e-13 * scale:
+        if iteration == _MAX_ITER or np.linalg.norm(residual) < 1e-13 * scale:
             break
         try:
             step, _, _, _ = np.linalg.lstsq(jac, -residual, rcond=None)
@@ -270,12 +281,10 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
     residual, the constancy of c along the doubling orbit, and the block
     (0,1) agreement.
     """
-    if spec.a_z is None:
-        raise ValueError("calibration needs the analytic point a_z")
     if spec.k < 1:
         raise ValueError("nothing to calibrate at k = 0")
     ctx = spec.ctx
-    orbit = _orbit(spec)
+    orbit = _orbit(embed(spec.a_z, ctx), spec.k)
     # Everything the least-squares solves below consume, offset by offset:
     # the jets at a and the tangent iterates V^l(theta(a)), which are never
     # normalized, can overflow.
@@ -369,8 +378,8 @@ def elimination_consequence_residual(a_z: complex, ctx: ThetaContext) -> float:
 # presentation checks
 # ---------------------------------------------------------------------------
 
-def equilibrate(n: np.ndarray, passes: int = 4) -> np.ndarray:
-    """Two-sided diagonal scaling toward unit row/column norms.
+def equilibrate(n: np.ndarray) -> np.ndarray:
+    """Two-sided diagonal scaling toward unit row/column norms, in four passes.
 
     Rank-preserving; compresses the block-scale spread of jet matrices
     (theta derivatives grow like (6*pi)^d) so that singular value
@@ -378,7 +387,7 @@ def equilibrate(n: np.ndarray, passes: int = 4) -> np.ndarray:
     last two axes, so a stack is scaled matrix by matrix.
     """
     n = np.array(n, dtype=complex)
-    for _ in range(passes):
+    for _ in range(4):
         rn = np.linalg.norm(n, axis=-1, keepdims=True)
         rn[rn == 0] = 1.0
         n /= rn
@@ -390,8 +399,7 @@ def equilibrate(n: np.ndarray, passes: int = 4) -> np.ndarray:
 
 def verify_presentation(a: PolyMatrix, psi: complex, k: int,
                         curve_samples: list[ProjectivePoint],
-                        off_samples: list[tuple[complex, complex, complex]],
-                        det_tol: float = 1e-7) -> list[CheckReport]:
+                        off_samples: list[tuple[complex, complex, complex]]) -> list[CheckReport]:
     """det(A) = w^(k+1) up to scalar; corank k+1 on the curve, 0 off it.
 
     The determinant identity is fitted at the off-curve samples (the same
@@ -402,7 +410,7 @@ def verify_presentation(a: PolyMatrix, psi: complex, k: int,
     off_values = eval_matrix(a, off_samples)
     w_pow = evaluate(hesse_form(psi), off_samples) ** (k + 1)
     scalar, det_residual = det_scalar_fit(off_values, w_pow)
-    reports = [check("presentation.det", det_residual, det_tol,
+    reports = [check("presentation.det", det_residual, 1e-7,
                      inputs={"k": k, "scalar": scalar})]
 
     on_values = eval_matrix(a, [p.coords for p in curve_samples])
@@ -461,24 +469,20 @@ def _section_weights(k: int) -> np.ndarray:
                      for column in range(k + 1)])
 
 
-def section_basis(spec: UlrichSpec, z: complex) -> list[SectionVector]:
-    """The 3(k+1) global sections, grouped by column then theta index."""
-    if spec.a_z is None:
-        raise ValueError("sections need the analytic point a_z")
+def section_basis(spec: UlrichSpec, z: complex) -> np.ndarray:
+    """The 3(k+1) global sections as comps[column, index, row].
+
+    Section (column, index) has k+1 components, exactly zero for row > column.
+    """
     k = spec.k
     jets = theta_jet(z + spec.a_z, spec.ctx, k)
     column, row = np.indices((k + 1, k + 1))
     terms = _section_weights(k)[:, :, None] * jets[np.maximum(column - row, 0)]
-    # comps[column, index, row], exactly zero for row > column
-    comps = np.where((row <= column)[:, :, None], terms, 0j).transpose(0, 2, 1)
-    return [SectionVector(components=tuple(comps[c, i].tolist()), index=i, column=c)
-            for c in range(k + 1) for i in range(3)]
+    return np.where((row <= column)[:, :, None], terms, 0j).transpose(0, 2, 1)
 
 
 def automorphy_block(spec: UlrichSpec, lam: complex, z: complex) -> np.ndarray:
     """(k+1)-square factor with entries C(k-i, j-i) * e^(j-i)_a(lambda, z)."""
-    if spec.a_z is None:
-        raise ValueError("the block factor needs the analytic point a_z")
     return _offset_blocks(automorphy_jet(spec.a_z, lam, z, spec.ctx, spec.k))
 
 
@@ -490,8 +494,8 @@ def automorphy_transport_residual(spec: UlrichSpec, lam: complex, z: complex) ->
     carries that scale.
     """
     f = automorphy_block(spec, lam, z)
-    lhs = np.array([v.components for v in section_basis(spec, z)]) @ f.T
-    rhs = np.array([v.components for v in section_basis(spec, z + lam)])
+    lhs = section_basis(spec, z).reshape(spec.size, -1) @ f.T
+    rhs = section_basis(spec, z + lam).reshape(spec.size, -1)
     scale = 1.0 + np.max(np.abs(lhs), axis=1) + np.max(np.abs(rhs), axis=1)
     return float(np.max(np.max(np.abs(lhs - rhs), axis=1) / scale))
 
@@ -540,6 +544,5 @@ def relation_annihilation_residual(spec: UlrichSpec, z: complex) -> float:
     # weights[r, sigma] = sum_j rel[r, 3*sigma + j] * th_j(z)
     weights = relation_matrix(spec).reshape(spec.size, spec.size, 3) @ theta_jet(z, spec.ctx)[0]
     # section slot sigma = 3*beta + i holds basis column k - beta, index i
-    sections = np.array([v.components for v in section_basis(spec, z)])
-    sections = sections.reshape(spec.k + 1, 3, spec.k + 1)[::-1].reshape(spec.size, -1)
+    sections = section_basis(spec, z)[::-1].reshape(spec.size, -1)
     return float(np.max(np.abs(weights @ sections)))

@@ -6,6 +6,7 @@ construction error (JSON error object on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -22,12 +23,12 @@ from .bundles import (UlrichSpec, automorphy_cocycle_residual,
                       verify_factorization, verify_presentation)
 from .curve import CurveConfig, ProjectivePoint, embed, is_three_torsion, on_curve
 from .errors import HesseCubicError
-from .moore import (l_from_coords, l_matrix, moore_derivative, moore_from_coords,
-                    moore_matrix, theta_relation_residuals)
+from .moore import (l_from_coords, l_matrix, moore_from_coords, moore_matrix,
+                    theta_relation_residuals)
 from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
                    numeric_rank)
 from .report import CheckReport, check
-from .theta import ThetaContext, basis_provenance, hesse_psi, theta_vector
+from .theta import ThetaContext, basis_provenance, hesse_psi, theta_jet
 
 MUTATIONS = ("zero-block", "drop-binomial", "perturb-psi")
 
@@ -115,18 +116,13 @@ def run_emit(args) -> int:
         "L": l_matrix(point),
     }
     if args.k >= 1:
+        lambdas = None
         if a_z is not None:
             spec = UlrichSpec(k=args.k, ctx=ctx, a_z=a_z)
-            a_mat, b_mat = build_analytic(spec)
-            matrices["A_analytic"] = a_mat
-            matrices["B_analytic"] = b_mat
+            matrices["A_analytic"], matrices["B_analytic"] = build_analytic(spec)
             lambdas, _ = calibrate_scalars(spec)
-            bundle["lambdas"] = [[l.real, l.imag] for l in lambdas]
-            matrices["A_algebraic"] = build_algebraic(spec, lambdas)
-        else:
-            spec = UlrichSpec(k=args.k, ctx=ctx, point=point)
-            matrices["A_algebraic"] = build_algebraic(spec)
-            bundle["lambdas"] = None
+        matrices["A_algebraic"] = build_algebraic(point, args.k, lambdas)
+        bundle["lambdas"] = None if lambdas is None else [[l.real, l.imag] for l in lambdas]
 
     if args.format == "json":
         bundle["matrices"] = {name: m.to_json() for name, m in matrices.items()}
@@ -146,7 +142,7 @@ def run_emit(args) -> int:
 
 def _hesse_identity_residual(ctx: ThetaContext, psi: complex, rng, samples: int) -> float:
     """Largest |w(theta(z))| over random z, relative to the size of its terms."""
-    th = np.array([theta_vector(complex(*xy), ctx) for xy in rng.uniform(-0.5, 0.5, (samples, 2))])
+    th = np.array([theta_jet(complex(*xy), ctx)[0] for xy in rng.uniform(-0.5, 0.5, (samples, 2))])
     size = np.sum(np.abs(th) ** 3, axis=1) + 3 * abs(psi) * np.abs(np.prod(th, axis=1))
     return float(np.max(np.abs(evaluate(hesse_form(psi), th)) / size))
 
@@ -159,8 +155,9 @@ def _theta_checks(ctx: ThetaContext, rng) -> list[CheckReport]:
     sym = 0.0
     for _ in range(5):
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        v = theta_vector(z, ctx)
-        m = theta_vector(-z, ctx)
+        # Python scalars: numpy complex arithmetic rounds differently
+        v = theta_jet(z, ctx)[0].tolist()
+        m = theta_jet(-z, ctx)[0].tolist()
         sym = max(sym, abs(m[0] + v[0]), abs(m[1] + v[2]), abs(m[2] + v[1]))
     reports.append(check("theta.symmetry", sym, 1e-9, {"tau": ctx.tau}))
     reports.append(check("theta.psi_nondegenerate", ctx.check_tol / abs(psi ** 3 - 1),
@@ -168,13 +165,12 @@ def _theta_checks(ctx: ThetaContext, rng) -> list[CheckReport]:
     return reports
 
 
-def _moore_checks(ctx: ThetaContext, psi: complex, rng, off: list[tuple],
-                  max_order: int = 4) -> list[CheckReport]:
+def _moore_checks(ctx: ThetaContext, psi: complex, rng, off: list[tuple]) -> list[CheckReport]:
     reports = []
     a_grid = [0.23, 0.31 + 0.07j, -0.19 + 0.11j]
     z_grid = [0.11, -0.27 + 0.09j, 0.41 + 0.13j]
-    # rows: grid points; columns: orders 0..max_order
-    grid = [theta_relation_residuals(a_z, z, ctx, max_order)
+    # rows: grid points; columns: relation orders 0..4
+    grid = [theta_relation_residuals(a_z, z, ctx, 4)
             for a_z in a_grid for z in z_grid]
     for order, reps in enumerate(zip(*grid)):
         reports.append(check(f"moore.relation.order{order}", max(r.residual for r in reps),
@@ -205,7 +201,7 @@ def _mutate_analytic(a: PolyMatrix, b: PolyMatrix, k: int, mutate: str,
         a.coeffs[:3, 3:6] = 0.0
     elif mutate == "drop-binomial" and k >= 2:
         # block (0,1) carries C(k,1): rebuild it with coefficient 1
-        a.coeffs[:3, 3:6] = moore_derivative(a_z, ctx, 1).coeffs
+        a.coeffs[:3, 3:6] = moore_from_coords(theta_jet(a_z, ctx, 1)[1]).coeffs
     return a, b
 
 
@@ -233,13 +229,14 @@ def _presentation_checks(ctx: ThetaContext, psi: complex, a_z: complex, k_max: i
                          seed: int, off: list[tuple]) -> list[CheckReport]:
     reports = []
     on = curve_sample_points(ctx, 10, seed)
+    point = embed(a_z, ctx)
     for k in range(1, min(k_max, 3) + 1):
         spec = UlrichSpec(k=k, ctx=ctx, a_z=a_z)
         a_an, _ = build_analytic(spec)
         reports += _suffixed(verify_presentation(a_an, psi, k, on, off), f".analytic.k{k}")
         lambdas, cal_reports = calibrate_scalars(spec)
         reports += _suffixed(cal_reports, f".k{k}")
-        a_alg = build_algebraic(spec, lambdas)
+        a_alg = build_algebraic(point, k, lambdas)
         reports += _suffixed(verify_presentation(a_alg, psi, k, on, off), f".algebraic.k{k}")
     return reports
 
@@ -365,6 +362,7 @@ def run_sweep(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hessecubic",

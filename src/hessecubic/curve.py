@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from .errors import AllZero, DenominatorZero, SingularCurve
+from .theta import ThetaContext, theta_jet
 
-from .errors import AllZero, DenominatorZero
-from .theta import ThetaContext, theta_vector
+# a normalized coordinate below this counts as zero (the point lies in E[3])
+_PROJ_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -36,33 +37,24 @@ class ProjectivePoint:
         pivot = c[moduli.index(top)]
         return cls(tuple(v / pivot for v in c))
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=complex)
-
-    def negate(self) -> "ProjectivePoint":
-        """The inverse point: coordinates 1 and 2 swapped (sign is projective)."""
-        a0, a1, a2 = self.coords
-        return ProjectivePoint.from_coords((a0, a2, a1))
-
     def to_json(self) -> list:
         return [[v.real, v.imag] for v in self.coords]
 
 
 @dataclass(frozen=True)
 class CurveConfig:
-    """Hesse modulus plus the projective comparison tolerance."""
+    """The Hesse modulus psi of a smooth curve (psi^3 != 1)."""
 
     psi: complex
-    proj_tol: float = 1e-8
 
     def __post_init__(self):
         if abs(complex(self.psi) ** 3 - 1) < 1e-12:
-            raise ValueError("psi^3 = 1 defines a singular Hesse cubic")
+            raise SingularCurve("psi^3 = 1 defines a singular Hesse cubic")
 
 
 def embed(z: complex, ctx: ThetaContext) -> ProjectivePoint:
     """The point [th0(z) : th1(z) : th2(z)] of the Hesse cubic."""
-    return ProjectivePoint.from_coords(theta_vector(z, ctx))
+    return ProjectivePoint.from_coords(theta_jet(z, ctx)[0])
 
 
 def on_curve(p: ProjectivePoint, cfg: CurveConfig) -> float:
@@ -103,4 +95,4 @@ def doubling_orbit(p: ProjectivePoint, k: int) -> list[ProjectivePoint]:
 
 def is_three_torsion(p: ProjectivePoint, cfg: CurveConfig) -> bool:
     """True iff some normalized coordinate (nearly) vanishes."""
-    return min(abs(c) for c in p.coords) < cfg.proj_tol
+    return min(abs(c) for c in p.coords) < _PROJ_TOL

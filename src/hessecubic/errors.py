@@ -37,6 +37,10 @@ class InconsistentFactor(HesseCubicError):
     """The automorphy ratio disagrees across theta indices."""
 
 
+class SingularCurve(HesseCubicError, ValueError):
+    """The modulus satisfies psi^3 = 1: the Hesse cubic is singular."""
+
+
 class AllZero(HesseCubicError):
     """All three homogeneous coordinates are zero."""
 

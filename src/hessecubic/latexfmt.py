@@ -26,14 +26,14 @@ def poly_to_latex(coeffs: list[complex], degree: int) -> str:
     return " + ".join(bits) if bits else "0"
 
 
-def matrix_to_latex(m: PolyMatrix, block_size: int = 3) -> str:
+def matrix_to_latex(m: PolyMatrix) -> str:
     """pmatrix layout with \\; spacing between size-3 block columns."""
     lines = [r"\begin{pmatrix}"]
     for i, row in enumerate(m.coeffs.tolist()):
         cells = []
         for j, entry in enumerate(row):
             cell = poly_to_latex(entry, m.degree)
-            if j and j % block_size == 0:
+            if j and j % 3 == 0:
                 cell = r"\;" + cell
             cells.append(cell)
         sep = r" \\" if i < m.rows - 1 else ""

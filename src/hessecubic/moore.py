@@ -19,7 +19,6 @@ or of its six coefficient ratios (L) into a zero coefficient array.
 """
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -28,7 +27,7 @@ from .curve import ProjectivePoint, embed
 from .errors import DenominatorZero
 from .poly import PolyMatrix, monomial_index
 from .report import CheckReport, check
-from .theta import ThetaContext, leibniz_product, leibniz_quotient, theta_jet, theta_vector
+from .theta import _BINOM, ThetaContext, leibniz_product, leibniz_quotient, theta_jet
 
 # (r, c) -> (p, q): entry a_p * x_q
 MOORE_PATTERN = (
@@ -55,8 +54,6 @@ def _monomial(*indices) -> int:
         exp[i] += 1
     return monomial_index(len(indices))[tuple(exp)]
 
-
-_BINOM_TABLE = np.array([[math.comb(n, j) for j in range(9)] for n in range(9)], dtype=float)
 
 # Fixed scatter patterns: coefficient array positions (row, col, monomial)
 # and the source slot of the value written there.
@@ -115,17 +112,8 @@ def l_matrix(a: ProjectivePoint) -> PolyMatrix:
     return l_from_coords(a.coords)
 
 
-def moore_derivative(a_z: complex, ctx: ThetaContext, i: int = 0) -> PolyMatrix:
-    """Moore-patterned matrix with coefficients theta^(i)(a_z).
-
-    i = 0 reproduces moore_matrix(embed(a_z)) up to the normalization scalar
-    of the projective representative.
-    """
-    return moore_from_coords(theta_vector(a_z, ctx, order=i))
-
-
-def l_derivative(a_z: complex, ctx: ThetaContext, max_order: int) -> list[PolyMatrix]:
-    """[L, L', ..., L^(max_order)]: a-derivatives of L_{a,x} along a_j = theta_j(a_z).
+def l_derivative(a_z: complex, ctx: ThetaContext, max_order: int) -> PolyMatrix:
+    """The stack L, L', ..., L^(max_order): a-derivatives of L_{a,x} along a_j = theta_j(a_z).
 
     Each coefficient of L is a ratio of products of theta values; the jets of
     all six ratios come from one Leibniz quotient over the theta jet at a_z,
@@ -138,7 +126,7 @@ def l_derivative(a_z: complex, ctx: ThetaContext, max_order: int) -> list[PolyMa
     den = leibniz_product(leibniz_product(jet[:, 0], jet[:, 1]), jet[:, 2])
     left, right = (list(v) for v in zip(*_L_PAIRS))
     ratios = leibniz_quotient(leibniz_product(jet[:, left], jet[:, right]), den)
-    return list(map(PolyMatrix, _l_entries(ratios).coeffs))
+    return _l_entries(ratios)
 
 
 def theta_relation_residuals(a_z: complex, z: complex, ctx: ThetaContext,
@@ -159,7 +147,7 @@ def theta_relation_residuals(a_z: complex, z: complex, ctx: ThetaContext,
     moore = a_jet[:, _MOORE_P] * x[_MOORE_Q]
     orders = np.arange(max_order + 1)
     # weights[n, j, i] = C(n, j) if i = n - j (the Leibniz rule), else 0
-    weights = _BINOM_TABLE[:max_order + 1, :max_order + 1, None] * np.eye(max_order + 1)[
+    weights = _BINOM[:max_order + 1, :max_order + 1, None] * np.eye(max_order + 1)[
         np.subtract.outer(orders, orders)]
     residuals = np.einsum("nji,jrc,ic->nr", weights, moore, y_jet)
     worst = np.max(np.abs(residuals), axis=1)

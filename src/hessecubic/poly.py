@@ -80,10 +80,6 @@ class PolyMatrix:
         self.coeffs = np.asarray(coeffs, dtype=complex)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, degree: int) -> "PolyMatrix":
-        return cls(np.zeros((rows, cols, len(monomials(degree))), dtype=complex))
-
-    @classmethod
     def diagonal(cls, poly: np.ndarray, size: int) -> "PolyMatrix":
         """poly * I for a coefficient vector poly (w * I from hesse_form)."""
         out = np.zeros((size, size, len(poly)), dtype=complex)
@@ -179,18 +175,15 @@ def det_scalar_fit(values: np.ndarray, reference: np.ndarray):
     return c, residual
 
 
-def numeric_rank(n: np.ndarray, rank_tol: float | None = None):
-    """Number of singular values above rank_tol (default 1e-7 * largest).
+def numeric_rank(n: np.ndarray):
+    """Number of singular values above 1e-7 times the largest.
 
     A stack (..., rows, cols) gets one rank per matrix, each against its own
     largest singular value, from one SVD call.
     """
-    if rank_tol is not None and rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
     n = np.asarray(n, dtype=complex)
     if n.size == 0:
         return 0
     svals = np.linalg.svd(n, compute_uv=False)
-    threshold = 1e-7 * svals[..., :1] if rank_tol is None else rank_tol
-    ranks = np.sum(svals > threshold, axis=-1)
+    ranks = np.sum(svals > 1e-7 * svals[..., :1], axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks

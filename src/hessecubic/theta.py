@@ -186,11 +186,6 @@ def theta_jet(z: complex, ctx: ThetaContext, max_order: int = 0) -> np.ndarray:
     return _sum_jet(complex(ctx.tau), ctx.trunc_eps, complex(z), max_order)
 
 
-def theta_vector(z: complex, ctx: ThetaContext, order: int = 0) -> tuple[complex, complex, complex]:
-    """(th0, th1, th2) at z, differentiated `order` times: one row of the jet."""
-    return tuple(theta_jet(z, ctx, order)[order].tolist())
-
-
 def hesse_psi(ctx: ThetaContext) -> complex:
     """Modulus psi(tau) = (th0^3 + th1^3 + th2^3) / (3 th0 th1 th2).
 
@@ -199,7 +194,8 @@ def hesse_psi(ctx: ThetaContext) -> complex:
     """
     values = []
     for z in _PSI_PROBES:
-        v = theta_vector(z, ctx)
+        # Python scalars, not numpy: psi is emitted and must stay bit-reproducible
+        v = theta_jet(z, ctx)[0].tolist()
         scale = max(abs(c) for c in v)
         prod = v[0] * v[1] * v[2]
         if abs(prod) < 1e-6 * scale ** 3:

@@ -5,7 +5,9 @@ finite differences (with Richardson extrapolation), matrix inverses from
 cofactors, polynomial identities from numpy evaluations at sample points,
 theta values from a plain fixed-window series sum, Moore and L matrices and
 the Moore relations entry by entry in plain Python, the calibration's block
-equivalence by nested loops over blocks and unknowns.
+equivalence by nested loops over blocks and unknowns.  The short helpers at
+the end are conveniences the tests read jets and points through; the
+package itself passes the arrays.
 """
 from __future__ import annotations
 
@@ -15,8 +17,9 @@ import math
 import numpy as np
 
 from hessecubic.curve import ProjectivePoint, double_neg
-from hessecubic.moore import MOORE_PATTERN
-from hessecubic.poly import PolyMatrix, monomial_index
+from hessecubic.moore import MOORE_PATTERN, moore_from_coords
+from hessecubic.poly import PolyMatrix, monomial_index, monomials
+from hessecubic.theta import ThetaContext, theta_jet
 
 
 def central_difference(f, z: complex, h: float = 1e-5) -> complex:
@@ -67,7 +70,7 @@ def theta_series_oracle(z: complex, tau: complex, order: int,
 
 def proj_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
     """1 - |<p,q>|^2 / (|p|^2 |q|^2); zero iff equal projective classes."""
-    u, v = p.as_array(), q.as_array()
+    u, v = as_array(p), as_array(q)
     inner = abs(np.vdot(u, v)) ** 2
     d = 1.0 - inner / ((np.linalg.norm(u) ** 2) * (np.linalg.norm(v) ** 2))
     return float(max(d, 0.0))
@@ -208,22 +211,26 @@ def automorphy_block_oracle(jets, k: int) -> np.ndarray:
 
 
 def transport_residual_oracle(f: np.ndarray, here, there) -> float:
-    """max over sections of |f v(z) - v(z+lambda)| / (1 + |f v| + |v(z+lambda)|), one by one."""
+    """max over sections of |f v(z) - v(z+lambda)| / (1 + |f v| + |v(z+lambda)|), one by one.
+
+    here and there are section_basis arrays comps[column, index, row].
+    """
     worst = 0.0
-    for v0, v1 in zip(here, there):
-        lhs = f @ np.array(v0.components)
-        rhs = np.array(v1.components)
-        scale = 1.0 + float(np.max(np.abs(lhs)) + np.max(np.abs(rhs)))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
+    for column in range(len(here)):
+        for index in range(3):
+            lhs = f @ here[column, index]
+            rhs = there[column, index]
+            scale = 1.0 + float(np.max(np.abs(lhs)) + np.max(np.abs(rhs)))
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
     return worst
 
 
 def annihilation_residual_oracle(rel: np.ndarray, xs, sections, k: int) -> float:
     """max |sum over slots of (relation row . x) * section| by a plain triple loop.
 
-    Slot sigma = 3*beta + i pairs block column beta with basis column k - beta.
+    Slot sigma = 3*beta + i pairs block column beta with basis column k - beta;
+    sections is a section_basis array comps[column, index, row].
     """
-    by_key = {(v.column, v.index): np.array(v.components) for v in sections}
     worst = 0.0
     for r in range(rel.shape[0]):
         acc = np.zeros(k + 1, dtype=complex)
@@ -231,7 +238,7 @@ def annihilation_residual_oracle(rel: np.ndarray, xs, sections, k: int) -> float
             for i in range(3):
                 sigma = 3 * beta + i
                 weight = sum(rel[r, 3 * sigma + j] * xs[j] for j in range(3))
-                acc += weight * by_key[(k - beta, i)]
+                acc += weight * sections[k - beta, i]
         worst = max(worst, float(np.max(np.abs(acc))))
     return worst
 
@@ -301,3 +308,33 @@ def equivalence_solve_oracle(jets, reps, chain, max_iter: int = 60):
         lam[1:] += step[2 * n_uw:]
     residual = equivalence_residual_oracle(jets, reps, u, w, lam)
     return lam[1:], float(np.linalg.norm(residual) / scale)
+
+
+def theta_vector(z: complex, ctx: ThetaContext,
+                 order: int = 0) -> tuple[complex, complex, complex]:
+    """(th0, th1, th2) at z, differentiated `order` times: one row of the jet."""
+    return tuple(theta_jet(z, ctx, order)[order].tolist())
+
+
+def moore_derivative(a_z: complex, ctx: ThetaContext, i: int = 0) -> PolyMatrix:
+    """Moore-patterned matrix with coefficients theta^(i)(a_z)."""
+    return moore_from_coords(theta_jet(a_z, ctx, i)[i])
+
+
+def jet_matrices(stack: PolyMatrix) -> list[PolyMatrix]:
+    """The matrices of a stacked PolyMatrix, such as the jet l_derivative returns."""
+    return [PolyMatrix(c) for c in stack.coeffs]
+
+
+def zeros(rows: int, cols: int, degree: int) -> PolyMatrix:
+    return PolyMatrix(np.zeros((rows, cols, len(monomials(degree))), dtype=complex))
+
+
+def as_array(p: ProjectivePoint) -> np.ndarray:
+    return np.array(p.coords, dtype=complex)
+
+
+def negate(p: ProjectivePoint) -> ProjectivePoint:
+    """The inverse point: coordinates 1 and 2 swapped (sign is projective)."""
+    a0, a1, a2 = p.coords
+    return ProjectivePoint.from_coords((a0, a2, a1))

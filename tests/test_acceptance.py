@@ -13,12 +13,12 @@ from hessecubic import (PolyMatrix, ThetaContext, UlrichSpec,
                         curve_sample_points, derivative_elimination_fit,
                         det_scalar_fit, double_neg, doubling_orbit,
                         elimination_consequence_residual, embed, eval_matrix, evaluate,
-                        hesse_form, hesse_psi, l_matrix, moore_derivative,
+                        hesse_form, hesse_psi, l_matrix,
                         moore_matrix, numeric_rank, offcurve_sample_triples,
                         relation_annihilation_residual,
                         relation_matrix, theta_relation_residuals,
-                        theta_vector, verify_factorization, verify_presentation)
-from oracles import proj_distance
+                        verify_factorization, verify_presentation)
+from oracles import moore_derivative, proj_distance, theta_vector
 
 A_Z = 0.3
 
@@ -114,7 +114,7 @@ def test_criterion_5_presentation_law(ctx_i, psi_i):
         spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
         lambdas, _ = calibrate_scalars(spec)
         for tag, matrix in (("analytic", build_analytic(spec)[0]),
-                            ("algebraic", build_algebraic(spec, lambdas))):
+                            ("algebraic", build_algebraic(embed(A_Z, ctx_i), k, lambdas))):
             for rep in verify_presentation(matrix, psi_i, k, on, off):
                 if not rep.passed:
                     failures.append(f"{tag}.k{k}.{rep.name}")

@@ -14,10 +14,10 @@ from hessecubic import (CalibrationFailed, CurveConfig, DenominatorZero, PolyMat
                         build_analytic, calibrate_scalars, curve_sample_points,
                         derivative_elimination_fit, elimination_consequence_residual,
                         doubling_orbit, embed,
-                        jet_kernel_residual, l_derivative, moore_derivative,
+                        jet_kernel_residual, l_derivative,
                         numeric_rank, offcurve_sample_triples,
                         relation_annihilation_residual, relation_matrix,
-                        section_basis, tangent_rep, theta_jet, theta_vector,
+                        section_basis, tangent_rep, theta_jet,
                         verify_factorization, verify_presentation)
 from hessecubic import bundles
 from hessecubic.bundles import _finite_at, _rejection_sample, equilibrate
@@ -26,11 +26,11 @@ from hessecubic.poly import evaluate, hesse_form
 from hessecubic.theta import hesse_psi
 from hessecubic.moore import moore_from_coords
 from hessecubic.theta import automorphy_jet
-from oracles import (annihilation_residual_oracle, automorphy_block_oracle,
+from oracles import (annihilation_residual_oracle, as_array, automorphy_block_oracle,
                      equivalence_jacobian_oracle, equivalence_residual_oracle,
-                     equivalence_solve_oracle, matrix_close,
-                     random_poly_matrix, section_components_oracle,
-                     transport_residual_oracle)
+                     equivalence_solve_oracle, jet_matrices, matrix_close,
+                     moore_derivative, random_poly_matrix, section_components_oracle,
+                     theta_vector, transport_residual_oracle, zeros)
 
 A_Z = 0.3
 
@@ -64,7 +64,7 @@ def _block(m: PolyMatrix, i: int, j: int) -> PolyMatrix:
 def test_analytic_k0_is_moore_pair(ctx_i):
     a, b = build_analytic(UlrichSpec(k=0, ctx=ctx_i, a_z=A_Z))
     assert matrix_close(a, moore_derivative(A_Z, ctx_i, 0), tol=1e-15)
-    assert matrix_close(b, l_derivative(A_Z, ctx_i, 0)[0], tol=1e-15)
+    assert matrix_close(b, jet_matrices(l_derivative(A_Z, ctx_i, 0))[0], tol=1e-15)
 
 
 def test_analytic_k1_block_layout(ctx_i, spec1):
@@ -121,23 +121,88 @@ def test_factorization_detects_zeroed_block(psi_i, spec1):
     assert not all(r.passed for r in reports)
 
 
+# tau x a where the gate's power is pinned: a = 0.3, a point 1e-4 from the
+# 3-torsion point 1/3 (where L carries 1/theta_0(a) ~ 1e4), and one more tau
+_POWER_CONFIGS = [(tau, a_z) for tau in (1j, 0.2 + 1.3j, -0.31 + 1.12j)
+                  for a_z in (0.3, 1 / 3 + 1e-4j)] + [(1.9j, 0.334)]
+
+
+def _factorization_residual(a, b, psi) -> float:
+    return max(r.residual for r in verify_factorization(a, b, psi))
+
+
+def _scaled_diagonal_block(a: PolyMatrix, block: int) -> PolyMatrix:
+    mutated = PolyMatrix(a.coeffs.copy())
+    mutated.coeffs[3 * block:3 * block + 3, 3 * block:3 * block + 3] *= 1 + 1e-4
+    return mutated
+
+
+@pytest.mark.parametrize("tau, a_z", _POWER_CONFIGS)
+def test_factorization_gate_catches_perturbed_psi_at_every_k(tau, a_z):
+    # the tolerances of the check suite: 1e-8 at k = 1, 1e-7 above
+    ctx = ThetaContext(tau=tau)
+    psi = hesse_psi(ctx)
+    for k in range(1, 9):
+        a, b = build_analytic(UlrichSpec(k=k, ctx=ctx, a_z=a_z))
+        assert _factorization_residual(a, b, psi) <= 1e-12, k
+        tol = 1e-8 if k == 1 else 1e-7
+        assert not any(r.passed for r in verify_factorization(a, b, psi + 1e-3, tol=tol)), k
+
+
+@pytest.mark.parametrize("tau, a_z", _POWER_CONFIGS)
+def test_factorization_gate_sees_a_scaled_diagonal_block_at_every_k(tau, a_z):
+    ctx = ThetaContext(tau=tau)
+    psi = hesse_psi(ctx)
+    first = None
+    for k in range(1, 9):
+        a, b = build_analytic(UlrichSpec(k=k, ctx=ctx, a_z=a_z))
+        tol = 1e-8 if k == 1 else 1e-7
+        for block in sorted({0, 1, k}):
+            residual = _factorization_residual(_scaled_diagonal_block(a, block), b, psi)
+            first = first or residual
+            # the residual does not fade as k grows
+            assert residual >= 0.9 * first, (k, block)
+            if abs(a_z - 1 / 3) > 1e-3:
+                assert residual > tol, (k, block)
+    # near 1/3 it reads only 9.5e-8, under the gate for k >= 2: the terms of
+    # (M*L)_ii reach 1e3 |w| before they cancel; k = 1 (tol 1e-8) still fails
+    assert first > 1e-8
+
+
+def test_factorization_gate_is_the_entrywise_backward_error(ctx_c, psi_c):
+    # one entry's error against the terms of that entry, not of the matrix
+    a, b = build_analytic(UlrichSpec(k=2, ctx=ctx_c, a_z=0.23 + 0.05j))
+    mutated = _scaled_diagonal_block(a, 0)
+    prod, w = (mutated @ b).coeffs, hesse_form(psi_c)
+    worst = 0.0
+    for i in range(9):
+        for j in range(9):
+            err = np.linalg.norm(prod[i, j] - (w if i == j else 0.0))
+            scale = sum(np.linalg.norm(mutated.coeffs[i, m]) * np.linalg.norm(b.coeffs[m, j])
+                        for m in range(9)) + (np.linalg.norm(w) if i == j else 0.0)
+            worst = max(worst, err / scale if scale else 0.0)
+    got = verify_factorization(mutated, b, psi_c)[0]
+    assert got.name == "factorization.AB"
+    assert abs(got.residual - worst) <= 1e-12 * worst
+
+
 def test_factorization_shape_guard(psi_i, spec1):
     a, b = build_analytic(spec1)
     with pytest.raises(SizeMismatch):
-        verify_factorization(a, PolyMatrix.zeros(3, 3, 2), psi_i)
+        verify_factorization(a, zeros(3, 3, 2), psi_i)
 
 
 # -- algebraic construction and calibration ---------------------------------
 
 def test_algebraic_k0_is_moore(ctx_i):
-    a = build_algebraic(UlrichSpec(k=0, ctx=ctx_i, a_z=A_Z))
+    a = build_algebraic(embed(A_Z, ctx_i), 0)
     assert matrix_close(a, moore_from_coords(embed(A_Z, ctx_i).coords), tol=1e-12)
 
 
 def test_algebraic_k1_block_layout(ctx_i, spec1):
     lambdas, _ = calibrate_scalars(spec1)
-    a = build_algebraic(spec1, lambdas)
     base = embed(A_Z, ctx_i)
+    a = build_algebraic(base, 1, lambdas)
     m_base = moore_from_coords(base.coords)
     m_next = moore_from_coords(doubling_orbit(base, 1)[1].coords)
     assert matrix_close(_block(a, 0, 0), m_base, tol=1e-12)
@@ -147,7 +212,7 @@ def test_algebraic_k1_block_layout(ctx_i, spec1):
 
 def test_algebraic_k2_offset_two_block(ctx_i, spec2):
     lambdas, _ = calibrate_scalars(spec2)
-    a = build_algebraic(spec2, lambdas)
+    a = build_algebraic(embed(A_Z, ctx_i), 2, lambdas)
     orbit = doubling_orbit(embed(A_Z, ctx_i), 2)
     pt2 = orbit[2]
     expected = moore_from_coords(pt2.coords).scale(lambdas[1] * math.comb(2, 2))
@@ -157,9 +222,8 @@ def test_algebraic_k2_offset_two_block(ctx_i, spec2):
 
 
 def test_algebraic_rejects_torsion_orbit(ctx_i):
-    spec = UlrichSpec(k=1, ctx=ctx_i, point=embed(1.0 / 3.0, ctx_i))
     with pytest.raises(DenominatorZero):
-        build_algebraic(spec)
+        build_algebraic(embed(1.0 / 3.0, ctx_i), 1)
 
 
 def test_calibration_rejects_orbit_through_torsion(ctx_i):
@@ -299,7 +363,8 @@ def test_presentation_complex_tau_k3(ctx_c, psi_c):
     lambdas, _ = calibrate_scalars(spec)
     on = curve_sample_points(ctx_c, 10, 42)
     off = offcurve_sample_triples(psi_c, 10, 43)
-    reports = verify_presentation(build_algebraic(spec, lambdas), psi_c, 3, on, off)
+    reports = verify_presentation(build_algebraic(embed(spec.a_z, ctx_c), 3, lambdas),
+                                  psi_c, 3, on, off)
     assert all(r.passed for r in reports)
 
 
@@ -309,7 +374,7 @@ def test_calibration_lambda1_oracle(ctx_i, spec1):
     s, c, _ = derivative_elimination_fit(A_Z, ctx_i)
     vec = np.array(theta_vector(A_Z, ctx_i))
     base = embed(A_Z, ctx_i)
-    nu0 = complex(np.vdot(base.as_array(), vec) / np.vdot(base.as_array(), base.as_array()))
+    nu0 = complex(np.vdot(as_array(base), vec) / np.vdot(as_array(base), as_array(base)))
     target = (moore_derivative(A_Z, ctx_i, 1)
               - moore_derivative(A_Z, ctx_i, 0).scale(s)).scale(1.0 / nu0)
     basis = moore_from_coords(doubling_orbit(base, 1)[1].coords)
@@ -324,10 +389,10 @@ def test_calibration_chain_values(ctx_i, spec2):
     _, c, _ = derivative_elimination_fit(A_Z, ctx_i)
     vec = np.array(theta_vector(A_Z, ctx_i))
     base = embed(A_Z, ctx_i)
-    nu0 = complex(np.vdot(base.as_array(), vec) / np.vdot(base.as_array(), base.as_array()))
+    nu0 = complex(np.vdot(as_array(base), vec) / np.vdot(as_array(base), as_array(base)))
     rep = tangent_rep(vec)
     for l, mu in ((1, c), (2, -2 * c ** 2)):
-        point = doubling_orbit(base, l)[l].as_array()
+        point = as_array(doubling_orbit(base, l)[l])
         nu = complex(np.vdot(point, rep) / np.vdot(point, point))
         assert abs(lambdas[l - 1] - mu * nu / nu0) < 1e-7 * abs(lambdas[l - 1])
         if l < 2:
@@ -338,17 +403,18 @@ def test_zeroed_lambda1_breaks_block_agreement(ctx_i, psi_i, spec1, on_samples, 
     # det and corank cannot see lambda1 = 0 (the decoupled matrix presents a
     # decomposable bundle); the block-agreement check is what catches it
     lambdas, _ = calibrate_scalars(spec1)
-    mutated = build_algebraic(spec1, [0.0 + 0.0j])
+    base = embed(A_Z, ctx_i)
+    mutated = build_algebraic(base, 1, [0.0 + 0.0j])
     for rep in verify_presentation(mutated, psi_i, 1, on_samples, off_samples):
         assert rep.passed
-    good = build_algebraic(spec1, lambdas)
+    good = build_algebraic(base, 1, lambdas)
     diff = (_block(good, 0, 1) - _block(mutated, 0, 1)).coefficient_norm()
     assert diff > 1e-2 * good.coefficient_norm()
 
 
 def test_wrong_lambda2_breaks_corank(ctx_i, psi_i, spec2, on_samples, off_samples):
     lambdas, _ = calibrate_scalars(spec2)
-    mutated = build_algebraic(spec2, [lambdas[0], lambdas[1] * 1.05])
+    mutated = build_algebraic(embed(A_Z, ctx_i), 2, [lambdas[0], lambdas[1] * 1.05])
     reports = {r.name: r for r in verify_presentation(mutated, psi_i, 2,
                                                       on_samples, off_samples)}
     assert not reports["presentation.corank_on_curve"].passed
@@ -361,7 +427,7 @@ def test_presentation_both_constructions(ctx_i, psi_i, on_samples, off_samples, 
     spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
     a_an, _ = build_analytic(spec)
     lambdas, _ = calibrate_scalars(spec)
-    a_alg = build_algebraic(spec, lambdas)
+    a_alg = build_algebraic(embed(A_Z, ctx_i), k, lambdas)
     for matrix in (a_an, a_alg):
         reports = verify_presentation(matrix, psi_i, k, on_samples, off_samples)
         assert all(r.passed for r in reports), [r.to_dict() for r in reports]
@@ -392,7 +458,7 @@ def test_det_gate_catches_perturbed_diagonal_block(ctx_i, psi_i, on_samples, off
     # coefficient of any diagonal block by 1 + 1e-4 breaks det A = c * w^(k+1)
     spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
     lambdas, _ = calibrate_scalars(spec)
-    for matrix in (build_analytic(spec)[0], build_algebraic(spec, lambdas)):
+    for matrix in (build_analytic(spec)[0], build_algebraic(embed(A_Z, ctx_i), k, lambdas)):
         named = {r.name: r for r in verify_presentation(matrix, psi_i, k,
                                                         on_samples, off_samples)}
         assert named["presentation.det"].passed
@@ -478,35 +544,33 @@ def test_curve_sampler_fails_by_name_near_the_cusp():
 def test_section_basis_k0(ctx_i):
     spec = UlrichSpec(k=0, ctx=ctx_i, a_z=A_Z)
     basis = section_basis(spec, 0.11)
-    assert len(basis) == 3
+    assert basis.shape == (1, 3, 1)
     vec = theta_vector(0.11 + A_Z, ctx_i)
-    for v in basis:
-        assert len(v.components) == 1
-        assert abs(v.components[0] - vec[v.index]) < 1e-12
+    for i in range(3):
+        assert abs(basis[0, i, 0] - vec[i]) < 1e-12
 
 
 def test_section_basis_k1_shape(ctx_i, spec1):
     basis = section_basis(spec1, 0.11)
-    assert len(basis) == 6
+    assert basis.shape == (2, 3, 2)
     th0 = theta_vector(0.11 + A_Z, ctx_i)
     th1 = theta_vector(0.11 + A_Z, ctx_i, order=1)
-    by_key = {(v.column, v.index): v for v in basis}
     for i in range(3):
-        plain = by_key[(0, i)]
-        assert abs(plain.components[0] - th0[i]) < 1e-12
-        assert plain.components[1] == 0.0
-        deriv = by_key[(1, i)]
-        assert abs(deriv.components[0] - th1[i]) < 1e-12
-        assert abs(deriv.components[1] - th0[i]) < 1e-12
+        plain = basis[0, i]
+        assert abs(plain[0] - th0[i]) < 1e-12
+        assert plain[1] == 0.0
+        deriv = basis[1, i]
+        assert abs(deriv[0] - th1[i]) < 1e-12
+        assert abs(deriv[1] - th0[i]) < 1e-12
 
 
 def test_section_count_and_zero_pattern(ctx_i):
     spec = UlrichSpec(k=3, ctx=ctx_i, a_z=A_Z)
     basis = section_basis(spec, 0.07)
-    assert len(basis) == 12
-    for v in basis:
-        for r in range(v.column + 1, 4):
-            assert v.components[r] == 0.0
+    assert basis.shape == (4, 3, 4)
+    for column in range(4):
+        for r in range(column + 1, 4):
+            assert np.all(basis[column, :, r] == 0.0)
 
 
 def test_sections_linearly_independent(ctx_i, spec2):
@@ -514,7 +578,7 @@ def test_sections_linearly_independent(ctx_i, spec2):
     zs = (0.11, 0.23 + 0.09j, -0.17 + 0.13j, 0.31, 0.05 + 0.21j)
     columns = []
     for z in zs:
-        columns.append(np.array([v.components for v in section_basis(spec2, z)]).T)
+        columns.append(section_basis(spec2, z).reshape(9, 3).T)
     stacked = np.vstack(columns)  # (len(zs)*(k+1)) x 3(k+1)
     assert numeric_rank(equilibrate(stacked)) == 9
 
@@ -524,9 +588,8 @@ def test_section_basis_matches_entrywise_oracle(ctx_i, k):
     spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
     basis = section_basis(spec, 0.11)
     expected = section_components_oracle(theta_jet(0.11 + A_Z, ctx_i, k).tolist(), k)
-    assert [list(v.components) for v in basis] == expected
-    assert [(v.column, v.index) for v in basis] == [(c, i) for c in range(k + 1)
-                                                    for i in range(3)]
+    assert basis.shape == (k + 1, 3, k + 1)
+    assert basis.reshape(3 * (k + 1), k + 1).tolist() == expected
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 6])
@@ -625,7 +688,7 @@ def test_relations_annihilate_sections_higher_rank(ctx_i, k):
 # -- spec validation ---------------------------------------------------------
 
 def test_spec_requires_a_point(ctx_i):
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         UlrichSpec(k=1, ctx=ctx_i)
     with pytest.raises(ValueError):
         UlrichSpec(k=-1, ctx=ctx_i, a_z=0.3)
@@ -636,8 +699,8 @@ def test_spec_size(ctx_i, spec2):
 
 
 def test_analytic_needs_a_z(ctx_i):
-    spec = UlrichSpec(k=1, ctx=ctx_i, point=embed(0.3, ctx_i))
-    with pytest.raises(ValueError):
-        build_analytic(spec)
-    with pytest.raises(ValueError):
-        calibrate_scalars(spec)
+    # a spec always carries the analytic point; a projective point alone
+    # only builds the algebraic form
+    with pytest.raises(TypeError):
+        UlrichSpec(k=1, ctx=ctx_i, point=embed(0.3, ctx_i))
+    assert build_algebraic(embed(0.3, ctx_i), 1).rows == 6

@@ -106,6 +106,32 @@ def test_check_mutation_perturb_psi():
     assert any(rec["name"].startswith("moore.ml") for rec in failed)
 
 
+@pytest.mark.parametrize("argv", [
+    # near the 3-torsion point 1/3 the whole-matrix norm missed psi + 1e-3:
+    # it read 2.8e-9 / 1.3e-12 at k = 1 / 2 here, and 9.9e-9 / 1.8e-11 /
+    # 1.7e-14 at k = 1 / 2 / 3 in the second request; entrywise both read
+    # 6.0e-6 and 4.5e-6 at every k
+    ["check", "--tau=-0.28787614503900727+1.1665770899090595i",
+     "--a=0.33371164981094276+0.0024692529395745344i", "--k", "2",
+     "--seed", "10321551", "--mutate", "perturb-psi"],
+    ["check", "--tau=-0.08262119732665119+1.9481437933382775i",
+     "--a=0.34355253986956397+0.0016023311604946022i", "--k", "3",
+     "--seed", "571026139", "--mutate", "perturb-psi"],
+])
+def test_perturbed_psi_fails_the_factorization_gate_near_three_torsion(capfd, argv):
+    assert main(argv) == 1
+    out, _ = capfd.readouterr()
+    records = [json.loads(l) for l in out.splitlines()]
+    failed = [r["name"] for r in records if r["name"].startswith("factorization.")
+              and not r["pass"]]
+    assert failed
+
+
+def test_parser_is_built_once_per_process():
+    from hessecubic.cli import make_parser
+    assert make_parser() is make_parser()
+
+
 def test_check_unreachable_tolerance_fails():
     proc = run_cli("check", "--k", "1", "--tol", "1e-30")
     assert proc.returncode == 1

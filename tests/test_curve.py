@@ -4,9 +4,10 @@ import cmath
 import numpy as np
 import pytest
 
-from hessecubic import (AllZero, CurveConfig, DenominatorZero, ProjectivePoint,
-                        double_neg, doubling_orbit, embed, is_three_torsion, on_curve)
-from oracles import iterate_double_neg_oracle, point_from_json, proj_distance
+from hessecubic import (AllZero, CurveConfig, DenominatorZero, HesseCubicError,
+                        ProjectivePoint, SingularCurve, double_neg, doubling_orbit, embed,
+                        is_three_torsion, on_curve)
+from oracles import iterate_double_neg_oracle, negate, point_from_json, proj_distance
 
 ORIGIN = ProjectivePoint.from_coords((0.0, 1.0, -1.0))
 
@@ -80,7 +81,7 @@ def test_proj_distance_symmetric():
 
 
 def test_negate_origin_is_fixed():
-    assert proj_distance(ORIGIN.negate(), ORIGIN) < 1e-15
+    assert proj_distance(negate(ORIGIN), ORIGIN) < 1e-15
 
 
 def test_negate_involution():
@@ -88,11 +89,11 @@ def test_negate_involution():
     for _ in range(10):
         p = ProjectivePoint.from_coords(tuple(complex(rng.normal(), rng.normal())
                                               for _ in range(3)))
-        assert p.negate().negate().coords == p.coords
+        assert negate(negate(p)).coords == p.coords
 
 
 def test_negate_matches_theta_oracle(ctx_i):
-    assert proj_distance(embed(0.3, ctx_i).negate(), embed(-0.3, ctx_i)) < 1e-8
+    assert proj_distance(negate(embed(0.3, ctx_i)), embed(-0.3, ctx_i)) < 1e-8
 
 
 def test_double_neg_matches_theta_oracle(ctx_i):
@@ -122,7 +123,7 @@ def test_double_neg_rejects_exact_zero_coordinate():
 def test_double_neg_commutes_with_negate(ctx_i):
     for z in (0.3, 0.21 + 0.17j, -0.37 + 0.05j):
         p = embed(z, ctx_i)
-        assert proj_distance(double_neg(p.negate()), double_neg(p).negate()) < 1e-8
+        assert proj_distance(double_neg(negate(p)), negate(double_neg(p))) < 1e-8
 
 
 def test_iterate_identity(ctx_i):
@@ -135,7 +136,7 @@ def test_iterate_two_steps(ctx_i):
 
 
 def test_iterate_then_negate(ctx_i):
-    assert proj_distance(doubling_orbit(embed(0.3, ctx_i), 1)[1].negate(),
+    assert proj_distance(negate(doubling_orbit(embed(0.3, ctx_i), 1)[1]),
                          embed(0.6, ctx_i)) < 1e-8
 
 
@@ -179,6 +180,12 @@ def test_analytic_consistency_sweep(ctx_i):
 def test_curve_config_rejects_singular_psi():
     with pytest.raises(ValueError):
         CurveConfig(psi=1.0)
+
+
+def test_singular_curve_is_a_named_error():
+    with pytest.raises(SingularCurve, match=r"^psi\^3 = 1 defines a singular Hesse cubic$") as err:
+        CurveConfig(psi=1.0)
+    assert isinstance(err.value, HesseCubicError)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

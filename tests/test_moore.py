@@ -6,15 +6,15 @@ import pytest
 
 from hessecubic import (DenominatorZero, PolyMatrix, ProjectivePoint,
                         det_scalar_fit, embed, eval_matrix, evaluate, hesse_form,
-                        l_derivative, l_matrix, moore_derivative, moore_matrix,
-                        offcurve_sample_triples, theta_relation_residuals,
-                        theta_vector)
+                        l_derivative, l_matrix, moore_matrix,
+                        offcurve_sample_triples, theta_relation_residuals)
 from hessecubic import moore
 from hessecubic.moore import l_from_coords, moore_from_coords
 from hessecubic.poly import monomials
 from hessecubic.theta import ThetaContext, theta_jet
-from oracles import (adjugate3, l_entrywise, matrix_close, moore_entrywise,
-                     random_triple, relation_residual_oracle)
+from oracles import (adjugate3, jet_matrices, l_entrywise, matrix_close, moore_derivative,
+                     moore_entrywise, random_triple, relation_residual_oracle,
+                     theta_vector, zeros)
 
 
 def _terms(coeffs) -> dict:
@@ -132,7 +132,7 @@ def test_moore_derivative_matches_finite_difference(ctx_i):
 
 def test_l_derivative_order_zero_matches_l_matrix(ctx_i):
     a_z = 0.3
-    jet0 = l_derivative(a_z, ctx_i, 0)[0]
+    jet0 = jet_matrices(l_derivative(a_z, ctx_i, 0))[0]
     direct = l_matrix(embed(a_z, ctx_i))
     vec = theta_vector(a_z, ctx_i)
     scalar = vec[int(np.argmax(np.abs(vec)))]
@@ -142,9 +142,9 @@ def test_l_derivative_order_zero_matches_l_matrix(ctx_i):
 
 def test_l_derivative_matches_finite_difference(ctx_i):
     a_z, h = 0.3, 1e-5
-    exact = l_derivative(a_z, ctx_i, 1)[1]
-    fd = (l_derivative(a_z + h, ctx_i, 0)[0]
-          - l_derivative(a_z - h, ctx_i, 0)[0]).scale(1 / (2 * h))
+    exact = jet_matrices(l_derivative(a_z, ctx_i, 1))[1]
+    fd = (jet_matrices(l_derivative(a_z + h, ctx_i, 0))[0]
+          - jet_matrices(l_derivative(a_z - h, ctx_i, 0))[0]).scale(1 / (2 * h))
     assert (exact - fd).coefficient_norm() < 1e-6 * (1 + exact.coefficient_norm())
 
 
@@ -158,11 +158,13 @@ def test_product_rule_leibniz(ctx_i):
     # against the finite-difference derivative of the product
     a_z, h = 0.3, 1e-4
     m0, m1 = moore_derivative(a_z, ctx_i, 0), moore_derivative(a_z, ctx_i, 1)
-    l0, l1 = l_derivative(a_z, ctx_i, 1)
+    l0, l1 = jet_matrices(l_derivative(a_z, ctx_i, 1))
     combo = m1 @ l0 + m0 @ l1
     assert combo.coefficient_norm() < 1e-8
-    prod_plus = moore_derivative(a_z + h, ctx_i, 0) @ l_derivative(a_z + h, ctx_i, 0)[0]
-    prod_minus = moore_derivative(a_z - h, ctx_i, 0) @ l_derivative(a_z - h, ctx_i, 0)[0]
+    prod_plus = (moore_derivative(a_z + h, ctx_i, 0)
+                 @ jet_matrices(l_derivative(a_z + h, ctx_i, 0))[0])
+    prod_minus = (moore_derivative(a_z - h, ctx_i, 0)
+                  @ jet_matrices(l_derivative(a_z - h, ctx_i, 0))[0])
     fd = (prod_plus - prod_minus).scale(1 / (2 * h))
     assert (combo - fd).coefficient_norm() < 1e-6
 
@@ -170,9 +172,9 @@ def test_product_rule_leibniz(ctx_i):
 def test_iterated_leibniz(ctx_i):
     a_z = 0.3
     m = [moore_derivative(a_z, ctx_i, d) for d in range(4)]
-    l = l_derivative(a_z, ctx_i, 3)
+    l = jet_matrices(l_derivative(a_z, ctx_i, 3))
     for i in range(1, 4):
-        total = PolyMatrix.zeros(3, 3, 3)
+        total = zeros(3, 3, 3)
         for j in range(i + 1):
             total = total + (m[j] @ l[i - j]).scale(math.comb(i, j))
         assert total.coefficient_norm() < 1e-7

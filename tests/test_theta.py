@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from hessecubic import (InconsistentPsi, NonconvergentSeries, OrderTooHigh,
                         ThetaContext, ThetaOverflow, automorphy_jet, hesse_psi,
-                        theta_jet, theta_vector)
+                        theta_jet)
 from hessecubic.theta import MAX_ORDER, _sum_jet
-from oracles import central_difference, richardson_derivative, theta_series_oracle
+from oracles import central_difference, richardson_derivative, theta_series_oracle, theta_vector
 
 
 def test_origin_is_inflection_point(ctx_i):
