@@ -12,7 +12,7 @@ from .bundles import (UlrichSpec, automorphy_block,
 from .curve import (CurveConfig, ProjectivePoint, double_neg, doubling_orbit, embed,
                     is_three_torsion, on_curve)
 from .errors import (AllIndicesDegenerate, AllZero, CalibrationFailed,
-                     DegenerateProbe, DenominatorZero, HesseCubicError,
+                     DegenerateOrbit, DegenerateProbe, DenominatorZero, HesseCubicError,
                      IllConditioned, InconsistentFactor, InconsistentPsi,
                      NonconvergentSeries, NotSquare, OrderTooHigh, SamplingFailed,
                      SingularCurve, SizeMismatch, ThetaOverflow, ZeroReference)

@@ -23,10 +23,16 @@ reduced into the fundamental parallelogram, where theta stays bounded.
 The calibrated scalars solve the two-sided block equivalence
 U * A_analytic * W = A_algebraic(lambda) with U, W unit upper triangular.
 Moore-pattern blocks are linear in their coefficient vectors, so A and the
-target T(lambda) are (k+1, k+1, 3) arrays; the residual is the upper
-triangle of U*A*W - T and its Jacobian comes from the product rule.
-Gauss-Newton starts at the iterated-elimination values
-mu_l = (-2)^(l(l-1)/2) * c^l, which are exact for l <= 2.
+target T(lambda) are (k+1, k+1, 3) arrays.  A is block upper triangular, so
+the bottom-right s x s block corner of U*A*W involves only the corners of U
+and W: shifted to the top left it is the order s-1 problem, with the same
+lambda_1..lambda_{s-1}.  Adding block row r to the solved rows below it adds
+equations (U*A*W)[r, j] = lambda_{j-r} * T[r, j] that are linear in the new
+unknowns u_{r,j}, w_{r,j} and lambda_{k-r}, because u_rr = w_rr = 1 and every
+other factor is already known.  So k linear least-squares solves, bottom row
+first, give U, W and lambda; a few Gauss-Newton steps on the whole system
+(residual: the upper triangle of U*A*W - T; Jacobian by the product rule)
+polish them.
 """
 from __future__ import annotations
 
@@ -38,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import CurveConfig, ProjectivePoint, doubling_orbit, embed, is_three_torsion
-from .errors import (CalibrationFailed, DenominatorZero, IllConditioned, SamplingFailed,
-                     SizeMismatch, ThetaOverflow)
+from .errors import (CalibrationFailed, DegenerateOrbit, DenominatorZero, IllConditioned,
+                     SamplingFailed, SizeMismatch, ThetaOverflow)
 from .moore import l_derivative, moore_from_coords
 from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
                    monomial_index, numeric_rank)
@@ -119,28 +125,27 @@ def verify_factorization(a: PolyMatrix, b: PolyMatrix, psi: complex,
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows or a.rows % 3:
         raise SizeMismatch(f"incompatible factor shapes {a.rows}x{a.cols}, {b.rows}x{b.cols}")
     w = hesse_form(psi)
-    w_id = PolyMatrix.diagonal(w, a.rows)
-    norm_a, norm_b = _entry_norms(a.coeffs), _entry_norms(b.coeffs)
-    w_diag = np.linalg.norm(w) * np.eye(a.rows)
     inputs = {"size": a.rows, "psi": complex(psi)}
-    return [
-        check("factorization.AB", _backward_error(a @ b - w_id, norm_a @ norm_b + w_diag),
-              tol, inputs),
-        check("factorization.BA", _backward_error(b @ a - w_id, norm_b @ norm_a + w_diag),
-              tol, inputs),
-    ]
+    return [check("factorization.AB", factor_backward_error(a, b, w), tol, inputs),
+            check("factorization.BA", factor_backward_error(b, a, w), tol, inputs)]
 
 
 def _entry_norms(coeffs: np.ndarray) -> np.ndarray:
-    """2-norm of each entry's coefficient vector, (rows, cols, m) -> (rows, cols)."""
+    """2-norm of each entry's coefficient vector, (..., rows, cols, m) -> (..., rows, cols)."""
     # over a float view: np.linalg.norm on the complex last axis costs twice as much
     v = np.ascontiguousarray(coeffs).view(float)
-    return np.sqrt(np.einsum("ijm,ijm->ij", v, v))
+    return np.sqrt(np.einsum("...m,...m->...", v, v))
 
 
-def _backward_error(residual: PolyMatrix, scale: np.ndarray) -> float:
+def factor_backward_error(a: PolyMatrix, b: PolyMatrix, w: np.ndarray) -> float:
+    """Largest |(A*B - w*I)_ij| / (sum_m |A_im| * |B_mj| + |w| * delta_ij).
+
+    Stacks of factors (leading axes) give the largest entry over the stack.
+    """
+    residual = (a @ b).coeffs - PolyMatrix.diagonal(w, a.rows).coeffs
+    scale = _entry_norms(a.coeffs) @ _entry_norms(b.coeffs) + np.linalg.norm(w) * np.eye(a.rows)
     # an entry with no nonzero term is an exact zero of the residual too
-    return float(np.max(_entry_norms(residual.coeffs) / np.where(scale > 0, scale, 1.0)))
+    return float(np.max(_entry_norms(residual) / np.where(scale > 0, scale, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,36 +243,68 @@ def _equivalence_system(a: np.ndarray, t: np.ndarray, u: np.ndarray, w: np.ndarr
     return residual, jac.transpose(0, 2, 1).reshape(3 * len(i), -1)
 
 
-# Gauss-Newton iterations before the equivalence solve gives up
-_MAX_ITER = 60
+# Gauss-Newton steps on the whole system after the row solves
+_POLISH_STEPS = 3
 
 
-def _equivalence_solve(jets: list[np.ndarray], reps: list[np.ndarray],
-                       chain: np.ndarray) -> tuple[np.ndarray, float]:
-    """Gauss-Newton for U, W and lambda with U * A * W = T(lambda), from lambda = `chain`.
+def _equivalence_solve(jets: list[np.ndarray],
+                       reps: list[np.ndarray]) -> tuple[np.ndarray, float, float]:
+    """U, W and lambda with U * A * W = T(lambda), one linear solve per block row.
 
     A and T have blocks C(k-i, j-i) * jets[j-i] and C(k-i, j-i) * lambda_{j-i} * reps[j-i].
+    Block row r, solved after the rows below it, is linear in u_{r,r+1..k},
+    w_{r,r+1..k} and lambda_{k-r} (see the module docstring).  Every block
+    (i, j) is weighted by 1 / (C(k-i, j-i) * |jets[j-i]|), so the low orders
+    count as much as the (6*pi)^d larger high ones; a few weighted
+    Gauss-Newton steps on the whole system then polish the solution.
+
+    Returns lambda_1..lambda_k, the unweighted |U*A*W - T| / max_d |jets[d]|
+    and the smallest non-null sigma/sigma_0 over the row solves: each row
+    system has one null direction, and minimum-norm least squares picks a
+    representative along it.
     """
-    scale = max(np.linalg.norm(v) for v in jets)
+    size = len(jets)
+    k = size - 1
+    norms = np.array([np.linalg.norm(v) for v in jets])
     a, t = _offset_blocks(jets), _offset_blocks(reps)
-    u, w = np.eye(len(jets), dtype=complex), np.eye(len(jets), dtype=complex)
-    lam = np.concatenate([[1.0 + 0j], chain])
-    strict = _triu(len(jets), 1)
+    i, j = _triu(size)
+    weight = np.zeros((size, size))
+    weight[i, j] = 1.0 / (np.array(_block_binomials(k))[i, j] * norms[j - i])
+    u, w = np.eye(size, dtype=complex), np.eye(size, dtype=complex)
+    # lambda_n is still 0 while its row is solved, so it drops out of the right-hand side
+    lam = np.zeros(size, dtype=complex)
+    lam[0] = 1.0
+    sigma = np.inf
+    for r in range(k - 1, -1, -1):
+        n = k - r
+        # rows m > r of A*W are final; row r still lacks the unknown w_{r, j}
+        aw = np.einsum("mnc,nj->mjc", a, w)
+        # [block (r, j), component, unknown]
+        system = np.zeros((n, 3, 2 * n + 1), dtype=complex)
+        system[:, :, :n] = aw[r + 1:, r + 1:].transpose(1, 2, 0)
+        system[np.arange(n), :, n + np.arange(n)] = jets[0]
+        system[-1, :, -1] = -t[r, k]
+        rhs = lam[1:n + 1, None] * t[r, r + 1:] - aw[r, r + 1:]
+        row_weight = weight[r, r + 1:, None]
+        sol, _, _, svals = np.linalg.lstsq((row_weight[..., None] * system).reshape(3 * n, -1),
+                                           (row_weight * rhs).ravel(), rcond=None)
+        sigma = min(sigma, svals[-2] / svals[0])
+        u[r, r + 1:], w[r, r + 1:], lam[n] = sol[:n], sol[n:2 * n], sol[-1]
+
+    scale = norms.max()
+    strict = _triu(size, 1)
     n_uw = len(strict[0])
-    for iteration in range(_MAX_ITER + 1):
+    block_weight = np.repeat(weight[i, j], 3)
+    for step in range(_POLISH_STEPS + 1):
         residual, jac = _equivalence_system(a, t, u, w, lam)
-        if iteration == _MAX_ITER or np.linalg.norm(residual) < 1e-13 * scale:
+        if step == _POLISH_STEPS or np.linalg.norm(residual) < 1e-13 * scale:
             break
-        try:
-            step, _, _, _ = np.linalg.lstsq(jac, -residual, rcond=None)
-        except np.linalg.LinAlgError:
-            # LAPACK's SVD can fail on the rank-deficient Jacobian; the
-            # residual of the current iterate is then the result
-            break
-        u[strict] += step[:n_uw]
-        w[strict] += step[n_uw:2 * n_uw]
-        lam[1:] += step[2 * n_uw:]
-    return lam[1:], float(np.linalg.norm(residual) / scale)
+        delta = np.linalg.lstsq(block_weight[:, None] * jac, -block_weight * residual,
+                                rcond=None)[0]
+        u[strict] += delta[:n_uw]
+        w[strict] += delta[n_uw:2 * n_uw]
+        lam[1:] += delta[2 * n_uw:]
+    return lam[1:], float(np.linalg.norm(residual) / scale), float(sigma)
 
 
 def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport]]:
@@ -279,11 +316,13 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
     further a-dependent scalars (so the pattern is not of the pure form t^l,
     which the report records).  The report also carries the elimination fit
     residual, the constancy of c along the doubling orbit, and the block
-    (0,1) agreement.
+    (0,1) agreement.  An orbit collision raises DegenerateOrbit before any
+    theta is evaluated.
     """
     if spec.k < 1:
         raise ValueError("nothing to calibrate at k = 0")
     ctx = spec.ctx
+    _check_orbit_distinct(spec.a_z, ctx.tau, spec.k)
     orbit = _orbit(embed(spec.a_z, ctx), spec.k)
     # Everything the least-squares solves below consume, offset by offset:
     # the jets at a and the tangent iterates V^l(theta(a)), which are never
@@ -305,11 +344,9 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
     reports = [check("calibration.fit", fit_residual, 1e-6,
                      inputs={"a_z": complex(spec.a_z), "c": c})]
 
-    chain = np.array([c ** d * (-2.0) ** (d * (d - 1) // 2)
-                      for d in range(1, spec.k + 1)])
-    lam_raw, equiv_residual = _equivalence_solve(jets, reps, chain)
+    lam_raw, equiv_residual, row_sigma = _equivalence_solve(jets, reps)
     reports.append(check("calibration.equivalence", equiv_residual, 1e-8,
-                         inputs={"k": spec.k}))
+                         inputs={"k": spec.k, "row_sigma": row_sigma}))
 
     # rescale from raw theta representatives to the stored normalized points:
     # reps[l] = nu_l * (-2)^l a
@@ -338,8 +375,29 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
         worst = max(reports, key=lambda r: r.residual / r.tol)
         raise CalibrationFailed(
             f"calibration residuals exceed tolerance (worst {worst.residual / worst.tol:.3e}x: "
-            f"{worst.name} {worst.residual:.3e})")
+            f"{worst.name} {worst.residual:.3e}; row solve sigma/sigma_0 {row_sigma:.3e})")
     return lambdas, reports
+
+
+def _check_orbit_distinct(a_z: complex, tau: complex, k: int):
+    """DegenerateOrbit if (-2)^m a equals a or -2a on the curve for some m <= k.
+
+    (-2)^m a = (-2)^l a when ((-2)^m - (-2)^l) * a lies in the lattice
+    Z + Z*tau.  From the first such m with l = 0 or 1 on, calibration fails
+    (measured with both the row solves and Gauss-Newton); a collision of two
+    later points (l >= 2) and a negation collision (-2)^m a = -(-2)^l a still
+    calibrate.  A point (-2)^l a in E[3] collides with every later one; _orbit
+    names that case.
+    """
+    def in_lattice(z: complex) -> bool:
+        return abs(_lattice_reduced(z, tau)) < 1e-9
+
+    bases = [l for l in range(2) if not in_lattice(3 * (-2) ** l * a_z)]
+    for m in range(3, k + 1):
+        for l in bases:
+            if in_lattice(((-2) ** m - (-2) ** l) * a_z):
+                raise DegenerateOrbit(f"doubling orbit collides: (-2)^{m} a = (-2)^{l} a "
+                                      f"modulo the lattice (l = {l}, m = {m})", l=l, m=m)
 
 
 def _finite_at(l: int, compute) -> np.ndarray:

@@ -18,7 +18,8 @@ from .bundles import (UlrichSpec, automorphy_cocycle_residual,
                       automorphy_transport_residual, build_algebraic,
                       build_analytic, calibrate_scalars, curve_sample_points,
                       derivative_elimination_fit, elimination_consequence_residual,
-                      equilibrate, jet_kernel_residual, offcurve_sample_triples,
+                      equilibrate, factor_backward_error, jet_kernel_residual,
+                      offcurve_sample_triples,
                       relation_annihilation_residual, relation_matrix,
                       verify_factorization, verify_presentation)
 from .curve import CurveConfig, ProjectivePoint, embed, is_three_torsion, on_curve
@@ -180,11 +181,9 @@ def _moore_checks(ctx: ThetaContext, psi: complex, rng, off: list[tuple]) -> lis
     samples = curve_sample_points(ctx, 20, int(rng.integers(1 << 30)))
     coords = np.array([p.coords for p in samples])
     m, l = moore_from_coords(coords), l_from_coords(coords)
-    ml, lm = m @ l, l @ m
-    w_id = PolyMatrix.diagonal(w, 3).coeffs
-    worst_ml = np.linalg.norm((ml.coeffs - w_id).reshape(len(samples), -1), axis=1).max()
-    worst_lm = np.linalg.norm((lm.coeffs - w_id).reshape(len(samples), -1), axis=1).max()
-    worst_off = np.linalg.norm(ml.coeffs, axis=-1)[:, ~np.eye(3, dtype=bool)].max()
+    # entrywise backward errors over the stack of samples, as in verify_factorization
+    worst_ml, worst_lm = factor_backward_error(m, l, w), factor_backward_error(l, m, w)
+    worst_off = np.linalg.norm((m @ l).coeffs, axis=-1)[:, ~np.eye(3, dtype=bool)].max()
     scalar, fit = det_scalar_fit(eval_matrix(m, off), evaluate(w, off))
     prod = coords.prod(axis=1)
     worst_det = max(fit.max(), (np.abs(scalar - prod) / np.abs(prod)).max())

@@ -69,6 +69,15 @@ class CalibrationFailed(HesseCubicError):
     """Per-offset scalars could not be fitted below tolerance."""
 
 
+class DegenerateOrbit(HesseCubicError):
+    """Two points (-2)^l a and (-2)^m a (l < m) of the doubling orbit coincide."""
+
+    def __init__(self, message: str, l: int, m: int):
+        super().__init__(message)
+        self.l = l
+        self.m = m
+
+
 class IllConditioned(HesseCubicError):
     """A least-squares system lost rank."""
 

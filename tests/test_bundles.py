@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hessecubic import (CalibrationFailed, CurveConfig, DenominatorZero, PolyMatrix,
-                        SamplingFailed, SizeMismatch, ThetaContext,
+from hessecubic import (CalibrationFailed, CurveConfig, DegenerateOrbit, DenominatorZero,
+                        HesseCubicError, PolyMatrix, SamplingFailed, SizeMismatch, ThetaContext,
                         UlrichSpec, automorphy_block, automorphy_cocycle_residual,
                         automorphy_transport_residual, build_algebraic,
                         build_analytic, calibrate_scalars, curve_sample_points,
@@ -235,9 +235,10 @@ def test_calibration_rejects_orbit_through_torsion(ctx_i):
 
 
 def test_calibration_names_the_overflowing_jet_order(ctx_i):
-    # at Im a = 8.4 the theta values fit in a double, their 9th derivatives not
+    # at Im a = 8.41 the theta values fit in a double, their 9th derivatives
+    # not (8.4i itself is 5-torsion: (-2)^4 a = a, a DegenerateOrbit)
     with pytest.raises(CalibrationFailed, match="overflow at offset l = 9$"):
-        calibrate_scalars(UlrichSpec(k=9, ctx=ctx_i, a_z=8.4j))
+        calibrate_scalars(UlrichSpec(k=9, ctx=ctx_i, a_z=8.41j))
 
 
 def test_finite_at_maps_series_overflow_to_the_offset(ctx_i):
@@ -251,7 +252,7 @@ def test_calibration_converges_at_k4(ctx_i):
 
 
 def _calibration_inputs(ctx, a_z, k):
-    """Jets, tangent iterates and starting chain, formed as calibrate_scalars forms them."""
+    """Jets and tangent iterates as calibrate_scalars forms them, and the loop solver's start."""
     jets = theta_jet(a_z, ctx, k)
     reps = [jets[0]]
     for _ in range(k):
@@ -286,30 +287,31 @@ def test_block_residual_and_jacobian_match_loop_oracle(ctx_i, k):
 @pytest.mark.parametrize("k", range(1, 6))
 def test_block_solve_matches_loop_solver(ctx_i, k):
     jets, reps, chain = _calibration_inputs(ctx_i, 0.301 + 0.05j, k)
-    lam, residual = bundles._equivalence_solve(jets, reps, chain)
+    lam, residual, _ = bundles._equivalence_solve(jets, reps)
     lam_oracle, residual_oracle = equivalence_solve_oracle(jets, reps, chain)
     assert residual < 1e-8 and residual_oracle < 1e-8
     assert np.max(np.abs(lam - lam_oracle) / np.abs(lam_oracle)) <= 1e-10
 
 
-def test_failed_lstsq_ends_the_solve_at_the_current_iterate(ctx_i, monkeypatch):
-    jets, reps, chain = _calibration_inputs(ctx_i, 0.301 + 0.05j, 3)
-    start, _ = bundles._equivalence_system(
-        bundles._offset_blocks(jets), bundles._offset_blocks(reps), np.eye(4, dtype=complex),
-        np.eye(4, dtype=complex), np.concatenate([[1.0 + 0j], chain]))
+@pytest.mark.parametrize("tau", [1j, 0.2 + 1.3j])
+def test_row_solves_reproduce_the_lower_order_solves(tau):
+    # the bottom-right corner of the order-k system is the order-k' system
+    ctx = ThetaContext(tau=tau)
+    lam_k, _ = calibrate_scalars(UlrichSpec(k=7, ctx=ctx, a_z=0.3 + 0.05j))
+    for k_low in range(1, 7):
+        lam_low, _ = calibrate_scalars(UlrichSpec(k=k_low, ctx=ctx, a_z=0.3 + 0.05j))
+        assert np.allclose(lam_k[:k_low], lam_low, rtol=1e-10, atol=0)
 
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
-    monkeypatch.setattr(np.linalg, "lstsq", failing)
-    lam, residual = bundles._equivalence_solve(jets, reps, chain)
-    assert np.array_equal(lam, chain)
-    assert residual == np.linalg.norm(start) / max(np.linalg.norm(v) for v in jets)
+def test_equivalence_record_carries_the_row_conditioning(ctx_i):
+    _, reports = calibrate_scalars(UlrichSpec(k=4, ctx=ctx_i, a_z=0.301))
+    sigma = next(r for r in reports if r.name == "calibration.equivalence").inputs["row_sigma"]
+    assert 0 < sigma < 1
 
 
 def test_calibration_survives_an_lstsq_failure_at_the_rounding_floor():
-    # Gauss-Newton reaches ~1e-12 here, above its 1e-13 stop, and LAPACK's
-    # SVD fails on the Jacobian of a later iterate
+    # Gauss-Newton from the elimination chain stalled at ~1e-12 here, and
+    # LAPACK's SVD failed on the Jacobian of a later iterate
     spec = UlrichSpec(k=5, ctx=ThetaContext(tau=0.34161358082023807 + 0.982635655079061j),
                       a_z=0.4149917991988276 - 0.12876540806486045j)
     _, reports = calibrate_scalars(spec)
@@ -317,11 +319,13 @@ def test_calibration_survives_an_lstsq_failure_at_the_rounding_floor():
 
 
 def test_calibration_failure_names_the_worst_record(ctx_i):
-    # a = 0.3 is 10-torsion: (-2)^5 a = -2a mod the lattice, so two offsets collide
+    # 1e-6 from the 5-torsion point 0.2, whose orbit collides at m = 4: no
+    # exact collision, but the orbit blocks nearly coincide
     with pytest.raises(CalibrationFailed) as info:
-        calibrate_scalars(UlrichSpec(k=5, ctx=ctx_i, a_z=A_Z))
+        calibrate_scalars(UlrichSpec(k=5, ctx=ctx_i, a_z=0.2 + 1e-6))
     match = re.fullmatch(r"calibration residuals exceed tolerance "
-                         r"\(worst (\S+)x: (calibration\.\w+) (\S+)\)", str(info.value))
+                         r"\(worst (\S+)x: (calibration\.\w+) (\S+); "
+                         r"row solve sigma/sigma_0 (\S+)\)", str(info.value))
     assert match is not None
     tols = {"calibration.fit": 1e-6, "calibration.equivalence": 1e-8,
             "calibration.representative": 1e-8, "calibration.c_constancy": 1e-6,
@@ -329,6 +333,62 @@ def test_calibration_failure_names_the_worst_record(ctx_i):
     ratio, name, residual = float(match[1]), match[2], float(match[3])
     assert ratio == pytest.approx(residual / tols[name], rel=1e-3)
     assert ratio > 1.0
+    assert 0 <= float(match[4]) < 1
+
+
+@pytest.mark.parametrize("a_z, l, m", [(0.2, 0, 4), (0.3, 1, 5), (1 / 7, 0, 6)])
+def test_orbit_collision_is_a_named_error(ctx_i, a_z, l, m):
+    # ((-2)^m - (-2)^l) a lies in the lattice: (-2)^m a = (-2)^l a on the curve
+    assert abs(bundles._lattice_reduced(((-2) ** m - (-2) ** l) * a_z, ctx_i.tau)) < 1e-12
+    for k in range(m, 9):
+        with pytest.raises(DegenerateOrbit, match=f"l = {l}, m = {m}") as info:
+            calibrate_scalars(UlrichSpec(k=k, ctx=ctx_i, a_z=a_z))
+        assert (info.value.l, info.value.m) == (l, m)
+
+
+def test_orbit_collision_is_found_before_any_theta_work(ctx_i, monkeypatch):
+    def no_theta(*args, **kwargs):
+        raise AssertionError("theta evaluated")
+
+    monkeypatch.setattr(bundles, "embed", no_theta)
+    monkeypatch.setattr(bundles, "theta_jet", no_theta)
+    with pytest.raises(DegenerateOrbit):
+        calibrate_scalars(UlrichSpec(k=5, ctx=ctx_i, a_z=0.3))
+
+
+@pytest.mark.parametrize("a_z, ks, multiple", [
+    (1 / 7, range(3, 6), -7),       # (-2)^3 a = -a
+    (0.2, range(2, 4), 5),          # (-2)^2 a = -a
+    (0.3 + 0.05j, [6], 60),         # (-2)^6 a = (-2)^2 a, two later points
+])
+def test_harmless_orbit_collisions_calibrate(ctx_i, a_z, ks, multiple):
+    assert abs(bundles._lattice_reduced(multiple * a_z, ctx_i.tau)) < 1e-12
+    for k in ks:
+        _, reports = calibrate_scalars(UlrichSpec(k=k, ctx=ctx_i, a_z=a_z))
+        assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("a_z, k", [(0.301, 5), (0.301, 6), (0.3 + 0.05j, 7)])
+def test_high_k_calibration_is_a_presentation(ctx_i, psi_i, on_samples, off_samples, a_z, k):
+    lambdas, reports = calibrate_scalars(UlrichSpec(k=k, ctx=ctx_i, a_z=a_z))
+    assert all(r.passed for r in reports)
+    a = build_algebraic(embed(a_z, ctx_i), k, lambdas)
+    checks = verify_presentation(a, psi_i, k, on_samples, off_samples)
+    assert all(r.passed for r in checks), [r.to_dict() for r in checks]
+
+
+@settings(max_examples=40, deadline=None)
+@given(re_tau=st.floats(-0.5, 0.5), lift=st.floats(0.0, 1.0),
+       re_a=st.floats(0.05, 0.45), im_a=st.floats(-0.15, 0.15), k=st.integers(1, 8))
+def test_calibration_passes_or_names_its_failure(re_tau, lift, re_a, im_a, k):
+    # tau and a over the benchmark's domain; LAPACK errors must not escape
+    floor = math.sqrt(1.0 - re_tau ** 2)
+    ctx = ThetaContext(tau=complex(re_tau, floor + lift * (2.0 - floor)))
+    try:
+        _, reports = calibrate_scalars(UlrichSpec(k=k, ctx=ctx, a_z=complex(re_a, im_a)))
+    except HesseCubicError:
+        return
+    assert all(r.passed for r in reports)
 
 
 @pytest.mark.parametrize("l", range(9))

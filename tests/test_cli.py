@@ -208,7 +208,8 @@ def test_negative_real_part_arguments():
 def test_emit_at_high_k_calibrates_or_names_its_residual(capfd, tau, a, k):
     # theta grows without bound along the unreduced orbit (-2)^l a; the fits
     # use lattice-reduced points, so no overflow remains: either the bundle
-    # is written or one JSON error object names the failed calibration
+    # is written or one JSON error object names the failed calibration or,
+    # for 0.1+0.1i at tau = 1.5i (30a = 3 + 2*tau), the orbit collision
     code = main(["emit", "--tau", tau, "--a", a, "--k", str(k)])
     out, err = capfd.readouterr()
     if code == 0:
@@ -221,7 +222,17 @@ def test_emit_at_high_k_calibrates_or_names_its_residual(capfd, tau, a, k):
     assert len(lines) == 1
     message = json.loads(lines[0])["error"]
     assert "overflow" not in message
-    assert message.startswith("calibration residuals exceed tolerance")
+    assert message.startswith(("calibration residuals exceed tolerance",
+                               "doubling orbit collides"))
+
+
+def test_emit_names_an_orbit_collision(capfd):
+    # a = 0.3 is 10-torsion: (-2)^5 a = -2a modulo the lattice
+    assert main(["emit", "--tau", "i", "--a", "0.3", "--k", "5"]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == ("doubling orbit collides: (-2)^5 a = (-2)^1 a "
+                                        "modulo the lattice (l = 1, m = 5)")
 
 
 def test_emit_calibrates_past_the_old_overflow_at_k6(capfd):
@@ -282,3 +293,14 @@ def test_hesse_identity_is_relative_to_the_size_of_theta(capfd):
     record = next(json.loads(l) for l in out.splitlines()
                   if json.loads(l)["name"] == "theta.hesse_identity")
     assert record["residual"] < 1e-13
+
+
+@pytest.mark.parametrize("tau", [1j, 0.2 + 1.3j, -0.31 + 1.12j])
+def test_moore_identity_gates_are_relative_to_their_terms(tau):
+    # entrywise backward errors: the clean reading no longer grows with |L|
+    # (absolute norms read 3.3e-14 at tau = i and 5.5e-13 at 0.2+1.3i)
+    clean = {r.name: r for r in build_check_suite(tau, 0.3, 1, 42)}
+    mutated = {r.name: r for r in build_check_suite(tau, 0.3, 1, 42, "perturb-psi")}
+    for name in ("moore.ml_identity", "moore.lm_identity"):
+        assert clean[name].residual < 1e-14
+        assert not mutated[name].passed
