@@ -29,10 +29,12 @@ and W: shifted to the top left it is the order s-1 problem, with the same
 lambda_1..lambda_{s-1}.  Adding block row r to the solved rows below it adds
 equations (U*A*W)[r, j] = lambda_{j-r} * T[r, j] that are linear in the new
 unknowns u_{r,j}, w_{r,j} and lambda_{k-r}, because u_rr = w_rr = 1 and every
-other factor is already known.  So k linear least-squares solves, bottom row
-first, give U, W and lambda; a few Gauss-Newton steps on the whole system
-(residual: the upper triangle of U*A*W - T; Jacobian by the product rule)
-polish them.
+other factor is already known.  Two of those unknowns, u_{r,k} and w_{r,k},
+meet only in block (r, k) and with the same coefficient A[k, k], so row r
+fixes only their sum; pinning w_{r,k} = 0 leaves each row system of full
+rank.  So k linear least-squares solves, bottom row first, give U, W and
+lambda; a few Gauss-Newton steps on the whole system (residual: the upper
+triangle of U*A*W - T; Jacobian by the product rule) polish them.
 """
 from __future__ import annotations
 
@@ -248,7 +250,7 @@ _POLISH_STEPS = 3
 
 
 def _equivalence_solve(jets: list[np.ndarray],
-                       reps: list[np.ndarray]) -> tuple[np.ndarray, float, float]:
+                       reps: list[np.ndarray]) -> tuple[np.ndarray, float, float, float]:
     """U, W and lambda with U * A * W = T(lambda), one linear solve per block row.
 
     A and T have blocks C(k-i, j-i) * jets[j-i] and C(k-i, j-i) * lambda_{j-i} * reps[j-i].
@@ -258,10 +260,16 @@ def _equivalence_solve(jets: list[np.ndarray],
     count as much as the (6*pi)^d larger high ones; a few weighted
     Gauss-Newton steps on the whole system then polish the solution.
 
-    Returns lambda_1..lambda_k, the unweighted |U*A*W - T| / max_d |jets[d]|
-    and the smallest non-null sigma/sigma_0 over the row solves: each row
-    system has one null direction, and minimum-norm least squares picks a
-    representative along it.
+    u_{r,k} and w_{r,k} enter row r only in block (r, k), both with the
+    coefficient A[k, k] = jets[0], so only their sum is determined: w_{r,k}
+    is pinned to 0.  The remaining columns of each weighted row system are
+    scaled to unit 2-norm before the solve (Bjorck, Numerical Methods for
+    Least Squares Problems, sec. 2.7).
+
+    Returns lambda_1..lambda_k, the unweighted |U*A*W - T| / max_d |jets[d]|,
+    the smallest sigma/sigma_0 over the scaled row systems, and the rounding
+    floor of that residual, eps * | |U| * |A| * |W| | / max_d |jets[d]| with
+    |A| the matrix of block norms.
     """
     size = len(jets)
     k = size - 1
@@ -279,17 +287,20 @@ def _equivalence_solve(jets: list[np.ndarray],
         n = k - r
         # rows m > r of A*W are final; row r still lacks the unknown w_{r, j}
         aw = np.einsum("mnc,nj->mjc", a, w)
-        # [block (r, j), component, unknown]
-        system = np.zeros((n, 3, 2 * n + 1), dtype=complex)
+        # [block (r, j), component, unknown]: u_{r,r+1..k}, w_{r,r+1..k-1}, lambda_n
+        system = np.zeros((n, 3, 2 * n), dtype=complex)
         system[:, :, :n] = aw[r + 1:, r + 1:].transpose(1, 2, 0)
-        system[np.arange(n), :, n + np.arange(n)] = jets[0]
+        system[np.arange(n - 1), :, n + np.arange(n - 1)] = jets[0]
         system[-1, :, -1] = -t[r, k]
         rhs = lam[1:n + 1, None] * t[r, r + 1:] - aw[r, r + 1:]
         row_weight = weight[r, r + 1:, None]
-        sol, _, _, svals = np.linalg.lstsq((row_weight[..., None] * system).reshape(3 * n, -1),
-                                           (row_weight * rhs).ravel(), rcond=None)
-        sigma = min(sigma, svals[-2] / svals[0])
-        u[r, r + 1:], w[r, r + 1:], lam[n] = sol[:n], sol[n:2 * n], sol[-1]
+        lhs = (row_weight[..., None] * system).reshape(3 * n, -1)
+        columns = np.linalg.norm(lhs, axis=0)
+        sol, _, _, svals = np.linalg.lstsq(lhs / columns, (row_weight * rhs).ravel(),
+                                           rcond=None)
+        sol /= columns
+        sigma = min(sigma, svals[-1] / svals[0])
+        u[r, r + 1:], w[r, r + 1:k], lam[n] = sol[:n], sol[n:-1], sol[-1]
 
     scale = norms.max()
     strict = _triu(size, 1)
@@ -304,7 +315,9 @@ def _equivalence_solve(jets: list[np.ndarray],
         u[strict] += delta[:n_uw]
         w[strict] += delta[n_uw:2 * n_uw]
         lam[1:] += delta[2 * n_uw:]
-    return lam[1:], float(np.linalg.norm(residual) / scale), float(sigma)
+    block_norms = np.linalg.norm(a, axis=-1)
+    floor = np.finfo(float).eps * np.linalg.norm(np.abs(u) @ block_norms @ np.abs(w)) / scale
+    return lam[1:], float(np.linalg.norm(residual) / scale), float(sigma), float(floor)
 
 
 def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport]]:
@@ -344,9 +357,9 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
     reports = [check("calibration.fit", fit_residual, 1e-6,
                      inputs={"a_z": complex(spec.a_z), "c": c})]
 
-    lam_raw, equiv_residual, row_sigma = _equivalence_solve(jets, reps)
+    lam_raw, equiv_residual, row_sigma, floor = _equivalence_solve(jets, reps)
     reports.append(check("calibration.equivalence", equiv_residual, 1e-8,
-                         inputs={"k": spec.k, "row_sigma": row_sigma}))
+                         inputs={"k": spec.k, "row_sigma": row_sigma, "floor": floor}))
 
     # rescale from raw theta representatives to the stored normalized points:
     # reps[l] = nu_l * (-2)^l a
@@ -375,7 +388,8 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
         worst = max(reports, key=lambda r: r.residual / r.tol)
         raise CalibrationFailed(
             f"calibration residuals exceed tolerance (worst {worst.residual / worst.tol:.3e}x: "
-            f"{worst.name} {worst.residual:.3e}; row solve sigma/sigma_0 {row_sigma:.3e})")
+            f"{worst.name} {worst.residual:.3e}; row solve sigma/sigma_0 {row_sigma:.3e}; "
+            f"rounding floor {floor:.3e})")
     return lambdas, reports
 
 

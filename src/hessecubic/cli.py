@@ -28,7 +28,7 @@ from .moore import (l_from_coords, l_matrix, moore_from_coords, moore_matrix,
                     theta_relation_residuals)
 from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
                    numeric_rank)
-from .report import CheckReport, check
+from .report import CheckReport, bundle_json, check
 from .theta import ThetaContext, basis_provenance, hesse_psi, theta_jet
 
 MUTATIONS = ("zero-block", "drop-binomial", "perturb-psi")
@@ -126,8 +126,8 @@ def run_emit(args) -> int:
         bundle["lambdas"] = None if lambdas is None else [[l.real, l.imag] for l in lambdas]
 
     if args.format == "json":
-        bundle["matrices"] = {name: m.to_json() for name, m in matrices.items()}
-        _write_output(json.dumps(bundle, sort_keys=True, indent=1), args.out)
+        bundle["matrices"] = matrices
+        _write_output(bundle_json(bundle), args.out)
     else:
         lines = [f"% tau = {ctx.tau}, psi = {psi}, k = {args.k}"]
         for name, m in matrices.items():

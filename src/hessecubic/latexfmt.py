@@ -1,42 +1,35 @@
-"""LaTeX emitters for polynomials and block matrices."""
+"""LaTeX emitter for block matrices of polynomials."""
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .poly import PolyMatrix, monomials
 
 
-def _coeff_str(c: complex) -> str:
-    if abs(c.imag) < 1e-12:
-        return f"{c.real:.6g}"
-    if abs(c.real) < 1e-12:
-        return f"{c.imag:.6g}i"
-    sign = "+" if c.imag >= 0 else "-"
-    return f"({c.real:.6g}{sign}{abs(c.imag):.6g}i)"
-
-
-def poly_to_latex(coeffs: list[complex], degree: int) -> str:
-    """Nonzero terms of one coefficient vector, highest exponent first."""
-    bits = []
-    for exp, c in reversed(list(zip(monomials(degree), coeffs))):
-        if not c:
-            continue
-        mono = "".join(f"x_{i}" if e == 1 else f"x_{i}^{{{e}}}"
-                       for i, e in enumerate(exp) if e)
-        coeff = _coeff_str(c)
-        bits.append(f"{coeff} {mono}".strip() if mono else coeff)
-    return " + ".join(bits) if bits else "0"
+@lru_cache(maxsize=None)
+def _monomial_suffixes(degree: int) -> tuple[str, ...]:
+    """' x_0^{2}x_1' for each monomial, highest exponent first; '' at degree 0."""
+    if not degree:
+        return ("",)
+    return tuple(" " + "".join(f"x_{i}" if e == 1 else f"x_{i}^{{{e}}}"
+                               for i, e in enumerate(exp) if e)
+                 for exp in reversed(monomials(degree)))
 
 
 def matrix_to_latex(m: PolyMatrix) -> str:
-    """pmatrix layout with \\; spacing between size-3 block columns."""
-    lines = [r"\begin{pmatrix}"]
-    for i, row in enumerate(m.coeffs.tolist()):
-        cells = []
-        for j, entry in enumerate(row):
-            cell = poly_to_latex(entry, m.degree)
-            if j and j % 3 == 0:
-                cell = r"\;" + cell
-            cells.append(cell)
-        sep = r" \\" if i < m.rows - 1 else ""
-        lines.append(" & ".join(cells) + sep)
-    lines.append(r"\end{pmatrix}")
-    return "\n".join(lines)
+    """pmatrix layout with \\; spacing between size-3 block columns.
+
+    A cell lists the nonzero terms of its entry, highest exponent first, to
+    6 significant digits; a cell without one reads 0.
+    """
+    real, imag, mono, ends = m.nonzero_terms(reverse=True)
+    suffix = _monomial_suffixes(m.degree)
+    terms = [(f"{x:.6g}" if abs(y) < 1e-12 else f"{y:.6g}i" if abs(x) < 1e-12
+              else f"({x:.6g}{'+' if y >= 0 else '-'}{abs(y):.6g}i)") + suffix[e]
+             for x, y, e in zip(real, imag, mono)]
+    cells = [" + ".join(terms[a:b]) or "0" for a, b in zip([0] + ends, ends)]
+    gaps = [r"\;" if j and not j % 3 else "" for j in range(m.cols)]
+    rows = [" & ".join(map(str.__add__, gaps, cells[r * m.cols:(r + 1) * m.cols]))
+            for r in range(m.rows)]
+    return "\n".join([r"\begin{pmatrix}", *(row + r" \\" for row in rows[:-1]), *rows[-1:],
+                      r"\end{pmatrix}"])

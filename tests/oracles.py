@@ -5,7 +5,8 @@ finite differences (with Richardson extrapolation), matrix inverses from
 cofactors, polynomial identities from numpy evaluations at sample points,
 theta values from a plain fixed-window series sum, Moore and L matrices and
 the Moore relations entry by entry in plain Python, the calibration's block
-equivalence by nested loops over blocks and unknowns.  The short helpers at
+equivalence by nested loops over blocks and unknowns, and the emitted JSON and
+LaTeX of a matrix term by term.  The short helpers at
 the end are conveniences the tests read jets and points through; the
 package itself passes the arrays.
 """
@@ -308,6 +309,53 @@ def equivalence_solve_oracle(jets, reps, chain, max_iter: int = 60):
         lam[1:] += step[2 * n_uw:]
     residual = equivalence_residual_oracle(jets, reps, u, w, lam)
     return lam[1:], float(np.linalg.norm(residual) / scale)
+
+
+def to_json(m: PolyMatrix) -> dict:
+    """The emitted JSON layout of a matrix: nonzero terms of each entry, in sorted exponent order."""
+    exps = monomials(m.degree)
+    return {"rows": m.rows, "cols": m.cols,
+            "entries": [[[{"exp": list(e), "coeff": [c.real, c.imag]}
+                          for e, c in zip(exps, entry) if c]
+                         for entry in row] for row in m.coeffs.tolist()]}
+
+
+def _coeff_str(c: complex) -> str:
+    if abs(c.imag) < 1e-12:
+        return f"{c.real:.6g}"
+    if abs(c.real) < 1e-12:
+        return f"{c.imag:.6g}i"
+    sign = "+" if c.imag >= 0 else "-"
+    return f"({c.real:.6g}{sign}{abs(c.imag):.6g}i)"
+
+
+def _poly_to_latex(coeffs: list[complex], degree: int) -> str:
+    """Nonzero terms of one coefficient vector, highest exponent first."""
+    bits = []
+    for exp, c in reversed(list(zip(monomials(degree), coeffs))):
+        if not c:
+            continue
+        mono = "".join(f"x_{i}" if e == 1 else f"x_{i}^{{{e}}}"
+                       for i, e in enumerate(exp) if e)
+        coeff = _coeff_str(c)
+        bits.append(f"{coeff} {mono}".strip() if mono else coeff)
+    return " + ".join(bits) if bits else "0"
+
+
+def matrix_to_latex_oracle(m: PolyMatrix) -> str:
+    """The emitted LaTeX of a matrix, entry by entry: pmatrix rows, \\; between block columns."""
+    lines = [r"\begin{pmatrix}"]
+    for i, row in enumerate(m.coeffs.tolist()):
+        cells = []
+        for j, entry in enumerate(row):
+            cell = _poly_to_latex(entry, m.degree)
+            if j and j % 3 == 0:
+                cell = r"\;" + cell
+            cells.append(cell)
+        sep = r" \\" if i < m.rows - 1 else ""
+        lines.append(" & ".join(cells) + sep)
+    lines.append(r"\end{pmatrix}")
+    return "\n".join(lines)
 
 
 def theta_vector(z: complex, ctx: ThetaContext,

@@ -287,7 +287,7 @@ def test_block_residual_and_jacobian_match_loop_oracle(ctx_i, k):
 @pytest.mark.parametrize("k", range(1, 6))
 def test_block_solve_matches_loop_solver(ctx_i, k):
     jets, reps, chain = _calibration_inputs(ctx_i, 0.301 + 0.05j, k)
-    lam, residual, _ = bundles._equivalence_solve(jets, reps)
+    lam, residual, *_ = bundles._equivalence_solve(jets, reps)
     lam_oracle, residual_oracle = equivalence_solve_oracle(jets, reps, chain)
     assert residual < 1e-8 and residual_oracle < 1e-8
     assert np.max(np.abs(lam - lam_oracle) / np.abs(lam_oracle)) <= 1e-10
@@ -303,10 +303,50 @@ def test_row_solves_reproduce_the_lower_order_solves(tau):
         assert np.allclose(lam_k[:k_low], lam_low, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("k, r", [(1, 0), (4, 1), (6, 0), (6, 4)])
+def test_row_solve_sees_only_the_sum_of_its_last_unknowns(ctx_i, k, r):
+    # u_{r,k} and w_{r,k} enter block row r only in block (r, k), both with
+    # A[k, k] = jets[0]: the row's residual moves along their sum alone, so
+    # the solve pins w_{r,k} = 0
+    rng = np.random.default_rng(k + r)
+    jets, reps, _ = _calibration_inputs(ctx_i, 0.301 + 0.05j, k)
+    a, t = bundles._offset_blocks(jets), bundles._offset_blocks(reps)
+    u = np.eye(k + 1) + np.triu(rng.normal(size=(k + 1, k + 1)), 1)
+    w = np.eye(k + 1) + np.triu(rng.normal(size=(k + 1, k + 1)), 1)
+    lam = np.concatenate([[1.0], rng.normal(size=k)]).astype(complex)
+    row = np.repeat(bundles._triu(k + 1)[0] == r, 3)
+
+    def row_residual(du, dw):
+        u2, w2 = u.copy(), w.copy()
+        u2[r, k] += du
+        w2[r, k] += dw
+        return bundles._equivalence_system(a, t, u2, w2, lam)[0][row]
+
+    base = row_residual(0.0, 0.0)
+    assert np.allclose(row_residual(0.7, -0.7), base, rtol=1e-12, atol=1e-12 * np.abs(base).max())
+    assert not np.allclose(row_residual(0.7, 0.0), base, rtol=1e-6)
+
+
+@pytest.mark.parametrize("tau, a_z", [(-0.40080 + 1.98830j, 0.42615 + 0.01607j),
+                                      (-0.41910 + 1.33115j, 0.31119 + 0.07261j)])
+def test_gauge_pinned_k8_calibration_is_a_presentation(tau, a_z):
+    # the row solves with both last unknowns free read 8.4e6 and 5.2e7 here
+    ctx = ThetaContext(tau=tau)
+    lambdas, reports = calibrate_scalars(UlrichSpec(k=8, ctx=ctx, a_z=a_z))
+    assert all(r.passed for r in reports), [r.to_dict() for r in reports]
+    psi = hesse_psi(ctx)
+    a = build_algebraic(embed(a_z, ctx), 8, lambdas)
+    checks = verify_presentation(a, psi, 8, curve_sample_points(ctx, 10, 42),
+                                 offcurve_sample_triples(psi, 10, 43))
+    assert all(r.passed for r in checks), [r.to_dict() for r in checks]
+
+
 def test_equivalence_record_carries_the_row_conditioning(ctx_i):
     _, reports = calibrate_scalars(UlrichSpec(k=4, ctx=ctx_i, a_z=0.301))
-    sigma = next(r for r in reports if r.name == "calibration.equivalence").inputs["row_sigma"]
-    assert 0 < sigma < 1
+    inputs = next(r for r in reports if r.name == "calibration.equivalence").inputs
+    assert 0 < inputs["row_sigma"] < 1
+    # the rounding floor of a passing solve lies under the tolerance
+    assert 0 < inputs["floor"] < 1e-8
 
 
 def test_calibration_survives_an_lstsq_failure_at_the_rounding_floor():
@@ -325,7 +365,8 @@ def test_calibration_failure_names_the_worst_record(ctx_i):
         calibrate_scalars(UlrichSpec(k=5, ctx=ctx_i, a_z=0.2 + 1e-6))
     match = re.fullmatch(r"calibration residuals exceed tolerance "
                          r"\(worst (\S+)x: (calibration\.\w+) (\S+); "
-                         r"row solve sigma/sigma_0 (\S+)\)", str(info.value))
+                         r"row solve sigma/sigma_0 (\S+); rounding floor (\S+)\)",
+                         str(info.value))
     assert match is not None
     tols = {"calibration.fit": 1e-6, "calibration.equivalence": 1e-8,
             "calibration.representative": 1e-8, "calibration.c_constancy": 1e-6,
@@ -334,6 +375,7 @@ def test_calibration_failure_names_the_worst_record(ctx_i):
     assert ratio == pytest.approx(residual / tols[name], rel=1e-3)
     assert ratio > 1.0
     assert 0 <= float(match[4]) < 1
+    assert float(match[5]) > 0
 
 
 @pytest.mark.parametrize("a_z, l, m", [(0.2, 0, 4), (0.3, 1, 5), (1 / 7, 0, 6)])
