@@ -1,17 +1,15 @@
 """Theta numerics, Moore matrix factorizations and block presentations
 of bundles on the Hesse cubic."""
 
-from .bundles import (UlrichSpec, automorphy_block,
-                      automorphy_cocycle_residual, automorphy_transport_residual,
-                      build_algebraic, build_analytic, calibrate_scalars,
-                      curve_sample_points, derivative_elimination_fit,
+from .bundles import (UlrichSpec, automorphy_residuals, build_algebraic, build_analytic,
+                      calibrate_scalars, curve_sample_points, derivative_elimination_fit,
                       elimination_consequence_residual, jet_kernel_residual,
                       offcurve_sample_triples, relation_annihilation_residual,
                       relation_matrix, section_basis, tangent_rep,
                       verify_factorization, verify_presentation)
 from .curve import (CurveConfig, ProjectivePoint, double_neg, doubling_orbit, embed,
                     is_three_torsion, on_curve)
-from .errors import (AllIndicesDegenerate, AllZero, CalibrationFailed,
+from .errors import (AllZero, CalibrationFailed,
                      DegenerateOrbit, DegenerateProbe, DenominatorZero, HesseCubicError,
                      IllConditioned, InconsistentFactor, InconsistentPsi,
                      NonconvergentSeries, NotSquare, OrderTooHigh, SamplingFailed,
@@ -21,6 +19,6 @@ from .moore import (l_derivative, l_matrix, moore_from_coords, moore_matrix,
 from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
                    numeric_rank)
 from .report import CheckReport, check
-from .theta import ThetaContext, automorphy_jet, basis_provenance, hesse_psi, theta_jet
+from .theta import ThetaContext, basis_provenance, hesse_psi, theta_jet
 
 __version__ = "0.1.0"

@@ -39,20 +39,19 @@ triangle of U*A*W - T; Jacobian by the product rule) polish them.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import CurveConfig, ProjectivePoint, doubling_orbit, embed, is_three_torsion
+from .curve import ProjectivePoint, doubling_orbit, embed
 from .errors import (CalibrationFailed, DegenerateOrbit, DenominatorZero, IllConditioned,
                      SamplingFailed, SizeMismatch, ThetaOverflow)
 from .moore import l_derivative, moore_from_coords
 from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
                    monomial_index, numeric_rank)
 from .report import CheckReport, check
-from .theta import ThetaContext, automorphy_jet, hesse_psi, theta_jet
+from .theta import ThetaContext, automorphy_quotient, theta_jet
 
 
 @dataclass(frozen=True)
@@ -172,12 +171,11 @@ def derivative_elimination_fit(a_z: complex, ctx: ThetaContext) -> tuple[complex
     Three equations, two unknowns; c is the a-independent scalar hidden in
     the projective statement of the elimination identity.
     """
-    return _elimination_solve(_elimination_system(a_z, ctx))
+    return _elimination_solve(_elimination_system(theta_jet(a_z, ctx, 1)))
 
 
-def _elimination_system(a_z: complex, ctx: ThetaContext) -> np.ndarray:
-    """Columns theta(a), V(a) | theta'(a) of the elimination least squares."""
-    jet = theta_jet(a_z, ctx, 1)
+def _elimination_system(jet: np.ndarray) -> np.ndarray:
+    """Columns theta(a), V(a) | theta'(a) of the elimination least squares at a's jet."""
     return np.column_stack([jet[0], tangent_rep(jet[0]), jet[1]])
 
 
@@ -326,16 +324,16 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
     Solves the block equivalence with the analytic matrix after eliminating
     s(a) and its derivatives; lambda_1 = c * nu_1/nu_0 and
     lambda_2 = -2c^2 * nu_2/nu_0 come out exactly, higher offsets absorb
-    further a-dependent scalars (so the pattern is not of the pure form t^l,
-    which the report records).  The report also carries the elimination fit
-    residual, the constancy of c along the doubling orbit, and the block
-    (0,1) agreement.  An orbit collision raises DegenerateOrbit before any
-    theta is evaluated.
+    further a-dependent scalars (so the pattern is not of the pure form t^l).
+    The report also carries the elimination fit residual, the constancy of c
+    along the doubling orbit, and the block (0,1) agreement.  An orbit
+    collision raises DegenerateOrbit before any theta is evaluated; a failed
+    calibration names the nearest one.
     """
     if spec.k < 1:
         raise ValueError("nothing to calibrate at k = 0")
     ctx = spec.ctx
-    _check_orbit_distinct(spec.a_z, ctx.tau, spec.k)
+    gaps = _orbit_gaps(spec.a_z, ctx.tau, spec.k)
     orbit = _orbit(embed(spec.a_z, ctx), spec.k)
     # Everything the least-squares solves below consume, offset by offset:
     # the jets at a and the tangent iterates V^l(theta(a)), which are never
@@ -350,8 +348,9 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
     # c is the same at every lattice translate (see the module docstring)
     fit_points = [spec.a_z] + [_lattice_reduced((-2) ** l * spec.a_z, ctx.tau)
                                for l in range(1, spec.k + 1)]
-    systems = [_finite_at(l, lambda: _elimination_system(z, ctx))
-               for l, z in enumerate(fit_points)]
+    # theta is bounded at the reduced points, and at a itself the jets above are finite
+    systems = [_finite_at(l, lambda: _elimination_system(jet))
+               for l, jet in enumerate(theta_jet(np.array(fit_points), ctx, 1))]
 
     s, c, fit_residual = _elimination_solve(systems[0])
     reports = [check("calibration.fit", fit_residual, 1e-6,
@@ -373,45 +372,44 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
     reports += [check("calibration.representative", rep_drift, 1e-8, inputs={"k": spec.k}),
                 check("calibration.c_constancy", c_drift, 1e-6, inputs={"k": spec.k})]
 
-    pure_power = all(abs(lam_raw[l - 1] - lam_raw[0] ** l) < 1e-6 * abs(lam_raw[0]) ** l
-                     for l in range(1, spec.k + 1))
-
     # block (0,1) of the analytic matrix after eliminating s(a), rescaled to
     # the normalized-point diagonal
     target = moore_from_coords((jets[1] - s * jets[0]) / nu[0])
     fitted = moore_from_coords(orbit[1].coords).scale(lambdas[0])
     agree = (target - fitted).coefficient_norm() / target.coefficient_norm()
     reports.append(check("calibration.block01", agree, 1e-6,
-                         inputs={"lambda1": lambdas[0], "pure_power_form": pure_power}))
+                         inputs={"lambda1": lambdas[0]}))
 
     if not all(r.passed for r in reports):
         worst = max(reports, key=lambda r: r.residual / r.tol)
+        gap = min(gaps, default=None)
         raise CalibrationFailed(
             f"calibration residuals exceed tolerance (worst {worst.residual / worst.tol:.3e}x: "
             f"{worst.name} {worst.residual:.3e}; row solve sigma/sigma_0 {row_sigma:.3e}; "
-            f"rounding floor {floor:.3e})")
+            f"rounding floor {floor:.3e}); nearest orbit collision "
+            + ("none for k < 3" if gap is None else
+               f"(l = {gap[1]}, m = {gap[2]}) {gap[0]:.3e} away modulo the lattice"))
     return lambdas, reports
 
 
-def _check_orbit_distinct(a_z: complex, tau: complex, k: int):
-    """DegenerateOrbit if (-2)^m a equals a or -2a on the curve for some m <= k.
+def _orbit_gaps(a_z: complex, tau: complex, k: int) -> list[tuple[float, int, int]]:
+    """(|(-2)^m a - (-2)^l a| modulo the lattice, l, m) for m = 3..k, l in {0, 1};
+    DegenerateOrbit at the first gap below 1e-9, where (-2)^m a = (-2)^l a.
 
-    (-2)^m a = (-2)^l a when ((-2)^m - (-2)^l) * a lies in the lattice
-    Z + Z*tau.  From the first such m with l = 0 or 1 on, calibration fails
-    (measured with both the row solves and Gauss-Newton); a collision of two
-    later points (l >= 2) and a negation collision (-2)^m a = -(-2)^l a still
-    calibrate.  A point (-2)^l a in E[3] collides with every later one; _orbit
-    names that case.
+    That is ((-2)^m - (-2)^l) * a in the lattice Z + Z*tau.  From the first such
+    m with l = 0 or 1 on, calibration fails (measured with both the row solves
+    and Gauss-Newton); a collision of two later points (l >= 2) and a negation
+    collision (-2)^m a = -(-2)^l a still calibrate.  An l with (-2)^l a in E[3]
+    is left out: that point collides with every later one, and _orbit names it.
     """
-    def in_lattice(z: complex) -> bool:
-        return abs(_lattice_reduced(z, tau)) < 1e-9
-
-    bases = [l for l in range(2) if not in_lattice(3 * (-2) ** l * a_z)]
-    for m in range(3, k + 1):
-        for l in bases:
-            if in_lattice(((-2) ** m - (-2) ** l) * a_z):
-                raise DegenerateOrbit(f"doubling orbit collides: (-2)^{m} a = (-2)^{l} a "
-                                      f"modulo the lattice (l = {l}, m = {m})", l=l, m=m)
+    bases = [l for l in range(2) if abs(_lattice_reduced(3 * (-2) ** l * a_z, tau)) >= 1e-9]
+    gaps = [(abs(_lattice_reduced(((-2) ** m - (-2) ** l) * a_z, tau)), l, m)
+            for m in range(3, k + 1) for l in bases]
+    for gap, l, m in gaps:
+        if gap < 1e-9:
+            raise DegenerateOrbit(f"doubling orbit collides: (-2)^{m} a = (-2)^{l} a "
+                                  f"modulo the lattice (l = {l}, m = {m})", l=l, m=m)
+    return gaps
 
 
 def _finite_at(l: int, compute) -> np.ndarray:
@@ -501,22 +499,25 @@ _DRAWS_PER_SAMPLE = 1000
 
 
 def _rejection_sample(draw, accept, count: int, what: str) -> list:
-    """The first `count` accepted draws; no further draw once they are found."""
-    draws = (draw() for _ in range(_DRAWS_PER_SAMPLE * count))
-    out = list(itertools.islice(filter(accept, draws), count))
+    """The first `count` accepted draws; draw(n) gives the next n, in chunks of
+    `count` and then of all drawn so far, so a low acceptance rate costs few."""
+    budget = _DRAWS_PER_SAMPLE * count
+    out, drawn = [], 0
+    while len(out) < count and drawn < budget:
+        size = min(max(count, drawn), budget - drawn)
+        out += filter(accept, draw(size))
+        drawn += size
     if len(out) < count:
-        raise SamplingFailed(f"found {len(out)} of {count} {what} in "
-                             f"{_DRAWS_PER_SAMPLE * count} draws")
-    return out
+        raise SamplingFailed(f"found {len(out)} of {count} {what} in {budget} draws")
+    return out[:count]
 
 
 def curve_sample_points(ctx: ThetaContext, count: int, seed: int) -> list[ProjectivePoint]:
-    """Deterministic on-curve samples away from E[3]."""
+    """Deterministic on-curve samples with every coordinate above 1e-3, away from E[3]."""
     rng = np.random.default_rng(seed)
-    cfg = CurveConfig(psi=hesse_psi(ctx))
     return _rejection_sample(
-        lambda: embed(complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45)), ctx),
-        lambda p: not is_three_torsion(p, cfg) and min(abs(v) for v in p.coords) > 1e-3,
+        lambda n: embed(rng.uniform(-0.45, 0.45, (n, 2)).view(complex)[:, 0], ctx),
+        lambda p: min(abs(v) for v in p.coords) > 1e-3,
         count, "curve points away from E[3]")
 
 
@@ -525,7 +526,8 @@ def offcurve_sample_triples(psi: complex, count: int, seed: int) -> list[tuple]:
     rng = np.random.default_rng(seed)
     w = hesse_form(psi)
     return _rejection_sample(
-        lambda: tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)),
+        lambda n: [tuple(xs) for xs in
+                   rng.uniform(-1, 1, (n, 3, 2)).view(complex)[..., 0].tolist()],
         lambda xs: abs(evaluate(w, xs)) > 1e-2,
         count, "triples off the curve")
 
@@ -546,39 +548,43 @@ def section_basis(spec: UlrichSpec, z: complex) -> np.ndarray:
 
     Section (column, index) has k+1 components, exactly zero for row > column.
     """
-    k = spec.k
-    jets = theta_jet(z + spec.a_z, spec.ctx, k)
+    return _sections(spec.k, theta_jet(z + spec.a_z, spec.ctx, spec.k))
+
+
+def _sections(k: int, jets: np.ndarray) -> np.ndarray:
+    """section_basis from the order-k theta jet at z + a."""
     column, row = np.indices((k + 1, k + 1))
     terms = _section_weights(k)[:, :, None] * jets[np.maximum(column - row, 0)]
     return np.where((row <= column)[:, :, None], terms, 0j).transpose(0, 2, 1)
 
 
-def automorphy_block(spec: UlrichSpec, lam: complex, z: complex) -> np.ndarray:
-    """(k+1)-square factor with entries C(k-i, j-i) * e^(j-i)_a(lambda, z)."""
-    return _offset_blocks(automorphy_jet(spec.a_z, lam, z, spec.ctx, spec.k))
+def automorphy_residuals(spec: UlrichSpec, z: complex) -> tuple[float, float]:
+    """Transport and cocycle residuals at z of the factor f(lambda, z), the
+    (k+1)-square block with entries C(k-i, j-i) * e^(j-i)_a(lambda, z).
 
-
-def automorphy_transport_residual(spec: UlrichSpec, lam: complex, z: complex) -> float:
-    """max |f_a(lambda,z) v(z) - v(z+lambda)| over the whole section basis.
-
-    Normalized by the magnitude of the transported sections: at lambda = tau
-    the factor and its derivatives reach 1e4..1e8, so the raw difference
-    carries that scale.
+    Transport is max |f(lambda, z) v(z) - v(z+lambda)| over the section basis v
+    and lambda in {1, tau}, each section normalized by the size of its terms:
+    at lambda = tau the factor and its derivatives reach 1e4..1e8.  Cocycle is
+    the largest entry of f(1+tau, z) - f(1, z+tau) f(tau, z), scale-normalized.
+    The seven theta jets they read come from one sum, at the arguments
+    z + a + lambda and (z + lambda) + a as written.
     """
-    f = automorphy_block(spec, lam, z)
-    lhs = section_basis(spec, z).reshape(spec.size, -1) @ f.T
-    rhs = section_basis(spec, z + lam).reshape(spec.size, -1)
-    scale = 1.0 + np.max(np.abs(lhs), axis=1) + np.max(np.abs(rhs), axis=1)
-    return float(np.max(np.max(np.abs(lhs - rhs), axis=1) / scale))
-
-
-def automorphy_cocycle_residual(spec: UlrichSpec, z: complex) -> float:
-    """max entry of f(1+tau, z) - f(1, z+tau) f(tau, z), scale-normalized."""
-    tau = spec.ctx.tau
-    lhs = automorphy_block(spec, 1 + tau, z)
-    rhs = automorphy_block(spec, 1.0, z + tau) @ automorphy_block(spec, tau, z)
+    ctx, a_z, k, tau = spec.ctx, spec.a_z, spec.k, spec.ctx.tau
+    at = z + a_z
+    jets = theta_jet(np.array([at, at + 1.0, (z + 1.0) + a_z, at + tau, (z + tau) + a_z,
+                               (z + tau) + a_z + 1.0, at + (1 + tau)]), ctx, k)
+    # f(1, z), f(tau, z), f(1 + tau, z) and f(1, z + tau) from their (den, num) jets
+    f1, ft, f1t, f1_shifted = (_offset_blocks(automorphy_quotient(jets[d], jets[n], ctx))
+                               for d, n in ((0, 1), (0, 3), (0, 6), (4, 5)))
+    here = _sections(k, jets[0]).reshape(spec.size, -1)
+    transport = 0.0
+    for f, there in ((f1, jets[2]), (ft, jets[4])):
+        lhs, rhs = here @ f.T, _sections(k, there).reshape(spec.size, -1)
+        scale = 1.0 + np.max(np.abs(lhs), axis=1) + np.max(np.abs(rhs), axis=1)
+        transport = max(transport, float(np.max(np.max(np.abs(lhs - rhs), axis=1) / scale)))
+    lhs, rhs = f1t, f1_shifted @ ft
     scale = 1.0 + float(np.max(np.abs(lhs)) + np.max(np.abs(rhs)))
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    return transport, float(np.max(np.abs(lhs - rhs))) / scale
 
 
 # ---------------------------------------------------------------------------

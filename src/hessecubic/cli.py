@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from . import latexfmt
-from .bundles import (UlrichSpec, automorphy_cocycle_residual,
-                      automorphy_transport_residual, build_algebraic,
+from .bundles import (UlrichSpec, _elimination_solve, _elimination_system,
+                      automorphy_residuals, build_algebraic,
                       build_analytic, calibrate_scalars, curve_sample_points,
                       derivative_elimination_fit, elimination_consequence_residual,
                       equilibrate, factor_backward_error, jet_kernel_residual,
@@ -143,22 +143,20 @@ def run_emit(args) -> int:
 
 def _hesse_identity_residual(ctx: ThetaContext, psi: complex, rng, samples: int) -> float:
     """Largest |w(theta(z))| over random z, relative to the size of its terms."""
-    th = np.array([theta_jet(complex(*xy), ctx)[0] for xy in rng.uniform(-0.5, 0.5, (samples, 2))])
+    th = theta_jet(rng.uniform(-0.5, 0.5, (samples, 2)).view(complex)[:, 0], ctx)[:, 0]
     size = np.sum(np.abs(th) ** 3, axis=1) + 3 * abs(psi) * np.abs(np.prod(th, axis=1))
     return float(np.max(np.abs(evaluate(hesse_form(psi), th)) / size))
 
 
-def _theta_checks(ctx: ThetaContext, rng) -> list[CheckReport]:
-    psi = hesse_psi(ctx)
+def _theta_checks(ctx: ThetaContext, psi: complex, rng) -> list[CheckReport]:
     reports = [check("theta.hesse_identity", _hesse_identity_residual(ctx, psi, rng, 10),
                      1e-9, {"tau": ctx.tau})]
 
     sym = 0.0
-    for _ in range(5):
-        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        # Python scalars: numpy complex arithmetic rounds differently
-        v = theta_jet(z, ctx)[0].tolist()
-        m = theta_jet(-z, ctx)[0].tolist()
+    zs = rng.uniform(-0.5, 0.5, (5, 2)).view(complex)[:, 0]
+    # Python scalars: numpy complex arithmetic rounds differently
+    values = theta_jet(np.concatenate([zs, -zs]), ctx)[:, 0].tolist()
+    for v, m in zip(values[:5], values[5:]):
         sym = max(sym, abs(m[0] + v[0]), abs(m[1] + v[2]), abs(m[2] + v[1]))
     reports.append(check("theta.symmetry", sym, 1e-9, {"tau": ctx.tau}))
     reports.append(check("theta.psi_nondegenerate", ctx.check_tol / abs(psi ** 3 - 1),
@@ -170,12 +168,10 @@ def _moore_checks(ctx: ThetaContext, psi: complex, rng, off: list[tuple]) -> lis
     reports = []
     a_grid = [0.23, 0.31 + 0.07j, -0.19 + 0.11j]
     z_grid = [0.11, -0.27 + 0.09j, 0.41 + 0.13j]
-    # rows: grid points; columns: relation orders 0..4
-    grid = [theta_relation_residuals(a_z, z, ctx, 4)
-            for a_z in a_grid for z in z_grid]
-    for order, reps in enumerate(zip(*grid)):
-        reports.append(check(f"moore.relation.order{order}", max(r.residual for r in reps),
-                             reps[0].tol, {"grid": [len(a_grid), len(z_grid)]}))
+    grid = theta_relation_residuals(np.array(a_grid), np.array(z_grid), ctx, 4)
+    for order, rep in enumerate(grid):  # orders 0..4, each the worst over the grid
+        reports.append(check(f"moore.relation.order{order}", rep.residual, rep.tol,
+                             {"grid": [len(a_grid), len(z_grid)]}))
 
     w = hesse_form(psi)
     samples = curve_sample_points(ctx, 20, int(rng.integers(1 << 30)))
@@ -245,17 +241,16 @@ def _automorphy_checks(ctx: ThetaContext, a_z: complex, k_max: int) -> list[Chec
     z = 0.13 + 0.05j
     for k in range(1, min(k_max, 3) + 1):
         spec = UlrichSpec(k=k, ctx=ctx, a_z=a_z)
-        worst = max(automorphy_transport_residual(spec, 1.0, z),
-                    automorphy_transport_residual(spec, ctx.tau, z))
-        reports.append(check(f"automorphy.transport.k{k}", worst, 1e-7, {"z": z}))
-        reports.append(check(f"automorphy.cocycle.k{k}",
-                             automorphy_cocycle_residual(spec, z), 1e-7, {"z": z}))
+        transport, cocycle = automorphy_residuals(spec, z)
+        reports.append(check(f"automorphy.transport.k{k}", transport, 1e-7, {"z": z}))
+        reports.append(check(f"automorphy.cocycle.k{k}", cocycle, 1e-7, {"z": z}))
     return reports
 
 
 def _elimination_checks(ctx: ThetaContext, a_z: complex) -> list[CheckReport]:
     points = [a_z, a_z + 0.1, a_z - 0.07 + 0.1j, 0.2, 0.41 + 0.1j]
-    fits = [derivative_elimination_fit(p, ctx) for p in points]
+    fits = [_elimination_solve(_elimination_system(jet))
+            for jet in theta_jet(np.array(points), ctx, 1)]
     worst_fit = max(f[2] for f in fits)
     c0 = fits[0][1]
     drift = max(abs(f[1] - c0) / abs(c0) for f in fits)
@@ -284,7 +279,7 @@ def build_check_suite(tau: complex, a_z: complex, k_max: int, seed: int,
     psi = hesse_psi(ctx)
     rng = np.random.default_rng(seed)
     off = offcurve_sample_triples(psi, 10, seed + 1)
-    reports = _theta_checks(ctx, rng)
+    reports = _theta_checks(ctx, psi, rng)
     reports += _moore_checks(ctx, psi + 1e-3 if mutate == "perturb-psi" else psi, rng, off)
     reports += _factorization_checks(ctx, psi, a_z, k_max, mutate)
     reports += _presentation_checks(ctx, psi, a_z, k_max, seed, off)

@@ -52,9 +52,12 @@ class CurveConfig:
             raise SingularCurve("psi^3 = 1 defines a singular Hesse cubic")
 
 
-def embed(z: complex, ctx: ThetaContext) -> ProjectivePoint:
-    """The point [th0(z) : th1(z) : th2(z)] of the Hesse cubic."""
-    return ProjectivePoint.from_coords(theta_jet(z, ctx)[0])
+def embed(z, ctx: ThetaContext):
+    """The point [th0(z) : th1(z) : th2(z)]; for a 1-D array of z, the list of points."""
+    jets = theta_jet(z, ctx)
+    if jets.ndim == 2:  # one point
+        return ProjectivePoint.from_coords(jets[0])
+    return [ProjectivePoint.from_coords(jet[0]) for jet in jets]
 
 
 def on_curve(p: ProjectivePoint, cfg: CurveConfig) -> float:

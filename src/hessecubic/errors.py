@@ -29,10 +29,6 @@ class InconsistentPsi(HesseCubicError):
     """The modulus disagrees across probe points (wrong theta basis)."""
 
 
-class AllIndicesDegenerate(HesseCubicError):
-    """All three theta denominators vanish at the requested argument."""
-
-
 class InconsistentFactor(HesseCubicError):
     """The automorphy ratio disagrees across theta indices."""
 

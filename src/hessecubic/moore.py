@@ -129,29 +129,33 @@ def l_derivative(a_z: complex, ctx: ThetaContext, max_order: int) -> PolyMatrix:
     return _l_entries(ratios)
 
 
-def theta_relation_residuals(a_z: complex, z: complex, ctx: ThetaContext,
+def theta_relation_residuals(a_z, z, ctx: ThetaContext,
                              max_order: int = 0) -> list[CheckReport]:
     """Residuals of sum_j C(n,j) M^(j)_{a,x(z)} theta^(n-j)(z+a) = 0, n = 0..max_order.
 
     Three scalar identities per order, evaluated at x = embed(z); the order-0
     case is the Moore relation itself, order >= 1 its a-derivatives.  Every
-    order comes from one jet pair at a and z+a in one contraction; one
-    report per order.
+    order comes from the jets at a and z+a in one contraction; one report per
+    order.  a_z and z may be 1-D arrays: each report then holds the worst
+    pair of the grid a_z x z, with one theta sum at all a and one at all z+a.
     """
     if max_order > 8:
         raise ValueError("relation order capped at 8")
-    x = np.array(embed(z, ctx).coords)
-    a_jet = theta_jet(a_z, ctx, max_order)
-    y_jet = theta_jet(z + a_z, ctx, max_order)
-    # moore[j, r, c] = theta_p^(j)(a) * x_q for (p, q) = MOORE_PATTERN[r][c]
-    moore = a_jet[:, _MOORE_P] * x[_MOORE_Q]
+    a = np.atleast_1d(np.asarray(a_z, dtype=complex))
+    y = np.atleast_1d(np.asarray(z, dtype=complex))
+    x = np.array([p.coords for p in embed(y, ctx)])
+    a_jet = theta_jet(a, ctx, max_order)  # its own sum: one a is cached for later calls
+    y_jet = theta_jet((y + a[:, None]).ravel(), ctx, max_order)
+    # moore[(a, z), j, r, c] = theta_p^(j)(a) * x_q for (p, q) = MOORE_PATTERN[r][c]
+    moore = a_jet[:, None, :, _MOORE_P] * x[:, None, _MOORE_Q]
+    moore = moore.reshape(-1, max_order + 1, 3, 3)
     orders = np.arange(max_order + 1)
     # weights[n, j, i] = C(n, j) if i = n - j (the Leibniz rule), else 0
     weights = _BINOM[:max_order + 1, :max_order + 1, None] * np.eye(max_order + 1)[
         np.subtract.outer(orders, orders)]
-    residuals = np.einsum("nji,jrc,ic->nr", weights, moore, y_jet)
-    worst = np.max(np.abs(residuals), axis=1)
+    residuals = np.einsum("nji,pjrc,pic->pnr", weights, moore, y_jet)
+    worst = np.max(np.abs(residuals), axis=(0, 2))
+    pairs = {"a_z": np.asarray(a_z, dtype=complex).tolist(),
+             "z": np.asarray(z, dtype=complex).tolist(), "tau": complex(ctx.tau)}
     return [check("moore.relation", worst[n], ctx.check_tol * 10 ** min(n, 2),
-                  inputs={"a_z": complex(a_z), "z": complex(z),
-                          "tau": complex(ctx.tau), "order": n})
-            for n in range(max_order + 1)]
+                  inputs={**pairs, "order": n}) for n in range(max_order + 1)]

@@ -38,7 +38,8 @@ the largest retained term at every requested order.  A window wider than
 600 terms per side raises NonconvergentSeries and a sum that overflows
 double precision raises ThetaOverflow; nothing is truncated silently.  The
 terms are added from the outside in, so a wider window only prepends
-negligible terms.
+negligible terms.  A batch of z is one sum over its widest window, with every
+term outside a point's own window exactly 0: each row is that point's sum.
 """
 from __future__ import annotations
 
@@ -49,14 +50,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AllIndicesDegenerate, DegenerateProbe, InconsistentFactor,
-                     InconsistentPsi, NonconvergentSeries, OrderTooHigh, ThetaOverflow)
+from .errors import (DegenerateProbe, InconsistentFactor, InconsistentPsi, NonconvergentSeries,
+                     OrderTooHigh, ThetaOverflow)
 
 MAX_ORDER = 12
 # window half-width beyond which a series counts as nonconvergent
 _MAX_HALF_WIDTH = 600
-# jets kept per process; one check request reads about 150 distinct ones
-_CACHE_SIZE = 256
+# one-point jets kept per process; one check request reads about 7 distinct ones
+_CACHE_SIZE = 64
 
 _TWO_PI_I = 2j * math.pi
 
@@ -97,7 +98,7 @@ class ThetaContext:
 
 
 def _half_width(t_star: float, centers: list[float], s: float, order: int,
-                trunc_eps: float) -> int:
+                trunc_eps: float) -> int | None:
     """Smallest R >= the Gaussian estimate whose window meets the tail bound.
 
     Write |exp(pi*i*t^2*sigma + 2*pi*i*t*(u+b))| = P * exp(-pi*s*(t - t*)^2)
@@ -119,7 +120,8 @@ def _half_width(t_star: float, centers: list[float], s: float, order: int,
     exp(-pi*s*(c - t*)^2) for every characteristic: the discarded tail is
     then at most trunc_eps times the retained term at c, hence at most
     trunc_eps times the largest retained term.  Because |c| <= |t*| + rho and
-    q grows with m, the test at m = `order` covers every lower order.
+    q grows with m, the test at m = `order` covers every lower order.  None
+    if no R up to _MAX_HALF_WIDTH is accepted.
     """
     log_eps = math.log(trunc_eps)
     reference = log_eps + min(order * math.log(6 * math.pi * abs(c))
@@ -134,9 +136,7 @@ def _half_width(t_star: float, centers: list[float], s: float, order: int,
                           - math.log(-math.expm1(log_q))) <= reference:
             return r
         r += 1
-    raise NonconvergentSeries(
-        f"theta series needs more than {_MAX_HALF_WIDTH} terms per side at "
-        f"Im(3 tau) = {s:.3e}, trunc_eps = {trunc_eps:.1e}")
+    return None
 
 
 @functools.lru_cache(maxsize=64)
@@ -150,52 +150,74 @@ def _outside_in(r: int) -> np.ndarray:
                     dtype=float)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _sum_jet(tau: complex, trunc_eps: float, z: complex, max_order: int,
-             pad: int = 0) -> np.ndarray:
-    """The (max_order+1, 3) jet at z; `pad` widens the window beyond the bound."""
-    u, sigma = 3 * z, 3 * tau
-    t_star = -u.imag / sigma.imag
-    n0 = [round(t_star - a) for a in _CHAR_A]
-    r = _half_width(t_star, [n + a for n, a in zip(n0, _CHAR_A)], sigma.imag,
-                    max_order, trunc_eps) + pad
-    t = (np.array(n0, dtype=float)[:, None] + _outside_in(r)) + _CHAR_A_ARRAY[:, None]
+def _sum_jets(tau: complex, trunc_eps: float, zs: tuple, max_order: int) -> np.ndarray:
+    """The read-only (len(zs), max_order+1, 3) jets at zs, each over its own window."""
+    sigma = 3 * tau
+    t_star = [-(3 * z).imag / sigma.imag for z in zs]
+    starts = [[round(t - a) for a in _CHAR_A] for t in t_star]
+    radii = [_half_width(t, [n + a for n, a in zip(n0, _CHAR_A)], sigma.imag, max_order,
+                         trunc_eps) for t, n0 in zip(t_star, starts)]
+    if None in radii:
+        raise NonconvergentSeries(f"theta series needs more than {_MAX_HALF_WIDTH} terms per "
+                                  f"side at z = {zs[radii.index(None)]}, Im(3 tau) = "
+                                  f"{sigma.imag:.3e}, trunc_eps = {trunc_eps:.1e}")
+    # Python complex arithmetic: numpy's complex product rounds differently
+    linear = np.array([_TWO_PI_I * (3 * z + _CHAR_B) for z in zs], dtype=complex)
+    width = max(radii, default=0)
+    t = ((np.array(starts, dtype=float).reshape(-1, 3, 1) + _outside_in(width))
+         + _CHAR_A_ARRAY[:, None])
     terms = np.empty((max_order + 1,) + t.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms[0] = np.exp(t * (t * (1j * math.pi * sigma) + _TWO_PI_I * (u + _CHAR_B)))
+        terms[0] = np.exp(t * (t * (1j * math.pi * sigma) + linear.reshape(-1, 1, 1)))
+        for i, r in enumerate(radii):  # point i's own window: its last 2r+1 offsets
+            terms[0, i, :, :2 * (width - r)] = 0
         terms[1:] = 3 * _TWO_PI_I * t  # d/dz = 3 d/du at u = 3z
-        jet = np.cumprod(terms, axis=0).cumsum(axis=2)[:, :, -1] * _PHASE_ARRAY
-    if not np.isfinite(jet).all():
-        order = int(np.argmin(np.isfinite(jet).all(axis=1)))
-        raise ThetaOverflow(f"theta series overflows at z = {z}, tau = {tau} "
+        jets = np.cumprod(terms, axis=0).cumsum(axis=-1)[..., -1] * _PHASE_ARRAY
+    # rows contiguous as a one-point sum's: einsum adds strided input in another order
+    jets = np.ascontiguousarray(jets.swapaxes(0, 1))
+    if not np.isfinite(jets).all():
+        # the first point in zs with a non-finite row, and its lowest such order
+        first, order = (int(i) for i in np.argwhere(~np.isfinite(jets).all(axis=-1))[0])
+        raise ThetaOverflow(f"theta series overflows at z = {zs[first]}, tau = {tau} "
                             f"(derivative order {order})", order=order)
-    jet.flags.writeable = False
-    return jet
+    jets.flags.writeable = False
+    return jets
 
 
-def theta_jet(z: complex, ctx: ThetaContext, max_order: int = 0) -> np.ndarray:
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _sum_jet(tau: complex, trunc_eps: float, z: complex, max_order: int) -> np.ndarray:
+    """_sum_jets at the one point z, cached: batches are rarely summed twice."""
+    return _sum_jets(tau, trunc_eps, (z,), max_order)
+
+
+def theta_jet(z, ctx: ThetaContext, max_order: int = 0) -> np.ndarray:
     """Row m holds the m-th z-derivatives of (th0, th1, th2) at z, m <= max_order.
 
-    The array is shared through a bounded cache keyed on (tau, trunc_eps, z,
-    max_order) and is read-only.
+    A 1-D array of z gives the (len(z), max_order+1, 3) jets from one sum, each
+    row bit-identical to the scalar call's array.  The result is read-only; a
+    single point's is shared through a bounded cache keyed on (tau, trunc_eps,
+    z, max_order).
     """
     if max_order < 0:
         raise ValueError("order must be non-negative")
     if max_order > MAX_ORDER:
         raise OrderTooHigh(f"derivative order {max_order} exceeds the cap {MAX_ORDER}")
-    return _sum_jet(complex(ctx.tau), ctx.trunc_eps, complex(z), max_order)
+    zs = np.asarray(z, dtype=complex)
+    points, key = zs.ravel().tolist(), (complex(ctx.tau), ctx.trunc_eps)
+    jets = (_sum_jet(*key, points[0], max_order) if len(points) == 1
+            else _sum_jets(*key, tuple(points), max_order))
+    return jets[0] if zs.ndim == 0 else jets
 
 
 def hesse_psi(ctx: ThetaContext) -> complex:
     """Modulus psi(tau) = (th0^3 + th1^3 + th2^3) / (3 th0 th1 th2).
 
-    Evaluated at several probe points; the values must agree to check_tol,
-    otherwise the basis itself is wrong and InconsistentPsi is raised.
+    Evaluated at several probe points in one sum; the values must agree to
+    check_tol, otherwise the basis itself is wrong and InconsistentPsi is raised.
     """
     values = []
-    for z in _PSI_PROBES:
-        # Python scalars, not numpy: psi is emitted and must stay bit-reproducible
-        v = theta_jet(z, ctx)[0].tolist()
+    # Python scalars, not numpy: psi is emitted and must stay bit-reproducible
+    for v in theta_jet(np.array(_PSI_PROBES), ctx)[:, 0].tolist():
         scale = max(abs(c) for c in v)
         prod = v[0] * v[1] * v[2]
         if abs(prod) < 1e-6 * scale ** 3:
@@ -229,21 +251,16 @@ def leibniz_quotient(num, den) -> np.ndarray:
     return f
 
 
-def automorphy_jet(a_z: complex, lam: complex, z: complex, ctx: ThetaContext,
-                   max_order: int = 0) -> np.ndarray:
-    """z-derivatives 0..max_order of e_a(lambda, z) = th_i(z+a+lambda) / th_i(z+a).
+def automorphy_quotient(den: np.ndarray, num: np.ndarray, ctx: ThetaContext) -> np.ndarray:
+    """Jet of e_a(lambda, z) = th_i(z+a+lambda) / th_i(z+a) from the theta jets den at
+    z+a and num at z+a+lambda: the constant -1 for lambda = 1 (the basis is
+    anti-periodic), -exp(-3*pi*i*tau - 6*pi*i*(z+a)) for lambda = tau.
 
-    Uses the first index whose denominator is not near zero and checks that
-    all non-degenerate indices give the same ratio.  For lambda = 1 the value
-    is the constant -1 (the basis is anti-periodic); for lambda = tau it is
-    -exp(-3*pi*i*tau - 6*pi*i*(z+a)).
+    Divides at the first index whose denominator is not near zero (the largest
+    always qualifies) and checks that all such indices give the same ratio.
     """
-    den = theta_jet(z + a_z, ctx, max_order)
-    num = theta_jet(z + a_z + lam, ctx, max_order)
     dens = np.abs(den[0])
     good = np.flatnonzero(dens > 1e-6 * dens.max())
-    if not len(good):
-        raise AllIndicesDegenerate(f"theta basis vanishes at z+a = {z + a_z}")
     ratios = num[0, good] / den[0, good]
     worst = float(np.max(np.abs(ratios - ratios[0])))
     if worst > ctx.check_tol * (1.0 + abs(ratios[0])):

@@ -3,11 +3,12 @@
 These deliberately avoid the code paths they check: derivatives come from
 finite differences (with Richardson extrapolation), matrix inverses from
 cofactors, polynomial identities from numpy evaluations at sample points,
-theta values from a plain fixed-window series sum, Moore and L matrices and
-the Moore relations entry by entry in plain Python, the calibration's block
-equivalence by nested loops over blocks and unknowns, and the emitted JSON and
-LaTeX of a matrix term by term.  The short helpers at
-the end are conveniences the tests read jets and points through; the
+theta values from a plain fixed-window series sum (and, for the batched
+jets, from the one-point sum they must equal bit for bit), Moore and L
+matrices and the Moore relations entry by entry in plain Python, the
+calibration's block equivalence by nested loops over blocks and unknowns,
+and the emitted JSON and LaTeX of a matrix term by term.  The short helpers
+at the end are conveniences the tests read jets and points through; the
 package itself passes the arrays.
 """
 from __future__ import annotations
@@ -20,7 +21,9 @@ import numpy as np
 from hessecubic.curve import ProjectivePoint, double_neg
 from hessecubic.moore import MOORE_PATTERN, moore_from_coords
 from hessecubic.poly import PolyMatrix, monomial_index, monomials
-from hessecubic.theta import ThetaContext, theta_jet
+from hessecubic.theta import (_CHAR_A, _CHAR_A_ARRAY, _CHAR_B, _PHASE_ARRAY, _TWO_PI_I,
+                              ThetaContext, _half_width, _outside_in, automorphy_quotient,
+                              theta_jet)
 
 
 def central_difference(f, z: complex, h: float = 1e-5) -> complex:
@@ -67,6 +70,27 @@ def theta_series_oracle(z: complex, tau: complex, order: int,
             total += term
         values.append(phase * total)
     return values, largest
+
+
+def per_point_jet(z: complex, ctx: ThetaContext, max_order: int, pad: int = 0) -> np.ndarray:
+    """The (max_order+1, 3) jet at z summed alone over its own window, `pad` terms wider.
+
+    The one-point sum the package's batched theta_jet must reproduce bit for
+    bit: the window from the same tail bound, the terms for the three
+    characteristics from one np.exp, term-wise derivatives by one cumprod and
+    an outside-in cumsum.
+    """
+    u, sigma = 3 * complex(z), 3 * complex(ctx.tau)
+    t_star = -u.imag / sigma.imag
+    n0 = [round(t_star - a) for a in _CHAR_A]
+    r = _half_width(t_star, [n + a for n, a in zip(n0, _CHAR_A)], sigma.imag,
+                    max_order, ctx.trunc_eps) + pad
+    t = (np.array(n0, dtype=float)[:, None] + _outside_in(r)) + _CHAR_A_ARRAY[:, None]
+    terms = np.empty((max_order + 1,) + t.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms[0] = np.exp(t * (t * (1j * math.pi * sigma) + _TWO_PI_I * (u + _CHAR_B)))
+        terms[1:] = 3 * _TWO_PI_I * t
+        return np.cumprod(terms, axis=0).cumsum(axis=2)[:, :, -1] * _PHASE_ARRAY
 
 
 def proj_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
@@ -362,6 +386,13 @@ def theta_vector(z: complex, ctx: ThetaContext,
                  order: int = 0) -> tuple[complex, complex, complex]:
     """(th0, th1, th2) at z, differentiated `order` times: one row of the jet."""
     return tuple(theta_jet(z, ctx, order)[order].tolist())
+
+
+def automorphy_jet(a_z: complex, lam: complex, z: complex, ctx: ThetaContext,
+                   max_order: int = 0) -> np.ndarray:
+    """Jet of e_a(lambda, z) = th_i(z+a+lambda) / th_i(z+a) from two one-point jets."""
+    return automorphy_quotient(theta_jet(z + a_z, ctx, max_order),
+                               theta_jet(z + a_z + lam, ctx, max_order), ctx)
 
 
 def moore_derivative(a_z: complex, ctx: ThetaContext, i: int = 0) -> PolyMatrix:

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hessecubic import (CalibrationFailed, CurveConfig, DegenerateOrbit, DenominatorZero,
-                        HesseCubicError, PolyMatrix, SamplingFailed, SizeMismatch, ThetaContext,
-                        UlrichSpec, automorphy_block, automorphy_cocycle_residual,
-                        automorphy_transport_residual, build_algebraic,
+                        HesseCubicError, IllConditioned, PolyMatrix, ProjectivePoint,
+                        SamplingFailed, SizeMismatch, ThetaContext,
+                        UlrichSpec, automorphy_residuals, build_algebraic,
                         build_analytic, calibrate_scalars, curve_sample_points,
                         derivative_elimination_fit, elimination_consequence_residual,
                         doubling_orbit, embed,
@@ -20,17 +20,17 @@ from hessecubic import (CalibrationFailed, CurveConfig, DegenerateOrbit, Denomin
                         section_basis, tangent_rep, theta_jet,
                         verify_factorization, verify_presentation)
 from hessecubic import bundles
-from hessecubic.bundles import _finite_at, _rejection_sample, equilibrate
+from hessecubic.bundles import _finite_at, _offset_blocks, _rejection_sample, equilibrate
 from hessecubic.curve import is_three_torsion
 from hessecubic.poly import evaluate, hesse_form
 from hessecubic.theta import hesse_psi
 from hessecubic.moore import moore_from_coords
-from hessecubic.theta import automorphy_jet
 from oracles import (annihilation_residual_oracle, as_array, automorphy_block_oracle,
-                     equivalence_jacobian_oracle, equivalence_residual_oracle,
+                     automorphy_jet, equivalence_jacobian_oracle, equivalence_residual_oracle,
                      equivalence_solve_oracle, jet_matrices, matrix_close,
-                     moore_derivative, random_poly_matrix, section_components_oracle,
-                     theta_vector, transport_residual_oracle, zeros)
+                     moore_derivative, per_point_jet, random_poly_matrix,
+                     section_components_oracle, theta_vector, transport_residual_oracle,
+                     zeros)
 
 A_Z = 0.3
 
@@ -365,7 +365,8 @@ def test_calibration_failure_names_the_worst_record(ctx_i):
         calibrate_scalars(UlrichSpec(k=5, ctx=ctx_i, a_z=0.2 + 1e-6))
     match = re.fullmatch(r"calibration residuals exceed tolerance "
                          r"\(worst (\S+)x: (calibration\.\w+) (\S+); "
-                         r"row solve sigma/sigma_0 (\S+); rounding floor (\S+)\)",
+                         r"row solve sigma/sigma_0 (\S+); rounding floor (\S+)\); "
+                         r"nearest orbit collision \(l = 0, m = 4\) (\S+) away modulo the lattice",
                          str(info.value))
     assert match is not None
     tols = {"calibration.fit": 1e-6, "calibration.equivalence": 1e-8,
@@ -376,6 +377,33 @@ def test_calibration_failure_names_the_worst_record(ctx_i):
     assert ratio > 1.0
     assert 0 <= float(match[4]) < 1
     assert float(match[5]) > 0
+    assert float(match[6]) == pytest.approx(1.5e-5, rel=1e-6)  # 15 * 1e-6
+
+
+@pytest.mark.parametrize("a_z, k, l, m, gap", [(0.2 + 1e-6, 5, 0, 4, 15e-6),
+                                               (0.3 + 1e-6, 6, 1, 5, 30e-6)])
+def test_calibration_failure_names_the_nearest_orbit_collision(ctx_i, a_z, k, l, m, gap):
+    # (-2)^m a - (-2)^l a = ((-2)^m - (-2)^l) a is a lattice point plus
+    # ((-2)^m - (-2)^l) * 1e-6: 15 * 1e-6 at 0.2 (m = 4), -30 * 1e-6 at 0.3 (m = 5)
+    with pytest.raises(CalibrationFailed) as info:
+        calibrate_scalars(UlrichSpec(k=k, ctx=ctx_i, a_z=a_z))
+    message = str(info.value)
+    assert message.startswith("calibration residuals exceed ")
+    fact = re.search(r"; nearest orbit collision \(l = (\d), m = (\d)\) (\S+) away "
+                     r"modulo the lattice$", message)
+    assert fact is not None, message
+    assert (int(fact[1]), int(fact[2])) == (l, m)
+    assert float(fact[3]) == pytest.approx(gap, rel=1e-6)
+
+
+def test_orbit_gaps_measure_the_distance_to_a_collision(ctx_i):
+    # 0.3 + 1e-5 still calibrates at k = 6; its nearest collision is m = 5, l = 1
+    gaps = bundles._orbit_gaps(0.3 + 1e-5, ctx_i.tau, 6)
+    assert [(l, m) for _, l, m in gaps] == [(l, m) for m in range(3, 7) for l in (0, 1)]
+    assert min(gaps)[1:] == (1, 5)
+    assert min(gaps)[0] == pytest.approx(30e-5, rel=1e-6)
+    _, reports = calibrate_scalars(UlrichSpec(k=6, ctx=ctx_i, a_z=0.3 + 1e-5))
+    assert all(r.passed for r in reports)
 
 
 @pytest.mark.parametrize("a_z, l, m", [(0.2, 0, 4), (0.3, 1, 5), (1 / 7, 0, 6)])
@@ -598,18 +626,35 @@ def test_elimination_rejects_torsion(ctx_i):
         derivative_elimination_fit(1.0 / 3.0, ctx_i)
 
 
+def test_elimination_next_to_torsion_is_ill_conditioned(ctx_i):
+    # 1e-9 from the origin theta(a) and V(a) are parallel to 1e-10, while the
+    # smallest coordinate still clears the E[3] guard of tangent_rep
+    with pytest.raises(IllConditioned, match="lost rank"):
+        derivative_elimination_fit(1e-9, ctx_i)
+
+
+def test_elimination_fits_from_one_sum_are_the_one_point_fits(ctx_i):
+    points = [A_Z, A_Z + 0.1, A_Z - 0.07 + 0.1j, 0.2, 0.41 + 0.1j]
+    fits = [bundles._elimination_solve(bundles._elimination_system(jet))
+            for jet in theta_jet(np.array(points), ctx_i, 1)]
+    assert fits == [derivative_elimination_fit(p, ctx_i) for p in points]
+
+
 # -- sample points ---------------------------------------------------------------
 
 def test_rejection_sampler_stops_after_its_draw_budget():
-    draws = []
-    with pytest.raises(SamplingFailed, match="found 0 of 3"):
-        _rejection_sample(lambda: draws.append(1), lambda _: False, 3, "points")
-    assert len(draws) == 3000
+    chunks = []
+    with pytest.raises(SamplingFailed, match="found 0 of 3 points in 3000 draws"):
+        _rejection_sample(lambda n: chunks.append(n) or [1] * n, lambda _: False, 3, "points")
+    # each chunk as large as all before it, the last one what is left of the budget
+    assert chunks == [3, 3, 6, 12, 24, 48, 96, 192, 384, 768, 1464]
 
 
 def test_rejection_sampler_stops_drawing_once_complete():
     draws = iter(range(100))
-    assert _rejection_sample(lambda: next(draws), lambda n: n % 2, 3, "odd") == [1, 3, 5]
+    take = lambda n: [next(draws) for _ in range(n)]  # noqa: E731
+    # the chunks hold 0..2 and 3..5: the third odd number ends the sampling
+    assert _rejection_sample(take, lambda n: n % 2, 3, "odd") == [1, 3, 5]
     assert next(draws) == 6
 
 
@@ -633,6 +678,20 @@ def test_samplers_draw_the_unbounded_loop_sequence(tau):
         if abs(evaluate(hesse_form(psi), xs)) > 1e-2:
             expected.append(xs)
     assert offcurve_sample_triples(psi, 10, 6) == expected
+
+
+@pytest.mark.parametrize("tau, seed", [(1j, 42), (0.2 + 1.3j, 7), (-0.45 + 0.95j, 123)])
+def test_curve_samples_are_the_one_point_loop_samples(tau, seed):
+    # drawn one pair and embedded by one one-point sum at a time, as before chunking
+    ctx = ThetaContext(tau=tau)
+    rng = np.random.default_rng(seed)
+    expected = []
+    while len(expected) < 20:
+        z = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45))
+        p = ProjectivePoint.from_coords(per_point_jet(z, ctx, 0)[0])
+        if min(abs(v) for v in p.coords) > 1e-3:
+            expected.append(p)
+    assert curve_sample_points(ctx, 20, seed) == expected
 
 
 def test_curve_sampler_fails_by_name_near_the_cusp():
@@ -696,35 +755,52 @@ def test_section_basis_matches_entrywise_oracle(ctx_i, k):
 
 @pytest.mark.parametrize("k", [0, 1, 3, 6])
 def test_automorphy_block_matches_entrywise_oracle(ctx_i, k):
-    spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
     for lam in (1.0, ctx_i.tau):
         jets = automorphy_jet(A_Z, lam, 0.11, ctx_i, k)
-        assert np.array_equal(automorphy_block(spec, lam, 0.11),
-                              automorphy_block_oracle(jets, k))
-
-
-def _sections_elsewhere(monkeypatch, shift: complex):
-    # sections taken at z + shift break the identities, so the residuals are
-    # of the size of their terms and comparable between implementations
-    original = section_basis
-    monkeypatch.setattr(bundles, "section_basis", lambda spec, z: original(spec, z + shift))
+        assert np.array_equal(_offset_blocks(jets), automorphy_block_oracle(jets, k))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_transport_residual_matches_loop_oracle(monkeypatch, ctx_i, k):
     spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
     z = 0.13 + 0.05j
+    wrong = np.linspace(1.05, 1.1, k + 1)
+    original = bundles.automorphy_quotient
     for lam in (1.0, ctx_i.tau):
-        # a wrong factor breaks the identity, so the residual is of the size
-        # of its terms and comparable between implementations
-        f = automorphy_block(spec, lam, z) * np.linspace(1.0, 1.1, (k + 1) ** 2).reshape(k + 1, -1)
-        expected = transport_residual_oracle(f, section_basis(spec, z),
-                                             section_basis(spec, z + lam))
+        # a wrong factor breaks the identity at this lambda only, so its residual
+        # is of the size of its terms and comparable between implementations,
+        # and the other lambda's stays at rounding level below it
+        broken = theta_jet(z + A_Z + lam, ctx_i, k)
+        expected = transport_residual_oracle(
+            _offset_blocks(automorphy_jet(A_Z, lam, z, ctx_i, k) * wrong),
+            section_basis(spec, z), section_basis(spec, z + lam))
         with monkeypatch.context() as patch:
-            patch.setattr(bundles, "automorphy_block", lambda spec, lam, z: f)
-            got = automorphy_transport_residual(spec, lam, z)
+            patch.setattr(bundles, "automorphy_quotient", lambda den, num, ctx: original(
+                den, num, ctx) * (wrong if np.array_equal(num, broken) else 1.0))
+            got, _ = automorphy_residuals(spec, z)
         assert expected > 1e-3
         assert abs(got - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_automorphy_residuals_read_the_one_point_jets(ctx_i, k):
+    # the batched residuals equal the ones built from one jet at a time
+    spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
+    z, tau = 0.13 + 0.05j, ctx_i.tau
+
+    def factor(lam, at):
+        return _offset_blocks(automorphy_jet(A_Z, lam, at, ctx_i, k))
+
+    def transport(lam):
+        lhs = section_basis(spec, z).reshape(spec.size, -1) @ factor(lam, z).T
+        rhs = section_basis(spec, z + lam).reshape(spec.size, -1)
+        scale = 1.0 + np.max(np.abs(lhs), axis=1) + np.max(np.abs(rhs), axis=1)
+        return float(np.max(np.max(np.abs(lhs - rhs), axis=1) / scale))
+
+    lhs, rhs = factor(1 + tau, z), factor(1.0, z + tau) @ factor(tau, z)
+    scale = 1.0 + float(np.max(np.abs(lhs)) + np.max(np.abs(rhs)))
+    cocycle = float(np.max(np.abs(lhs - rhs))) / scale
+    assert automorphy_residuals(spec, z) == (max(transport(1.0), transport(tau)), cocycle)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -742,21 +818,21 @@ def test_annihilation_residual_matches_loop_oracle(monkeypatch, ctx_i, k):
 
 def test_automorphy_block_at_one(ctx_i, spec2):
     # e(1, z) = -1 with vanishing derivatives: the block is -identity
-    f = automorphy_block(spec2, 1.0, 0.11)
+    f = _offset_blocks(automorphy_jet(A_Z, 1.0, 0.11, ctx_i, spec2.k))
     assert np.max(np.abs(f + np.eye(3))) < 1e-7
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_automorphy_transport(ctx_i, k):
-    spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
-    for lam in (1.0, ctx_i.tau):
-        assert automorphy_transport_residual(spec, lam, 0.13 + 0.05j) < 1e-7
+    # the worse of lambda = 1 and lambda = tau
+    transport, _ = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z), 0.13 + 0.05j)
+    assert transport < 1e-7
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_automorphy_cocycle(ctx_i, k):
-    spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
-    assert automorphy_cocycle_residual(spec, 0.13 + 0.05j) < 1e-7
+    _, cocycle = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z), 0.13 + 0.05j)
+    assert cocycle < 1e-7
 
 
 # -- evaluation-map bookkeeping -------------------------------------------------

@@ -256,7 +256,8 @@ def test_theta_series_limits_are_named_errors(capfd, command, tau):
 
 
 def test_sampling_failure_is_a_named_error(capfd):
-    # near the nodal cusp no curve sample clears the E[3] margin
+    # near the nodal cusp no curve sample clears the E[3] margin; the 20,000
+    # draws are embedded in eleven chunks, one theta sum each
     start = time.perf_counter()
     assert main(["check", "--tau", "5i", "--k", "1"]) == 1
     elapsed = time.perf_counter() - start
@@ -264,7 +265,8 @@ def test_sampling_failure_is_a_named_error(capfd):
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1
-    assert "draws" in json.loads(lines[0])["error"]
+    assert json.loads(lines[0])["error"] == ("found 0 of 20 curve points away from E[3] "
+                                             "in 20000 draws")
     assert elapsed < 10.0
 
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hessecubic import (InconsistentPsi, NonconvergentSeries, OrderTooHigh,
-                        ThetaContext, ThetaOverflow, automorphy_jet, hesse_psi,
-                        theta_jet)
-from hessecubic.theta import MAX_ORDER, _sum_jet
-from oracles import central_difference, richardson_derivative, theta_series_oracle, theta_vector
+from hessecubic import (DegenerateProbe, InconsistentPsi, NonconvergentSeries, OrderTooHigh,
+                        ThetaContext, ThetaOverflow, hesse_psi, theta_jet)
+from hessecubic.theta import _CHAR_A, MAX_ORDER, _half_width, _sum_jet
+from oracles import (automorphy_jet, central_difference, per_point_jet, richardson_derivative,
+                     theta_series_oracle, theta_vector)
 
 
 def test_origin_is_inflection_point(ctx_i):
@@ -63,8 +63,7 @@ def test_truncation_depth_stability(ctx_i):
         for order in (0, 2):
             base = theta_jet(z, ctx_i, order)[order, 0]
             # ten more terms per side than the tail bound asks for
-            deeper = _sum_jet(complex(ctx_i.tau), ctx_i.trunc_eps, complex(z), order,
-                              10)[order, 0]
+            deeper = per_point_jet(z, ctx_i, order, 10)[order, 0]
             assert abs(base - deeper) <= 10 * ctx_i.trunc_eps * (1 + abs(base))
 
 
@@ -82,6 +81,58 @@ def test_theta_jet_matches_fixed_window_oracle(re_tau, lift, re_z, im_z, order):
     expected, largest = theta_series_oracle(z, tau, order)
     assert jet.shape == (order + 1, 3)
     assert np.max(np.abs(jet[order] - expected)) <= 1e-12 * largest
+
+
+def _tau(re_tau: float, lift: float, top: float) -> complex:
+    # |Re tau| <= 1/2, |tau| >= 1 and Im tau <= top
+    floor = math.sqrt(1.0 - re_tau ** 2)
+    return complex(re_tau, floor + lift * (top - floor))
+
+
+@settings(max_examples=200, deadline=None)
+@given(re_tau=st.floats(-0.5, 0.5), lift=st.floats(0.0, 1.0), order=st.integers(0, 8),
+       zs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-2.5, 2.5)),
+                   min_size=1, max_size=12))
+def test_batched_jets_are_the_one_point_sums_bit_for_bit(re_tau, lift, order, zs):
+    # tau over the benchmark's fundamental domain and on up to Im tau = 4
+    ctx = ThetaContext(tau=_tau(re_tau, lift, 4.0))
+    points = np.array([complex(x, y) for x, y in zs])
+    batch = theta_jet(points, ctx, order)
+    assert batch.shape == (len(points), order + 1, 3)
+    # laid out as the one-point arrays are: numpy may sum strided input in another order
+    assert batch.flags.c_contiguous
+    for z, jet in zip(points, batch):
+        assert np.array_equal(jet, per_point_jet(z, ctx, order))
+        assert np.array_equal(jet, theta_jet(z, ctx, order))
+
+
+@pytest.mark.parametrize("tau, order, points", [
+    (0.8j, 8, [0.1, 0.2 + 6j, -0.3 - 0.2j]),
+    (1.3j, 4, [0.1 - 2.5j, 0.1, 0.4 + 1.1j]),
+    (0.1 + 4j, 7, [0.1, 0.2 + 6j, -0.3 + 2.5j]),
+])
+def test_batch_of_mixed_windows_is_the_one_point_sums(tau, order, points):
+    # the windows of these batches differ in width, so the zeroed terms matter
+    ctx = ThetaContext(tau=tau)
+
+    def radius(z):
+        t_star = -complex(z).imag / tau.imag
+        n0 = [round(t_star - a) for a in _CHAR_A]
+        return _half_width(t_star, [n + a for n, a in zip(n0, _CHAR_A)],
+                           3 * tau.imag, order, ctx.trunc_eps)
+
+    assert len({radius(z) for z in points}) > 1
+    assert np.array_equal(theta_jet(np.array(points), ctx, order),
+                          [per_point_jet(z, ctx, order) for z in points])
+
+
+def test_batch_errors_name_the_first_offending_point(ctx_i):
+    with pytest.raises(ThetaOverflow, match=r"at z = \(0\.2\+40j\)") as info:
+        theta_jet(np.array([0.1, 0.2 + 40j, 0.3 + 50j]), ctx_i)
+    assert info.value.order == 0
+    # at Im tau = 2.2e-5 the order-12 window fits the cap at Im z = 0.1, not at 0
+    with pytest.raises(NonconvergentSeries, match=r"at z = \(0\.1\+0j\)"):
+        theta_jet(np.array([0.1 + 0.1j, 0.1, 0.2]), ThetaContext(tau=2.2e-5j), MAX_ORDER)
 
 
 def test_lower_orders_do_not_depend_on_the_requested_order(ctx_i):
@@ -107,6 +158,16 @@ def test_jet_cache_stays_bounded():
     assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
+def test_only_one_point_jets_are_cached():
+    ctx = ThetaContext(tau=0.05 + 1.3j)
+    _sum_jet.cache_clear()
+    theta_jet(np.array([0.1, 0.2]), ctx, 1)
+    assert _sum_jet.cache_info().currsize == 0
+    theta_jet(0.1, ctx, 1)
+    theta_jet(np.array([0.1]), ctx, 1)  # a one-point batch shares the scalar's entry
+    assert _sum_jet.cache_info()[:2] == (1, 1)  # hits, misses
+
+
 def test_overflow_at_large_imaginary_part_is_named(ctx_i):
     # |th(z)| grows like exp(3*pi*Im(z)^2/Im(tau)): past Im z ~ 8.6 at tau = i
     # no double holds it
@@ -127,6 +188,12 @@ def test_window_beyond_the_cap_is_nonconvergent():
     # Im(3 tau) = 3e-5 needs ~860 terms per side for trunc_eps = 1e-30
     with pytest.raises(NonconvergentSeries):
         theta_jet(0.1, ThetaContext(tau=1e-5j))
+
+
+def test_psi_probes_degenerate_high_in_the_half_plane():
+    # at Im tau = 8 |th0 th1 th2| < 1e-6 max|th_i|^3 at every probe point
+    with pytest.raises(DegenerateProbe, match="every probe point"):
+        hesse_psi(ThetaContext(tau=8j))
 
 
 def test_psi_probe_independence(ctx_i):
