@@ -11,7 +11,7 @@ from .curve import (CurveConfig, ProjectivePoint, double_neg, doubling_orbit, em
                     is_three_torsion, on_curve)
 from .errors import (AllZero, CalibrationFailed,
                      DegenerateOrbit, DegenerateProbe, DenominatorZero, HesseCubicError,
-                     IllConditioned, InconsistentFactor, InconsistentPsi,
+                     IllConditioned, InconsistentPsi,
                      NonconvergentSeries, NotSquare, OrderTooHigh, SamplingFailed,
                      SingularCurve, SizeMismatch, ThetaOverflow, ZeroReference)
 from .moore import (l_derivative, l_matrix, moore_from_coords, moore_matrix,

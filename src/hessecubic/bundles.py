@@ -51,7 +51,7 @@ from .moore import l_derivative, moore_from_coords
 from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
                    monomial_index, numeric_rank)
 from .report import CheckReport, check
-from .theta import ThetaContext, automorphy_quotient, theta_jet
+from .theta import ThetaContext, automorphy_factor, theta_jet
 
 
 @dataclass(frozen=True)
@@ -560,31 +560,29 @@ def _sections(k: int, jets: np.ndarray) -> np.ndarray:
 
 def automorphy_residuals(spec: UlrichSpec, z: complex) -> tuple[float, float]:
     """Transport and cocycle residuals at z of the factor f(lambda, z), the
-    (k+1)-square block with entries C(k-i, j-i) * e^(j-i)_a(lambda, z).
+    (k+1)-square block with entries C(k-i, j-i) * e^(j-i)(lambda, z + a) of the
+    closed-form factor e (theta.automorphy_factor).
 
-    Transport is max |f(lambda, z) v(z) - v(z+lambda)| over the section basis v
-    and lambda in {1, tau}, each section normalized by the size of its terms:
-    at lambda = tau the factor and its derivatives reach 1e4..1e8.  Cocycle is
-    the largest entry of f(1+tau, z) - f(1, z+tau) f(tau, z), scale-normalized.
-    The seven theta jets they read come from one sum, at the arguments
-    z + a + lambda and (z + lambda) + a as written.
+    The residual at lambda is max |f v(z) - v(z+lambda)| over the section basis
+    v, each section normalized by the size of its terms: at lambda = tau the
+    factor and its derivatives reach 1e4..1e8.  Transport is the worse of
+    lambda = 1 and lambda = tau.  Cocycle is the residual at lambda = 1 + tau
+    with the factor f(1, z + tau) f(tau, z): the cocycle condition as the
+    sections see it.  The four theta jets they read, at z + a + lambda for
+    lambda in {0, 1, tau, 1 + tau}, come from one sum.
     """
-    ctx, a_z, k, tau = spec.ctx, spec.a_z, spec.k, spec.ctx.tau
-    at = z + a_z
-    jets = theta_jet(np.array([at, at + 1.0, (z + 1.0) + a_z, at + tau, (z + tau) + a_z,
-                               (z + tau) + a_z + 1.0, at + (1 + tau)]), ctx, k)
-    # f(1, z), f(tau, z), f(1 + tau, z) and f(1, z + tau) from their (den, num) jets
-    f1, ft, f1t, f1_shifted = (_offset_blocks(automorphy_quotient(jets[d], jets[n], ctx))
-                               for d, n in ((0, 1), (0, 3), (0, 6), (4, 5)))
+    k, tau = spec.k, spec.ctx.tau
+    at = z + spec.a_z
+    jets = theta_jet(np.array([at, at + 1.0, at + tau, at + (1 + tau)]), spec.ctx, k)
+    f1, ft, f1_shifted = (_offset_blocks(automorphy_factor(m, n, w, tau, k))
+                          for m, n, w in ((1, 0, at), (0, 1, at), (1, 0, at + tau)))
     here = _sections(k, jets[0]).reshape(spec.size, -1)
-    transport = 0.0
-    for f, there in ((f1, jets[2]), (ft, jets[4])):
+    residuals = []
+    for f, there in ((f1, jets[1]), (ft, jets[2]), (f1_shifted @ ft, jets[3])):
         lhs, rhs = here @ f.T, _sections(k, there).reshape(spec.size, -1)
         scale = 1.0 + np.max(np.abs(lhs), axis=1) + np.max(np.abs(rhs), axis=1)
-        transport = max(transport, float(np.max(np.max(np.abs(lhs - rhs), axis=1) / scale)))
-    lhs, rhs = f1t, f1_shifted @ ft
-    scale = 1.0 + float(np.max(np.abs(lhs)) + np.max(np.abs(rhs)))
-    return transport, float(np.max(np.abs(lhs - rhs))) / scale
+        residuals.append(float(np.max(np.max(np.abs(lhs - rhs), axis=1) / scale)))
+    return max(residuals[:2]), residuals[2]
 
 
 # ---------------------------------------------------------------------------

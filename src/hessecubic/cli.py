@@ -239,9 +239,8 @@ def _presentation_checks(ctx: ThetaContext, psi: complex, a_z: complex, k_max: i
 def _automorphy_checks(ctx: ThetaContext, a_z: complex, k_max: int) -> list[CheckReport]:
     reports = []
     z = 0.13 + 0.05j
-    for k in range(1, min(k_max, 3) + 1):
-        spec = UlrichSpec(k=k, ctx=ctx, a_z=a_z)
-        transport, cocycle = automorphy_residuals(spec, z)
+    for k in range(1, k_max + 1):
+        transport, cocycle = automorphy_residuals(UlrichSpec(k=k, ctx=ctx, a_z=a_z), z)
         reports.append(check(f"automorphy.transport.k{k}", transport, 1e-7, {"z": z}))
         reports.append(check(f"automorphy.cocycle.k{k}", cocycle, 1e-7, {"z": z}))
     return reports

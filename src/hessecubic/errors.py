@@ -22,15 +22,11 @@ class OrderTooHigh(HesseCubicError):
 
 
 class DegenerateProbe(HesseCubicError):
-    """Every probe point for the modulus hit a zero of theta0*theta1*theta2."""
+    """No probe point for the modulus has |th0*th1*th2| / max|th_i|^3 above the cut."""
 
 
 class InconsistentPsi(HesseCubicError):
     """The modulus disagrees across probe points (wrong theta basis)."""
-
-
-class InconsistentFactor(HesseCubicError):
-    """The automorphy ratio disagrees across theta indices."""
 
 
 class SingularCurve(HesseCubicError, ValueError):

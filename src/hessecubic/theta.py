@@ -18,15 +18,17 @@ identity with a single modulus psi(tau), the negation symmetries
 
     th0(-z) = -th0(z),   th1(-z) = -th2(z),   th2(-z) = -th1(z),
 
-and [th0 : th1 : th2](0) = [0 : 1 : -1].  One consequence worth knowing:
-this basis is anti-periodic in the first lattice direction,
+and [th0 : th1 : th2](0) = [0 : 1 : -1].  Every th_i obeys the same
+quasi-periodicity law (Mumford, Tata Lectures on Theta I, 1983),
 
-    th_i(z + 1) = -th_i(z),
+    th_i(z + m + n*tau) = (-1)^(m+n) * exp(-3*pi*i*n^2*tau - 6*pi*i*n*z) * th_i(z),
 
-so the scalar automorphy factor at lambda = 1 is the constant -1, not +1.
-That sign is forced (sections with inflectional zero sets and plain parity
-cannot be 1-periodic) and is harmless: every cocycle and section-transport
-identity below holds with it.
+so the automorphy factor is known in closed form (automorphy_factor).  One
+consequence worth knowing: the basis is anti-periodic in the first lattice
+direction, th_i(z + 1) = -th_i(z), so the factor at lambda = 1 is the
+constant -1, not +1.  That sign is forced (sections with inflectional zero
+sets and plain parity cannot be 1-periodic) and is harmless: every cocycle
+and section-transport identity holds with it.
 
 All values come from theta_jet, which sums the three series once over a
 window of indices around the peak term and gets every derivative order
@@ -50,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateProbe, InconsistentFactor, InconsistentPsi, NonconvergentSeries,
-                     OrderTooHigh, ThetaOverflow)
+from .errors import (DegenerateProbe, InconsistentPsi, NonconvergentSeries, OrderTooHigh,
+                     ThetaOverflow)
 
 MAX_ORDER = 12
 # window half-width beyond which a series counts as nonconvergent
@@ -73,6 +75,8 @@ _BINOM = np.array([[math.comb(i, j) for j in range(MAX_ORDER + 1)]
 
 # probes for the modulus, chosen away from zeros of theta0*theta1*theta2
 _PSI_PROBES = (0.17, 0.31 + 0.2j, 0.23 - 0.11j, 0.41 + 0.07j, 0.13 + 0.29j)
+# a probe counts only if |th0*th1*th2| / max|th_i|^3 reaches this
+_PROBE_CUT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -215,16 +219,18 @@ def hesse_psi(ctx: ThetaContext) -> complex:
     Evaluated at several probe points in one sum; the values must agree to
     check_tol, otherwise the basis itself is wrong and InconsistentPsi is raised.
     """
-    values = []
+    values, ratios = [], []
     # Python scalars, not numpy: psi is emitted and must stay bit-reproducible
     for v in theta_jet(np.array(_PSI_PROBES), ctx)[:, 0].tolist():
         scale = max(abs(c) for c in v)
         prod = v[0] * v[1] * v[2]
-        if abs(prod) < 1e-6 * scale ** 3:
+        ratios.append(abs(prod) / scale ** 3)
+        if abs(prod) < _PROBE_CUT * scale ** 3:
             continue
         values.append((v[0] ** 3 + v[1] ** 3 + v[2] ** 3) / (3 * prod))
     if not values:
-        raise DegenerateProbe("every probe point hit a zero of theta0*theta1*theta2")
+        raise DegenerateProbe(f"no probe point clears the cut |th0*th1*th2| >= {_PROBE_CUT:.0e} "
+                              f"* max|th_i|^3: the largest ratio is {max(ratios):.2e}")
     spread = max(abs(p - q) for p in values for q in values)
     if spread > ctx.check_tol:
         raise InconsistentPsi(f"psi spread {spread:.3e} exceeds check_tol {ctx.check_tol:.1e}")
@@ -251,22 +257,15 @@ def leibniz_quotient(num, den) -> np.ndarray:
     return f
 
 
-def automorphy_quotient(den: np.ndarray, num: np.ndarray, ctx: ThetaContext) -> np.ndarray:
-    """Jet of e_a(lambda, z) = th_i(z+a+lambda) / th_i(z+a) from the theta jets den at
-    z+a and num at z+a+lambda: the constant -1 for lambda = 1 (the basis is
-    anti-periodic), -exp(-3*pi*i*tau - 6*pi*i*(z+a)) for lambda = tau.
+def automorphy_factor(m: int, n: int, w: complex, tau: complex, max_order: int) -> np.ndarray:
+    """Jet in w of e(m + n*tau, w) = th_i(w + m + n*tau) / th_i(w), the same for every i:
 
-    Divides at the first index whose denominator is not near zero (the largest
-    always qualifies) and checks that all such indices give the same ratio.
+        (-1)^(m+n) * exp(-3*pi*i*n^2*tau - 6*pi*i*n*w) * (-6*pi*i*n)^j,  j = 0..max_order.
+
+    At n = 0 this is the constant (-1)^m, every derivative 0 (0 ** 0 is 1).
     """
-    dens = np.abs(den[0])
-    good = np.flatnonzero(dens > 1e-6 * dens.max())
-    ratios = num[0, good] / den[0, good]
-    worst = float(np.max(np.abs(ratios - ratios[0])))
-    if worst > ctx.check_tol * (1.0 + abs(ratios[0])):
-        raise InconsistentFactor(
-            f"automorphy ratio disagrees across indices by {worst:.3e}")
-    return leibniz_quotient(num[:, good[0]], den[:, good[0]])
+    value = (-1) ** (m + n) * cmath.exp(-3j * math.pi * n * n * tau - 6j * math.pi * n * w)
+    return value * (-6j * math.pi * n) ** np.arange(max_order + 1)
 
 
 def basis_provenance() -> dict:

@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: derivatives come from
 finite differences (with Richardson extrapolation), matrix inverses from
 cofactors, polynomial identities from numpy evaluations at sample points,
 theta values from a plain fixed-window series sum (and, for the batched
-jets, from the one-point sum they must equal bit for bit), Moore and L
+jets, from the one-point sum they must equal bit for bit), the automorphy
+factor as the quotient of two summed series, Moore and L
 matrices and the Moore relations entry by entry in plain Python, the
 calibration's block equivalence by nested loops over blocks and unknowns,
 and the emitted JSON and LaTeX of a matrix term by term.  The short helpers
@@ -22,7 +23,7 @@ from hessecubic.curve import ProjectivePoint, double_neg
 from hessecubic.moore import MOORE_PATTERN, moore_from_coords
 from hessecubic.poly import PolyMatrix, monomial_index, monomials
 from hessecubic.theta import (_CHAR_A, _CHAR_A_ARRAY, _CHAR_B, _PHASE_ARRAY, _TWO_PI_I,
-                              ThetaContext, _half_width, _outside_in, automorphy_quotient,
+                              ThetaContext, _half_width, _outside_in, leibniz_quotient,
                               theta_jet)
 
 
@@ -386,6 +387,22 @@ def theta_vector(z: complex, ctx: ThetaContext,
                  order: int = 0) -> tuple[complex, complex, complex]:
     """(th0, th1, th2) at z, differentiated `order` times: one row of the jet."""
     return tuple(theta_jet(z, ctx, order)[order].tolist())
+
+
+def automorphy_quotient(den: np.ndarray, num: np.ndarray, ctx: ThetaContext) -> np.ndarray:
+    """Jet of e_a(lambda, z) = th_i(z+a+lambda) / th_i(z+a) from the theta jets den at
+    z+a and num at z+a+lambda, as the quotient of the two series.
+
+    Divides at the first index whose denominator is not near zero (the largest
+    always qualifies) and asserts that all such indices give the same ratio.
+    """
+    dens = np.abs(den[0])
+    good = np.flatnonzero(dens > 1e-6 * dens.max())
+    ratios = num[0, good] / den[0, good]
+    worst = float(np.max(np.abs(ratios - ratios[0])))
+    assert worst <= ctx.check_tol * (1.0 + abs(ratios[0])), \
+        f"automorphy ratio disagrees across indices by {worst:.3e}"
+    return leibniz_quotient(num[:, good[0]], den[:, good[0]])
 
 
 def automorphy_jet(a_z: complex, lam: complex, z: complex, ctx: ThetaContext,

@@ -161,14 +161,15 @@ def test_criterion_7_point_map_oracle(ctx_i):
 
 def test_criterion_8_automorphy(ctx_i):
     worst_t = worst_c = 0.0
-    for k in (1, 2, 3):
-        # transport is the worse of lambda = 1 and lambda = tau
+    for k in range(1, 9):
+        # transport is the worse of lambda = 1 and lambda = tau; cocycle is
+        # lambda = 1 + tau with the factor f(1, z + tau) f(tau, z)
         transport, cocycle = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z),
                                                   0.13 + 0.05j)
         worst_t, worst_c = max(worst_t, transport), max(worst_c, cocycle)
     passed = worst_t < 1e-7 and worst_c < 1e-7
     _report(8, "automorphy", passed,
-            f"f v(z) = v(z+lambda) residual {worst_t:.2e} < 1e-7 (k <= 3, lambda in {{1,tau}}), "
+            f"f v(z) = v(z+lambda) residual {worst_t:.2e} < 1e-7 (k <= 8, lambda in {{1,tau}}), "
             f"cocycle {worst_c:.2e} < 1e-7")
 
 

@@ -23,7 +23,7 @@ from hessecubic import bundles
 from hessecubic.bundles import _finite_at, _offset_blocks, _rejection_sample, equilibrate
 from hessecubic.curve import is_three_torsion
 from hessecubic.poly import evaluate, hesse_form
-from hessecubic.theta import hesse_psi
+from hessecubic.theta import automorphy_factor, hesse_psi
 from hessecubic.moore import moore_from_coords
 from oracles import (annihilation_residual_oracle, as_array, automorphy_block_oracle,
                      automorphy_jet, equivalence_jacobian_oracle, equivalence_residual_oracle,
@@ -763,44 +763,55 @@ def test_automorphy_block_matches_entrywise_oracle(ctx_i, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_transport_residual_matches_loop_oracle(monkeypatch, ctx_i, k):
     spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
-    z = 0.13 + 0.05j
+    z, tau = 0.13 + 0.05j, ctx_i.tau
+    at = z + A_Z
     wrong = np.linspace(1.05, 1.1, k + 1)
-    original = bundles.automorphy_quotient
-    for lam in (1.0, ctx_i.tau):
+    original = bundles.automorphy_factor
+
+    def block(m, n, w, scale=1.0):
+        return automorphy_block_oracle(original(m, n, w, tau, k) * scale, k)
+
+    here = section_basis(spec, z)
+    # (broken factor, residual it breaks, the broken lambda's block, lambda);
+    # the third is the cocycle's f(1, z + tau) f(tau, z) at lambda = 1 + tau
+    cases = (((1, 0, at), 0, block(1, 0, at, wrong), 1.0),
+             ((0, 1, at), 0, block(0, 1, at, wrong), tau),
+             ((1, 0, at + tau), 1, block(1, 0, at + tau, wrong) @ block(0, 1, at), 1 + tau))
+    for target, which, f, lam in cases:
         # a wrong factor breaks the identity at this lambda only, so its residual
         # is of the size of its terms and comparable between implementations,
         # and the other lambda's stays at rounding level below it
-        broken = theta_jet(z + A_Z + lam, ctx_i, k)
-        expected = transport_residual_oracle(
-            _offset_blocks(automorphy_jet(A_Z, lam, z, ctx_i, k) * wrong),
-            section_basis(spec, z), section_basis(spec, z + lam))
+        expected = transport_residual_oracle(f, here, section_basis(spec, z + lam))
         with monkeypatch.context() as patch:
-            patch.setattr(bundles, "automorphy_quotient", lambda den, num, ctx: original(
-                den, num, ctx) * (wrong if np.array_equal(num, broken) else 1.0))
-            got, _ = automorphy_residuals(spec, z)
+            patch.setattr(bundles, "automorphy_factor", lambda m, n, w, tau, order: original(
+                m, n, w, tau, order) * (wrong if (m, n, w) == target else 1.0))
+            got = automorphy_residuals(spec, z)
         assert expected > 1e-3
-        assert abs(got - expected) <= 1e-12 * expected
+        assert abs(got[which] - expected) <= 1e-12 * expected
+        if target[1] == 0:  # f(tau, z) is intact, so the other record is too
+            assert got[1 - which] < 1e-13
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_automorphy_residuals_read_the_one_point_jets(ctx_i, k):
-    # the batched residuals equal the ones built from one jet at a time
+    # the batched residuals equal the ones built from one jet at a time and
+    # the closed-form factor
     spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
     z, tau = 0.13 + 0.05j, ctx_i.tau
+    at = z + A_Z
 
-    def factor(lam, at):
-        return _offset_blocks(automorphy_jet(A_Z, lam, at, ctx_i, k))
+    def factor(m, n, w):
+        return _offset_blocks(automorphy_factor(m, n, w, tau, k))
 
-    def transport(lam):
-        lhs = section_basis(spec, z).reshape(spec.size, -1) @ factor(lam, z).T
-        rhs = section_basis(spec, z + lam).reshape(spec.size, -1)
+    def residual(f, lam):
+        lhs = section_basis(spec, z).reshape(spec.size, -1) @ f.T
+        rhs = bundles._sections(k, theta_jet(at + lam, ctx_i, k)).reshape(spec.size, -1)
         scale = 1.0 + np.max(np.abs(lhs), axis=1) + np.max(np.abs(rhs), axis=1)
         return float(np.max(np.max(np.abs(lhs - rhs), axis=1) / scale))
 
-    lhs, rhs = factor(1 + tau, z), factor(1.0, z + tau) @ factor(tau, z)
-    scale = 1.0 + float(np.max(np.abs(lhs)) + np.max(np.abs(rhs)))
-    cocycle = float(np.max(np.abs(lhs - rhs))) / scale
-    assert automorphy_residuals(spec, z) == (max(transport(1.0), transport(tau)), cocycle)
+    transport = max(residual(factor(1, 0, at), 1.0), residual(factor(0, 1, at), tau))
+    cocycle = residual(factor(1, 0, at + tau) @ factor(0, 1, at), 1 + tau)
+    assert automorphy_residuals(spec, z) == (transport, cocycle)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -833,6 +844,35 @@ def test_automorphy_transport(ctx_i, k):
 def test_automorphy_cocycle(ctx_i, k):
     _, cocycle = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z), 0.13 + 0.05j)
     assert cocycle < 1e-7
+
+
+@settings(max_examples=150, deadline=None)
+@given(re_tau=st.floats(-0.5, 0.5), lift=st.floats(0.0, 1.0),
+       re_a=st.floats(0.05, 0.45), im_a=st.floats(-0.15, 0.15),
+       re_z=st.floats(-0.5, 0.5), im_z=st.floats(-0.5, 0.5), k=st.integers(1, 8))
+def test_automorphy_holds_to_rounding_at_every_k(re_tau, lift, re_a, im_a, re_z, im_z, k):
+    # |Re tau| <= 1/2, |tau| >= 1, Im tau <= 4: the closed-form factor leaves
+    # only the rounding of the theta jets, at every derivative order
+    floor = math.sqrt(1.0 - re_tau ** 2)
+    ctx = ThetaContext(tau=complex(re_tau, floor + lift * (4.0 - floor)))
+    spec = UlrichSpec(k=k, ctx=ctx, a_z=complex(re_a, im_a))
+    transport, cocycle = automorphy_residuals(spec, complex(re_z, im_z))
+    assert transport < 1e-11 and cocycle < 1e-11
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_automorphy_gates_see_a_perturbed_second_derivative(monkeypatch, ctx_i, k):
+    # theta'' off by 1e-6 relative breaks transport at lambda = tau and 1 + tau
+    original = bundles.theta_jet
+
+    def perturbed(z, ctx, max_order=0):
+        jets = original(z, ctx, max_order).copy()
+        jets[..., 2, :] *= 1 + 1e-6
+        return jets
+
+    monkeypatch.setattr(bundles, "theta_jet", perturbed)
+    transport, cocycle = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z), 0.13 + 0.05j)
+    assert transport > 1e-7 and cocycle > 1e-7
 
 
 # -- evaluation-map bookkeeping -------------------------------------------------

@@ -127,6 +127,26 @@ def test_perturbed_psi_fails_the_factorization_gate_near_three_torsion(capfd, ar
     assert failed
 
 
+def test_automorphy_at_k3_passes_where_the_series_quotient_failed(capfd):
+    # the quotient of two summed series read automorphy.transport.k3 = 3.3e-6 here;
+    # the closed-form factor leaves rounding only
+    assert main(["check", "--tau=0.33511352061096544+1.6508599290561192i",
+                 "--a=0.2032793759536468-0.0516247689049619i", "--k", "3",
+                 "--seed", "993736541"]) == 0
+    out, _ = capfd.readouterr()
+    records = {r["name"]: r for r in map(json.loads, out.splitlines())}
+    assert records["automorphy.transport.k3"]["residual"] < 1e-12
+
+
+@pytest.mark.parametrize("tau", ["i", "0.2+1.3i", "-0.31+1.12i"])
+def test_check_gates_automorphy_at_every_k(capfd, tau):
+    assert main(["check", "--tau", tau, "--k", "8"]) == 0
+    out, _ = capfd.readouterr()
+    names = {json.loads(l)["name"] for l in out.splitlines()}
+    assert {n for n in names if n.startswith("automorphy.")} == {
+        f"automorphy.{kind}.k{k}" for kind in ("transport", "cocycle") for k in range(1, 9)}
+
+
 def test_parser_is_built_once_per_process():
     from hessecubic.cli import make_parser
     assert make_parser() is make_parser()

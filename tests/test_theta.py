@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hessecubic import (DegenerateProbe, InconsistentPsi, NonconvergentSeries, OrderTooHigh,
                         ThetaContext, ThetaOverflow, hesse_psi, theta_jet)
-from hessecubic.theta import _CHAR_A, MAX_ORDER, _half_width, _sum_jet
+from hessecubic.theta import _CHAR_A, MAX_ORDER, _half_width, _sum_jet, automorphy_factor
 from oracles import (automorphy_jet, central_difference, per_point_jet, richardson_derivative,
                      theta_series_oracle, theta_vector)
 
@@ -191,8 +191,11 @@ def test_window_beyond_the_cap_is_nonconvergent():
 
 
 def test_psi_probes_degenerate_high_in_the_half_plane():
-    # at Im tau = 8 |th0 th1 th2| < 1e-6 max|th_i|^3 at every probe point
-    with pytest.raises(DegenerateProbe, match="every probe point"):
+    # at Im tau = 8 |th0 th1 th2| < 1e-6 max|th_i|^3 at every probe point, though
+    # none is near a zero: the message states the cut and the largest ratio
+    with pytest.raises(DegenerateProbe,
+                       match=r"no probe point clears the cut \|th0\*th1\*th2\| >= 1e-06 "
+                             r"\* max\|th_i\|\^3: the largest ratio is 1\.06e-07$"):
         hesse_psi(ThetaContext(tau=8j))
 
 
@@ -284,6 +287,17 @@ def test_factor_known_form_at_tau(ctx_i):
     e = automorphy_jet(a_z, ctx_i.tau, z, ctx_i)[0]
     predicted = -cmath.exp(-3j * cmath.pi * ctx_i.tau - 6j * cmath.pi * (z + a_z))
     assert abs(e - predicted) < 1e-9 * (1 + abs(e))
+
+
+@pytest.mark.parametrize("tau", [1j, 0.2 + 1.3j, -0.31 + 1.12j])
+def test_closed_form_factor_matches_the_series_quotient(tau):
+    # the closed-form jet against the quotient of two summed series, orders 0..4
+    ctx = ThetaContext(tau=tau)
+    a_z, z = 0.3, 0.17 + 0.11j
+    for m, n in ((1, 0), (0, 1), (1, 1), (2, -1), (-1, 2)):
+        closed = automorphy_factor(m, n, z + a_z, tau, 4)
+        quotient = automorphy_jet(a_z, m + n * tau, z, ctx, 4)
+        assert np.max(np.abs(closed - quotient)) <= 1e-9 * np.max(np.abs(closed))
 
 
 def test_quasi_periodicity_large_shifts(ctx_i):
