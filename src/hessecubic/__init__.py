@@ -2,7 +2,8 @@
 of bundles on the Hesse cubic."""
 
 from .bundles import (UlrichSpec, automorphy_residuals, build_algebraic, build_analytic,
-                      calibrate_scalars, curve_sample_points, derivative_elimination_fit,
+                      calibrate_by_order, calibrate_scalars, curve_sample_points,
+                      derivative_elimination_fit,
                       elimination_consequence_residual, jet_kernel_residual,
                       offcurve_sample_triples, relation_annihilation_residual,
                       relation_matrix, section_basis, tangent_rep,

@@ -247,8 +247,8 @@ def _equivalence_system(a: np.ndarray, t: np.ndarray, u: np.ndarray, w: np.ndarr
 _POLISH_STEPS = 3
 
 
-def _equivalence_solve(jets: list[np.ndarray],
-                       reps: list[np.ndarray]) -> tuple[np.ndarray, float, float, float]:
+def _equivalence_solve(jets: list[np.ndarray], reps: list[np.ndarray],
+                       orders) -> tuple[np.ndarray, list[tuple[float, float, float]]]:
     """U, W and lambda with U * A * W = T(lambda), one linear solve per block row.
 
     A and T have blocks C(k-i, j-i) * jets[j-i] and C(k-i, j-i) * lambda_{j-i} * reps[j-i].
@@ -264,10 +264,12 @@ def _equivalence_solve(jets: list[np.ndarray],
     scaled to unit 2-norm before the solve (Bjorck, Numerical Methods for
     Least Squares Problems, sec. 2.7).
 
-    Returns lambda_1..lambda_k, the unweighted |U*A*W - T| / max_d |jets[d]|,
-    the smallest sigma/sigma_0 over the scaled row systems, and the rounding
-    floor of that residual, eps * | |U| * |A| * |W| | / max_d |jets[d]| with
-    |A| the matrix of block norms.
+    Returns lambda_1..lambda_k and, for each order n in `orders`, three facts
+    of the order-n system, the bottom-right n+1 block corner: its unweighted
+    |U*A*W - T| / max_{d<=n} |jets[d]|, the smallest sigma/sigma_0 over its
+    scaled row systems, and the rounding floor of that residual,
+    eps * | |U| * |A| * |W| | / max_{d<=n} |jets[d]| with |A| the matrix of
+    block norms, all read from the corners of the order-k solve.
     """
     size = len(jets)
     k = size - 1
@@ -280,7 +282,7 @@ def _equivalence_solve(jets: list[np.ndarray],
     # lambda_n is still 0 while its row is solved, so it drops out of the right-hand side
     lam = np.zeros(size, dtype=complex)
     lam[0] = 1.0
-    sigma = np.inf
+    sigmas = np.empty(k)
     for r in range(k - 1, -1, -1):
         n = k - r
         # rows m > r of A*W are final; row r still lacks the unknown w_{r, j}
@@ -297,7 +299,7 @@ def _equivalence_solve(jets: list[np.ndarray],
         sol, _, _, svals = np.linalg.lstsq(lhs / columns, (row_weight * rhs).ravel(),
                                            rcond=None)
         sol /= columns
-        sigma = min(sigma, svals[-1] / svals[0])
+        sigmas[r] = svals[-1] / svals[0]
         u[r, r + 1:], w[r, r + 1:k], lam[n] = sol[:n], sol[n:-1], sol[-1]
 
     scale = norms.max()
@@ -313,9 +315,18 @@ def _equivalence_solve(jets: list[np.ndarray],
         u[strict] += delta[:n_uw]
         w[strict] += delta[n_uw:2 * n_uw]
         lam[1:] += delta[2 * n_uw:]
-    block_norms = np.linalg.norm(a, axis=-1)
-    floor = np.finfo(float).eps * np.linalg.norm(np.abs(u) @ block_norms @ np.abs(w)) / scale
-    return lam[1:], float(np.linalg.norm(residual) / scale), float(sigma), float(floor)
+    # U, A and W are block upper triangular: the corner of |U|*|A|*|W| is the
+    # product of the corners
+    terms = np.abs(u) @ np.linalg.norm(a, axis=-1) @ np.abs(w)
+    residual = residual.reshape(-1, 3)
+    facts = []
+    for n in orders:
+        first, corner_scale = k - n, norms[:n + 1].max()
+        facts.append((float(np.linalg.norm(residual[i >= first]) / corner_scale),
+                      float(sigmas[first:].min()),
+                      float(np.finfo(float).eps * np.linalg.norm(terms[first:, first:])
+                            / corner_scale)))
+    return lam[1:], facts
 
 
 def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport]]:
@@ -330,8 +341,24 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
     collision raises DegenerateOrbit before any theta is evaluated; a failed
     calibration names the nearest one.
     """
+    lambdas, (reports,) = calibrate_by_order(spec, [spec.k])
+    return lambdas, reports
+
+
+def calibrate_by_order(spec: UlrichSpec, orders) -> tuple[list[complex], list[list[CheckReport]]]:
+    """calibrate_scalars at spec.k, with its records at every order n in `orders` (n <= k).
+
+    The order-n calibration is the bottom-right corner of the order-k one
+    (module docstring), so one solve gives the records of each order:
+    calibration.equivalence from the corner of U*A*W - T, representative and
+    c_constancy as maxima over the offsets l <= n, fit and block01 as at k.
+    lambda_1..lambda_n are the first n of the returned scalars.  Any failing
+    record raises CalibrationFailed.
+    """
     if spec.k < 1:
         raise ValueError("nothing to calibrate at k = 0")
+    if not all(1 <= n <= spec.k for n in orders):
+        raise ValueError(f"orders must lie in 1..{spec.k}, got {list(orders)}")
     ctx = spec.ctx
     gaps = _orbit_gaps(spec.a_z, ctx.tau, spec.k)
     orbit = _orbit(embed(spec.a_z, ctx), spec.k)
@@ -353,35 +380,37 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
                for l, jet in enumerate(theta_jet(np.array(fit_points), ctx, 1))]
 
     s, c, fit_residual = _elimination_solve(systems[0])
-    reports = [check("calibration.fit", fit_residual, 1e-6,
-                     inputs={"a_z": complex(spec.a_z), "c": c})]
-
-    lam_raw, equiv_residual, row_sigma, floor = _equivalence_solve(jets, reps)
-    reports.append(check("calibration.equivalence", equiv_residual, 1e-8,
-                         inputs={"k": spec.k, "row_sigma": row_sigma, "floor": floor}))
+    lam_raw, equivalence = _equivalence_solve(jets, reps, orders)
 
     # rescale from raw theta representatives to the stored normalized points:
     # reps[l] = nu_l * (-2)^l a
     points, reps = np.array([p.coords for p in orbit]), np.array(reps)
     nu = np.einsum("lc,lc->l", points.conj(), reps) / np.einsum("lc,lc->l", points.conj(), points)
     drift = np.linalg.norm(reps - nu[:, None] * points, axis=1) / np.linalg.norm(reps, axis=1)
-    rep_drift = float(np.max(drift[1:]))
     lambdas = (lam_raw * nu[1:] / nu[0]).tolist()
     # c must come out the same when fitted anywhere along the orbit
-    c_drift = max(abs(_elimination_solve(system)[1] - c) / abs(c) for system in systems[1:])
-    reports += [check("calibration.representative", rep_drift, 1e-8, inputs={"k": spec.k}),
-                check("calibration.c_constancy", c_drift, 1e-6, inputs={"k": spec.k})]
+    c_drift = [abs(_elimination_solve(system)[1] - c) / abs(c) for system in systems[1:]]
 
     # block (0,1) of the analytic matrix after eliminating s(a), rescaled to
     # the normalized-point diagonal
     target = moore_from_coords((jets[1] - s * jets[0]) / nu[0])
     fitted = moore_from_coords(orbit[1].coords).scale(lambdas[0])
     agree = (target - fitted).coefficient_norm() / target.coefficient_norm()
-    reports.append(check("calibration.block01", agree, 1e-6,
-                         inputs={"lambda1": lambdas[0]}))
 
-    if not all(r.passed for r in reports):
-        worst = max(reports, key=lambda r: r.residual / r.tol)
+    by_order = [[check("calibration.fit", fit_residual, 1e-6,
+                       inputs={"a_z": complex(spec.a_z), "c": c}),
+                 check("calibration.equivalence", residual, 1e-8,
+                       inputs={"k": n, "row_sigma": row_sigma, "floor": floor}),
+                 check("calibration.representative", float(np.max(drift[1:n + 1])), 1e-8,
+                       inputs={"k": n}),
+                 check("calibration.c_constancy", max(c_drift[:n]), 1e-6, inputs={"k": n}),
+                 check("calibration.block01", agree, 1e-6, inputs={"lambda1": lambdas[0]})]
+                for n, (residual, row_sigma, floor) in zip(orders, equivalence)]
+
+    if not all(r.passed for reports in by_order for r in reports):
+        _, worst, (_, row_sigma, floor) = max(
+            ((r.residual / r.tol, r, facts) for reports, facts in zip(by_order, equivalence)
+             for r in reports), key=lambda item: item[0])
         gap = min(gaps, default=None)
         raise CalibrationFailed(
             f"calibration residuals exceed tolerance (worst {worst.residual / worst.tol:.3e}x: "
@@ -389,7 +418,7 @@ def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport
             f"rounding floor {floor:.3e}); nearest orbit collision "
             + ("none for k < 3" if gap is None else
                f"(l = {gap[1]}, m = {gap[2]}) {gap[0]:.3e} away modulo the lattice"))
-    return lambdas, reports
+    return lambdas, by_order
 
 
 def _orbit_gaps(a_z: complex, tau: complex, k: int) -> list[tuple[float, int, int]]:
@@ -467,31 +496,34 @@ def equilibrate(n: np.ndarray) -> np.ndarray:
     return n
 
 
-def verify_presentation(a: PolyMatrix, psi: complex, k: int,
+def verify_presentation(stack: list[PolyMatrix], psi: complex, k: int,
                         curve_samples: list[ProjectivePoint],
-                        off_samples: list[tuple[complex, complex, complex]]) -> list[CheckReport]:
-    """det(A) = w^(k+1) up to scalar; corank k+1 on the curve, 0 off it.
+                        off_samples: list[tuple[complex, complex, complex]]
+                        ) -> list[list[CheckReport]]:
+    """det(A) = w^(k+1) up to scalar; corank k+1 on the curve, 0 off it; one
+    list of records per matrix A of the stack.
 
-    The determinant identity is fitted at the off-curve samples (the same
-    evaluations the rank check uses); rank decisions are made on the
-    equilibrated evaluation.
+    Every matrix is evaluated at the off- and on-curve samples together, and
+    all of them are judged from one equilibration and one SVD call; the
+    determinant identity is fitted at the off-curve samples, the same
+    evaluations the rank check uses.
     """
     size = 3 * (k + 1)
-    off_values = eval_matrix(a, off_samples)
+    n_off = len(off_samples)
+    values = eval_matrix(PolyMatrix(np.stack([a.coeffs for a in stack])),
+                         list(off_samples) + [p.coords for p in curve_samples])
     w_pow = evaluate(hesse_form(psi), off_samples) ** (k + 1)
-    scalar, det_residual = det_scalar_fit(off_values, w_pow)
-    reports = [check("presentation.det", det_residual, 1e-7,
-                     inputs={"k": k, "scalar": scalar})]
-
-    on_values = eval_matrix(a, [p.coords for p in curve_samples])
-    worst_on = np.max(np.abs(numeric_rank(equilibrate(on_values)) - 2 * (k + 1)))
-    reports.append(check("presentation.corank_on_curve", float(worst_on), 0.5,
-                         inputs={"k": k, "samples": len(curve_samples)}))
-
-    worst_off = np.max(np.abs(numeric_rank(equilibrate(off_values)) - size))
-    reports.append(check("presentation.rank_off_curve", float(worst_off), 0.5,
-                         inputs={"k": k, "samples": len(off_samples)}))
-    return reports
+    scalars, det_residuals = det_scalar_fit(values[:, :n_off], w_pow)
+    ranks = numeric_rank(equilibrate(values))
+    worst_on = np.max(np.abs(ranks[:, n_off:] - 2 * (k + 1)), axis=1)
+    worst_off = np.max(np.abs(ranks[:, :n_off] - size), axis=1)
+    return [[check("presentation.det", det_residuals[m], 1e-7,
+                   inputs={"k": k, "scalar": complex(scalars[m])}),
+             check("presentation.corank_on_curve", float(worst_on[m]), 0.5,
+                   inputs={"k": k, "samples": len(curve_samples)}),
+             check("presentation.rank_off_curve", float(worst_off[m]), 0.5,
+                   inputs={"k": k, "samples": n_off})]
+            for m in range(len(stack))]
 
 
 # rejection sampling gives up after this many draws per requested sample
@@ -564,9 +596,13 @@ def automorphy_residuals(spec: UlrichSpec, z: complex) -> tuple[float, float]:
     closed-form factor e (theta.automorphy_factor).
 
     The residual at lambda is max |f v(z) - v(z+lambda)| over the section basis
-    v, each section normalized by the size of its terms: at lambda = tau the
-    factor and its derivatives reach 1e4..1e8.  Transport is the worse of
-    lambda = 1 and lambda = tau.  Cocycle is the residual at lambda = 1 + tau
+    v, each section normalized by the size of the terms that form it: the
+    largest over rows r of sum_j |f_rj| * |v(z)_j| + |v(z+lambda)_r|, with
+    each |component| taken as the largest of the three theta values of its
+    jet row (_jet_sizes).  At lambda = tau the factor and its derivatives
+    reach 1e4..1e8, and where z + a lies on E[3] one theta_i is rounding
+    noise; neither moves the scale off the size of the terms.  Transport is
+    the worse of lambda = 1 and lambda = tau.  Cocycle is the residual at lambda = 1 + tau
     with the factor f(1, z + tau) f(tau, z): the cocycle condition as the
     sections see it.  The four theta jets they read, at z + a + lambda for
     lambda in {0, 1, tau, 1 + tau}, come from one sum.
@@ -580,45 +616,55 @@ def automorphy_residuals(spec: UlrichSpec, z: complex) -> tuple[float, float]:
     residuals = []
     for f, there in ((f1, jets[1]), (ft, jets[2]), (f1_shifted @ ft, jets[3])):
         lhs, rhs = here @ f.T, _sections(k, there).reshape(spec.size, -1)
-        scale = 1.0 + np.max(np.abs(lhs), axis=1) + np.max(np.abs(rhs), axis=1)
+        terms = _jet_sizes(here, k) @ np.abs(f).T + _jet_sizes(rhs, k)
+        scale = np.repeat(np.max(terms, axis=1), 3)
         residuals.append(float(np.max(np.max(np.abs(lhs - rhs), axis=1) / scale)))
     return max(residuals[:2]), residuals[2]
+
+
+def _jet_sizes(sections: np.ndarray, k: int) -> np.ndarray:
+    """(column, row) -> the largest |component| over the three sections of the column.
+
+    All three theta series share one Gaussian envelope, so this is the size
+    of the series terms behind each component, also where one theta_i vanishes.
+    """
+    return np.max(np.abs(sections).reshape(k + 1, 3, k + 1), axis=1)
 
 
 # ---------------------------------------------------------------------------
 # evaluation-map kernel bookkeeping
 # ---------------------------------------------------------------------------
 
-def jet_kernel_residual(spec: UlrichSpec, z: complex) -> float:
-    """Residual of A(x(z)) applied to the stacked jet (th^(k), ..., th', th)(z+a)."""
-    a, _ = build_analytic(spec)
+def jet_kernel_residual(spec: UlrichSpec, a: PolyMatrix, z: complex) -> float:
+    """Residual of A(x(z)) applied to the stacked jet (th^(k), ..., th', th)(z+a),
+    for the analytic matrix A of spec."""
     x = embed(z, spec.ctx).coords
     numeric = eval_matrix(a, x)
     stacked = theta_jet(z + spec.a_z, spec.ctx, spec.k)[::-1].ravel()
     return float(np.max(np.abs(numeric @ stacked)))
 
 
-def relation_matrix(spec: UlrichSpec) -> np.ndarray:
+def relation_matrix(a: PolyMatrix) -> np.ndarray:
     """The 3(k+1) x 9(k+1) coefficient matrix of the evaluation-map relations.
 
     Row r, column 3*sigma + j holds the coefficient of x_j in entry (r, sigma)
-    of the analytic block matrix: one column triple per section slot.
+    of the analytic block matrix A: one column triple per section slot.
     """
-    a, _ = build_analytic(spec)
     index = monomial_index(1)
     columns = [index[exp] for exp in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    return a.coeffs[:, :, columns].reshape(spec.size, 3 * spec.size)
+    return a.coeffs[:, :, columns].reshape(a.rows, 3 * a.rows)
 
 
-def relation_annihilation_residual(spec: UlrichSpec, z: complex) -> float:
-    """The relations annihilate the section basis when x_j = th_j(z).
+def relation_annihilation_residual(spec: UlrichSpec, a: PolyMatrix, z: complex) -> float:
+    """The relations of the analytic matrix A of spec annihilate the section
+    basis when x_j = th_j(z).
 
     Section slot sigma = 3*beta + i pairs block column beta with the basis
     column k - beta (theta index i), exactly as the rank-two display stacks
     them.
     """
     # weights[r, sigma] = sum_j rel[r, 3*sigma + j] * th_j(z)
-    weights = relation_matrix(spec).reshape(spec.size, spec.size, 3) @ theta_jet(z, spec.ctx)[0]
+    weights = relation_matrix(a).reshape(spec.size, spec.size, 3) @ theta_jet(z, spec.ctx)[0]
     # section slot sigma = 3*beta + i holds basis column k - beta, index i
     sections = section_basis(spec, z)[::-1].reshape(spec.size, -1)
     return float(np.max(np.abs(weights @ sections)))

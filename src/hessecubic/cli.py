@@ -15,8 +15,8 @@ import numpy as np
 
 from . import latexfmt
 from .bundles import (UlrichSpec, _elimination_solve, _elimination_system,
-                      automorphy_residuals, build_algebraic,
-                      build_analytic, calibrate_scalars, curve_sample_points,
+                      automorphy_residuals, build_algebraic, build_analytic,
+                      calibrate_by_order, calibrate_scalars, curve_sample_points,
                       derivative_elimination_fit, elimination_consequence_residual,
                       equilibrate, factor_backward_error, jet_kernel_residual,
                       offcurve_sample_triples,
@@ -190,14 +190,18 @@ def _moore_checks(ctx: ThetaContext, psi: complex, rng, off: list[tuple]) -> lis
     return reports
 
 
-def _mutate_analytic(a: PolyMatrix, b: PolyMatrix, k: int, mutate: str,
-                     ctx: ThetaContext, a_z: complex):
+def _corner(m: PolyMatrix, k: int) -> PolyMatrix:
+    """A copy of the bottom-right 3(k+1) square: the order-k block matrix inside a higher one."""
+    start = m.rows - 3 * (k + 1)
+    return PolyMatrix(m.coeffs[start:, start:].copy())
+
+
+def _mutate_analytic(a: PolyMatrix, k: int, mutate: str, ctx: ThetaContext, a_z: complex):
     if mutate == "zero-block":
         a.coeffs[:3, 3:6] = 0.0
     elif mutate == "drop-binomial" and k >= 2:
         # block (0,1) carries C(k,1): rebuild it with coefficient 1
         a.coeffs[:3, 3:6] = moore_from_coords(theta_jet(a_z, ctx, 1)[1]).coeffs
-    return a, b
 
 
 def _suffixed(reports: list[CheckReport], suffix: str) -> list[CheckReport]:
@@ -206,33 +210,45 @@ def _suffixed(reports: list[CheckReport], suffix: str) -> list[CheckReport]:
     return reports
 
 
-def _factorization_checks(ctx: ThetaContext, psi: complex, a_z: complex, k_max: int,
-                          mutate: str | None) -> list[CheckReport]:
+def _factorization_checks(spec: UlrichSpec, a: PolyMatrix, b: PolyMatrix, psi: complex,
+                          k_max: int, mutate: str | None) -> list[CheckReport]:
     reports = []
     for k in range(1, k_max + 1):
-        spec = UlrichSpec(k=k, ctx=ctx, a_z=a_z)
-        a, b = build_analytic(spec)
+        a_k, b_k = _corner(a, k), _corner(b, k)
         if mutate in ("zero-block", "drop-binomial"):
-            a, b = _mutate_analytic(a, b, k, mutate, ctx, a_z)
+            _mutate_analytic(a_k, k, mutate, spec.ctx, spec.a_z)
         use_psi = psi + 1e-3 if mutate == "perturb-psi" else psi
         tol = 1e-8 if k == 1 else 1e-7
-        reports += _suffixed(verify_factorization(a, b, use_psi, tol=tol), f".k{k}")
+        reports += _suffixed(verify_factorization(a_k, b_k, use_psi, tol=tol), f".k{k}")
     return reports
 
 
-def _presentation_checks(ctx: ThetaContext, psi: complex, a_z: complex, k_max: int,
+def _presentation_checks(spec: UlrichSpec, a: PolyMatrix, psi: complex, k_max: int,
                          seed: int, off: list[tuple]) -> list[CheckReport]:
+    """Both presentations at every k <= min(k_max, 3), from one calibration at that order."""
+    on = curve_sample_points(spec.ctx, 10, seed)
+    point = embed(spec.a_z, spec.ctx)
+    top = min(k_max, 3)
+    if top < 1:
+        return []
+    orders = range(1, top + 1)
+    try:
+        lambdas, calibration = calibrate_by_order(UlrichSpec(k=top, ctx=spec.ctx, a_z=spec.a_z),
+                                                  orders)
+    except HesseCubicError:
+        # name the error of the lowest order whose own calibration fails, as
+        # calibrating order by order would
+        for k in orders:
+            calibrate_scalars(UlrichSpec(k=k, ctx=spec.ctx, a_z=spec.a_z))
+        raise
+    algebraic = build_algebraic(point, top, lambdas)
     reports = []
-    on = curve_sample_points(ctx, 10, seed)
-    point = embed(a_z, ctx)
-    for k in range(1, min(k_max, 3) + 1):
-        spec = UlrichSpec(k=k, ctx=ctx, a_z=a_z)
-        a_an, _ = build_analytic(spec)
-        reports += _suffixed(verify_presentation(a_an, psi, k, on, off), f".analytic.k{k}")
-        lambdas, cal_reports = calibrate_scalars(spec)
-        reports += _suffixed(cal_reports, f".k{k}")
-        a_alg = build_algebraic(point, k, lambdas)
-        reports += _suffixed(verify_presentation(a_alg, psi, k, on, off), f".algebraic.k{k}")
+    for k, cal_reports in zip(orders, calibration):
+        analytic_reports, algebraic_reports = verify_presentation(
+            [_corner(a, k), _corner(algebraic, k)], psi, k, on, off)
+        reports += (_suffixed(analytic_reports, f".analytic.k{k}")
+                    + _suffixed(cal_reports, f".k{k}")
+                    + _suffixed(algebraic_reports, f".algebraic.k{k}"))
     return reports
 
 
@@ -261,30 +277,35 @@ def _elimination_checks(ctx: ThetaContext, a_z: complex) -> list[CheckReport]:
     ]
 
 
-def _bookkeeping_checks(ctx: ThetaContext, a_z: complex) -> list[CheckReport]:
+def _bookkeeping_checks(ctx: ThetaContext, a_z: complex, a: PolyMatrix) -> list[CheckReport]:
+    """The evaluation-map relations of the order-1 analytic matrix a."""
     spec = UlrichSpec(k=1, ctx=ctx, a_z=a_z)
-    worst = max(relation_annihilation_residual(spec, z) for z in (0.11, 0.29 + 0.07j))
-    rank = numeric_rank(equilibrate(relation_matrix(spec)))
+    worst = max(relation_annihilation_residual(spec, a, z) for z in (0.11, 0.29 + 0.07j))
+    rank = numeric_rank(equilibrate(relation_matrix(a)))
     return [
         check("bookkeeping.annihilation.k1", worst, 1e-7, {"a_z": a_z}),
         check("bookkeeping.relation_rank.k1", float(abs(rank - 6)), 0.5, {"rank": rank}),
-        check("bookkeeping.kernel_jets.k1", jet_kernel_residual(spec, 0.11), 1e-7, {}),
+        check("bookkeeping.kernel_jets.k1", jet_kernel_residual(spec, a, 0.11), 1e-7, {}),
     ]
 
 
 def build_check_suite(tau: complex, a_z: complex, k_max: int, seed: int,
                       mutate: str | None = None) -> list[CheckReport]:
+    """The check records up to k_max; every order k reads its matrices from the
+    bottom-right corners of one analytic build at max(k_max, 1)."""
     ctx = ThetaContext(tau=tau)
     psi = hesse_psi(ctx)
     rng = np.random.default_rng(seed)
     off = offcurve_sample_triples(psi, 10, seed + 1)
     reports = _theta_checks(ctx, psi, rng)
     reports += _moore_checks(ctx, psi + 1e-3 if mutate == "perturb-psi" else psi, rng, off)
-    reports += _factorization_checks(ctx, psi, a_z, k_max, mutate)
-    reports += _presentation_checks(ctx, psi, a_z, k_max, seed, off)
+    spec = UlrichSpec(k=max(k_max, 1), ctx=ctx, a_z=a_z)
+    a, b = build_analytic(spec)
+    reports += _factorization_checks(spec, a, b, psi, k_max, mutate)
+    reports += _presentation_checks(spec, a, psi, k_max, seed, off)
     reports += _automorphy_checks(ctx, a_z, k_max)
     reports += _elimination_checks(ctx, a_z)
-    reports += _bookkeeping_checks(ctx, a_z)
+    reports += _bookkeeping_checks(ctx, a_z, _corner(a, 1))
     return reports
 
 

@@ -237,16 +237,22 @@ def automorphy_block_oracle(jets, k: int) -> np.ndarray:
 
 
 def transport_residual_oracle(f: np.ndarray, here, there) -> float:
-    """max over sections of |f v(z) - v(z+lambda)| / (1 + |f v| + |v(z+lambda)|), one by one.
+    """max over sections of |f v(z) - v(z+lambda)| / scale, one by one.
 
-    here and there are section_basis arrays comps[column, index, row].
+    The three sections of a column share one scale, the largest over rows r
+    of sum_j |f_rj| * max_i |v_i(z)_j| + max_i |v_i(z+lambda)_r|: each
+    component's term sizes measured by the largest of the three theta values
+    it is made of.  here and there are section_basis arrays comps[column, index, row].
     """
     worst = 0.0
+    rows = range(here.shape[2])
     for column in range(len(here)):
+        size_here = [max(abs(here[column, i, j]) for i in range(3)) for j in rows]
+        size_there = [max(abs(there[column, i, r]) for i in range(3)) for r in rows]
+        scale = max(sum(abs(f[r, j]) * size_here[j] for j in rows) + size_there[r] for r in rows)
         for index in range(3):
             lhs = f @ here[column, index]
             rhs = there[column, index]
-            scale = 1.0 + float(np.max(np.abs(lhs)) + np.max(np.abs(rhs)))
             worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
     return worst
 

@@ -112,9 +112,10 @@ def test_criterion_5_presentation_law(ctx_i, psi_i):
     for k in (1, 2, 3):
         spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
         lambdas, _ = calibrate_scalars(spec)
-        for tag, matrix in (("analytic", build_analytic(spec)[0]),
-                            ("algebraic", build_algebraic(embed(A_Z, ctx_i), k, lambdas))):
-            for rep in verify_presentation(matrix, psi_i, k, on, off):
+        stack = [build_analytic(spec)[0], build_algebraic(embed(A_Z, ctx_i), k, lambdas)]
+        for tag, reports in zip(("analytic", "algebraic"),
+                                verify_presentation(stack, psi_i, k, on, off)):
+            for rep in reports:
                 if not rep.passed:
                     failures.append(f"{tag}.k{k}.{rep.name}")
                 if rep.name == "presentation.det":
@@ -175,9 +176,10 @@ def test_criterion_8_automorphy(ctx_i):
 
 def test_criterion_9_rank_two_bookkeeping(ctx_i):
     spec = UlrichSpec(k=1, ctx=ctx_i, a_z=A_Z)
-    worst = max(relation_annihilation_residual(spec, z)
+    a = build_analytic(spec)[0]
+    worst = max(relation_annihilation_residual(spec, a, z)
                 for z in (0.11, 0.29 + 0.07j, -0.21 + 0.13j))
-    rel = relation_matrix(spec)
+    rel = relation_matrix(a)
     rank = numeric_rank(rel)
     passed = worst < 1e-7 and rel.shape == (6, 18) and rank == 6
     _report(9, "rank-two-bookkeeping", passed,

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import hessecubic
-from hessecubic import ThetaContext, hesse_psi
-from hessecubic.cli import _hesse_identity_residual, build_check_suite, main
+from hessecubic import (CalibrationFailed, OrderTooHigh, ThetaContext, UlrichSpec, bundles, cli,
+                        hesse_psi)
+from hessecubic.cli import MUTATIONS, _hesse_identity_residual, build_check_suite, main
 
 
 # the child interpreter imports the same package as this one
@@ -145,6 +146,110 @@ def test_check_gates_automorphy_at_every_k(capfd, tau):
     names = {json.loads(l)["name"] for l in out.splitlines()}
     assert {n for n in names if n.startswith("automorphy.")} == {
         f"automorphy.{kind}.k{k}" for kind in ("transport", "cocycle") for k in range(1, 9)}
+
+
+def test_automorphy_passes_where_z_plus_a_lies_in_three_torsion(capfd):
+    # z + a = 0.13 + 0.05i + a = 1/3: theta_i(z + a) is rounding noise, and a
+    # scale with an absolute 1 in it read transport 5.7e-6 and cocycle 7.0e-6
+    assert main(["check", "--tau", "3i", "--a=0.20333333333333334-0.05i", "--k", "1"]) == 0
+    out, _ = capfd.readouterr()
+    records = {r["name"]: r for r in map(json.loads, out.splitlines())}
+    assert records["automorphy.transport.k1"]["residual"] < 1e-13
+    assert records["automorphy.cocycle.k1"]["residual"] < 1e-13
+
+
+@pytest.mark.parametrize("k_max, orders", [(0, []), (1, [1]), (3, [3]), (8, [3])])
+def test_check_builds_once_and_calibrates_once(monkeypatch, k_max, orders):
+    builds, solves = [], []
+    build, solve = bundles.build_analytic, bundles._equivalence_solve
+
+    def counted_build(spec):
+        builds.append(spec.k)
+        return build(spec)
+
+    def counted_solve(jets, reps, wanted):
+        solves.append(len(jets) - 1)
+        return solve(jets, reps, wanted)
+
+    for module in (cli, bundles):
+        monkeypatch.setattr(module, "build_analytic", counted_build)
+    monkeypatch.setattr(bundles, "_equivalence_solve", counted_solve)
+    assert all(r.passed for r in build_check_suite(1j, 0.3, k_max, 42))
+    assert builds == [max(k_max, 1)]
+    assert solves == orders
+
+
+def _check_lines(capfd, argv) -> tuple[int, list[str]]:
+    code = main(argv)
+    out, _ = capfd.readouterr()
+    return code, out.splitlines()
+
+
+@pytest.mark.parametrize("tau", ["i", "0.2+1.3i", "-0.31+1.12i"])
+def test_a_mutation_stays_in_its_own_corner(capfd, tau):
+    # every order reads its matrices from one build; a mutation edits a copy of
+    # its order's corner, so only the factorization records may see it
+    def untouched(lines):
+        return [l for l in lines if json.loads(l)["name"].startswith(
+            ("presentation.", "calibration.", "bookkeeping."))]
+
+    for k in range(1, 9):
+        code, clean = _check_lines(capfd, ["check", "--tau", tau, "--k", str(k)])
+        assert code == 0
+        for mutate in MUTATIONS:
+            if mutate == "drop-binomial" and k < 2:
+                continue
+            code, lines = _check_lines(capfd, ["check", "--tau", tau, "--k", str(k),
+                                               "--mutate", mutate])
+            assert code == 1, (k, mutate)
+            assert any(not json.loads(l)["pass"] for l in lines
+                       if json.loads(l)["name"].startswith("factorization.")), (k, mutate)
+            if mutate != "perturb-psi":
+                assert untouched(lines) == untouched(clean), (k, mutate)
+
+
+def test_check_at_k0_reads_the_order_one_corner(capfd):
+    code, lines = _check_lines(capfd, ["check", "--k", "0"])
+    assert code == 0
+    assert [json.loads(l)["name"] for l in lines] == [
+        "theta.hesse_identity", "theta.symmetry", "theta.psi_nondegenerate",
+        *(f"moore.relation.order{o}" for o in range(5)),
+        "moore.ml_identity", "moore.lm_identity", "moore.offdiagonal", "moore.det_scalar",
+        "elimination.fit", "elimination.c_constancy", "elimination.consequence",
+        "bookkeeping.annihilation.k1", "bookkeeping.relation_rank.k1",
+        "bookkeeping.kernel_jets.k1"]
+    # the bookkeeping of k = 0 (a build at order 1) is that of the order-8 build's corner
+    _, top = _check_lines(capfd, ["check", "--k", "8"])
+    assert lines[-3:] == top[-3:]
+
+
+def test_check_above_the_order_cap_is_a_named_error(capfd):
+    assert main(["check", "--k", "13"]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "derivative order 13 exceeds the cap 12"}
+    with pytest.raises(OrderTooHigh):
+        build_check_suite(1j, 0.3, 13, 42)
+
+
+def test_check_names_the_calibration_error_of_its_lowest_failing_order(capfd):
+    # 9a lies 1e-8 from the lattice: orders 1 and 2 calibrate, order 3 does not,
+    # and the one solve at order 3 names another worst record than the order-3
+    # calibration alone; check reports the latter, as calibrating order by order did
+    def spec(k):
+        return UlrichSpec(k=k, ctx=ThetaContext(tau=1j), a_z=0.11111111)
+
+    for k in (1, 2):
+        bundles.calibrate_scalars(spec(k))
+    with pytest.raises(CalibrationFailed) as alone:
+        bundles.calibrate_scalars(spec(3))
+    with pytest.raises(CalibrationFailed) as joint:
+        bundles.calibrate_by_order(spec(3), [1, 2, 3])
+    assert str(joint.value) != str(alone.value)
+    assert main(["check", "--a", "0.11111111", "--k", "5"]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": str(alone.value)}
 
 
 def test_parser_is_built_once_per_process():
