@@ -312,8 +312,10 @@ def build_check_suite(tau: complex, a_z: complex, k_max: int, seed: int,
 def run_check(args) -> int:
     if isinstance(args.a, ProjectivePoint):
         return _fail("the check suite needs an analytic point --a (complex a_z)")
-    if args.mutate == "drop-binomial" and args.k < 2:
-        return _fail("drop-binomial only exists for k >= 2")
+    # the least order whose factorization block the mutation edits
+    least = {"zero-block": 1, "drop-binomial": 2}.get(args.mutate, 0)
+    if args.k < least:
+        return _fail(f"{args.mutate} only exists for k >= {least}")
     reports = build_check_suite(args.tau, args.a, args.k, args.seed, args.mutate)
     if args.tol is not None:
         for rep in reports:

@@ -125,20 +125,6 @@ class PolyMatrix:
         """L2 norm over all coefficients of all entries."""
         return float(np.linalg.norm(self.coeffs))
 
-    def nonzero_terms(self, reverse: bool = False) -> tuple[list, list, list, list]:
-        """The nonzero coefficients of all entries, flattened in one pass.
-
-        Returns their real parts, imaginary parts and monomial indices, in
-        row-major entry order and within an entry in monomial order (last
-        monomial first with `reverse`; the indices then count from the last),
-        and the end of each entry's run of terms.
-        """
-        coeffs = self.coeffs[..., ::-1] if reverse else self.coeffs
-        nonzero = coeffs != 0
-        values = coeffs[nonzero]
-        return (values.real.tolist(), values.imag.tolist(), np.nonzero(nonzero)[2].tolist(),
-                np.cumsum(nonzero.sum(axis=-1).ravel()).tolist())
-
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols}, degree {self.degree})"
 

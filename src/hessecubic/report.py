@@ -1,9 +1,15 @@
-"""Residual check records, their JSON-lines serialization, and the emit bundle writer."""
+"""Residual check records, their JSON-lines serialization, and the emit bundle writer.
+
+The bundle writer builds the text of each matrix layout once, caches it, and
+fills it with the texts of the matrix's distinct coefficients; its output is
+byte for byte what json.dumps(bundle, sort_keys=True, indent=1) writes.
+"""
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -57,9 +63,11 @@ def bundle_json(bundle: dict) -> str:
 
     A PolyMatrix is written as {"cols", "entries", "rows"}: each entry lists
     its nonzero terms {"coeff": [re, im], "exp": [e0, e1, e2]} in sorted
-    exponent order.  The terms are formatted straight from the coefficient
-    array; the pure-Python encoder that json.dumps uses with indent costs
-    more than building the matrices.
+    exponent order.  The text around the numbers depends only on the shape,
+    the depth and which coefficients are nonzero, so it is built once per
+    such layout; each distinct float is formatted once and the texts fill
+    the layout in one step.  The pure-Python encoder that json.dumps uses
+    with indent costs more than building the matrices.
     """
     return _indented(bundle, 0)
 
@@ -83,24 +91,31 @@ def _json_block(open_: str, items: list[str], close: str, depth: int) -> str:
     return open_ + inner + ("," + inner).join(items) + "\n" + " " * depth + close
 
 
-@lru_cache(maxsize=None)
-def _term_template(degree: int, depth: int) -> tuple[str, str, tuple[str, ...]]:
-    """Text of a term dict at `depth` before, between and after [re, im]; one tail per monomial."""
-    key, value = "\n" + " " * (depth + 1), "\n" + " " * (depth + 2)
-    tails = tuple(f'{key}],{key}"exp": {_indented(list(exp), depth + 1)}\n{" " * depth}}}'
-                  for exp in monomials(degree))
-    return f'{{{key}"coeff": [{value}', "," + value, tails
+@lru_cache(maxsize=32)
+def _matrix_layout(shape: tuple[int, int, int], degree: int, depth: int,
+                   nonzero: bytes) -> str:
+    """A matrix's JSON `depth` levels deep, with %s for each part of each nonzero coefficient."""
+    rows, cols, size = shape
+    key, value = "\n" + " " * (depth + 5), "\n" + " " * (depth + 6)
+    terms = [f'{{{key}"coeff": [{value}%s,{value}%s{key}],{key}"exp": '
+             f'{_indented(list(exp), depth + 5)}\n{" " * (depth + 4)}}}'
+             for exp in monomials(degree)]
+    cells = [_json_block("[", list(compress(terms, entry)), "]", depth + 3)
+             for entry in np.frombuffer(nonzero, dtype=bool).reshape(-1, size).tolist()]
+    row_texts = [_json_block("[", cells[r * cols:(r + 1) * cols], "]", depth + 2)
+                 for r in range(rows)]
+    entries = _json_block("[", row_texts, "]", depth + 1)
+    return _json_block("{", [f'"cols": {cols}', f'"entries": {entries}', f'"rows": {rows}'],
+                       "}", depth)
 
 
 def _matrix_json(m: PolyMatrix, depth: int) -> str:
-    real, imag, mono, ends = m.nonzero_terms()
+    nonzero = m.coeffs != 0
+    # re, im of each nonzero coefficient, grouped by bit pattern: -0.0 stays apart from 0.0
+    bits, inverse = np.unique(m.coeffs[nonzero].view(np.uint64), return_inverse=True)
+    values = bits.view(np.float64)
     # float.__repr__ is what json.dumps writes for a finite float
-    number = float.__repr__ if np.isfinite(m.coeffs).all() else json.dumps
-    head, sep, tails = _term_template(m.degree, depth + 4)
-    terms = [f"{head}{number(x)}{sep}{number(y)}{tails[e]}" for x, y, e in zip(real, imag, mono)]
-    cells = [_json_block("[", terms[a:b], "]", depth + 3) for a, b in zip([0] + ends, ends)]
-    rows = [_json_block("[", cells[r * m.cols:(r + 1) * m.cols], "]", depth + 2)
-            for r in range(m.rows)]
-    entries = _json_block("[", rows, "]", depth + 1)
-    return _json_block("{", [f'"cols": {m.cols}', f'"entries": {entries}', f'"rows": {m.rows}'],
-                       "}", depth)
+    number = float.__repr__ if np.isfinite(values).all() else json.dumps
+    texts = np.array([number(x) for x in values.tolist()], dtype=object)
+    layout = _matrix_layout(nonzero.shape, m.degree, depth, nonzero.tobytes())
+    return layout % tuple(texts[inverse].tolist())

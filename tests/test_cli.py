@@ -107,6 +107,15 @@ def test_check_mutation_perturb_psi():
     assert any(rec["name"].startswith("moore.ml") for rec in failed)
 
 
+@pytest.mark.parametrize("mutate, k", [("zero-block", 0), ("drop-binomial", 1)])
+def test_check_rejects_a_mutation_below_its_least_order(capfd, mutate, k):
+    # below it no factorization block exists to break, so no record could fail
+    assert main(["check", "--k", str(k), "--mutate", mutate]) == 1
+    out, err = capfd.readouterr()
+    assert not out
+    assert json.loads(err) == {"error": f"{mutate} only exists for k >= {k + 1}"}
+
+
 @pytest.mark.parametrize("argv", [
     # near the 3-torsion point 1/3 the whole-matrix norm missed psi + 1e-3:
     # it read 2.8e-9 / 1.3e-12 at k = 1 / 2 here, and 9.9e-9 / 1.8e-11 /

@@ -14,11 +14,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hessecubic import PolyMatrix, ThetaContext, cli, embed, latexfmt
+from hessecubic import PolyMatrix, ThetaContext, cli, embed, latexfmt, report
 from hessecubic.latexfmt import matrix_to_latex
 from hessecubic.poly import monomials
 from hessecubic.report import bundle_json
-from oracles import matrix_to_latex_oracle, to_json
+from oracles import matrix_to_latex_oracle, random_poly_matrix, to_json
 
 
 def _oracle_json(bundle: dict) -> str:
@@ -110,13 +110,54 @@ def test_writers_match_the_oracles_on_arbitrary_coefficients(m):
 
 
 def test_json_writer_spells_the_special_floats_as_json_does():
+    # each distinct bit pattern is formatted once: -0.0 and 0.0 parts of
+    # nonzero entries are equal floats with different texts in both writers
     coeffs = np.zeros((2, 3, 3), dtype=complex)
     coeffs[0, 0, 0] = complex(-0.0, 1.0)
+    coeffs[0, 0, 1] = complex(0.0, 1.0)
+    coeffs[0, 1, 0] = complex(-0.0, 1e-13)
+    coeffs[0, 1, 1] = complex(0.0, 1e-13)
     coeffs[0, 1, 2] = complex(math.nan, -0.0)
+    coeffs[0, 2, 0] = complex(1.0, -0.0)
+    coeffs[0, 2, 1] = complex(1.0, 0.0)
     coeffs[1, 0, 1] = complex(math.inf, -math.inf)
+    coeffs[1, 1, 2] = complex(-math.nan, math.inf)
     coeffs[1, 2, 0] = complex(-0.0, 0.0)  # a zero: not written
     bundle = {"k": 0, "point": [[1.0, -0.0]], "matrices": {"M": PolyMatrix(coeffs)}}
     text = bundle_json(bundle)
     assert text == _oracle_json(bundle)
     assert all(s in text for s in ("-0.0", "NaN", "Infinity", "-Infinity"))
-    assert matrix_to_latex(PolyMatrix(coeffs)) == matrix_to_latex_oracle(PolyMatrix(coeffs))
+    latex = matrix_to_latex(PolyMatrix(coeffs))
+    assert latex == matrix_to_latex_oracle(PolyMatrix(coeffs))
+    assert "nan x_0 + 0 x_1 + -0 x_2" in latex
+
+
+def test_writers_key_their_layouts_by_shape_pattern_and_depth():
+    # one after another, matrices that share a layout's size or its zero pattern
+    # bytes but not all of shape, pattern and depth each match the oracles
+    rng = np.random.default_rng(3)
+    dense = random_poly_matrix(rng, 6, 6, 1)
+    sparse = PolyMatrix(dense.coeffs * (rng.uniform(size=dense.coeffs.shape) < 0.5))
+    wide, tall = random_poly_matrix(rng, 2, 3, 1), random_poly_matrix(rng, 3, 2, 1)
+    for m in (dense, sparse, dense, wide, tall, wide):
+        bundle = {"matrices": {"A": m}, "nested": {"m": [m]}, "top": m}
+        assert bundle_json(bundle) == json.dumps(bundle, sort_keys=True, indent=1,
+                                                 default=to_json)
+        assert matrix_to_latex(m) == matrix_to_latex_oracle(m)
+
+
+def test_layout_caches_hold_every_emitted_layout_within_their_bound():
+    caches = (report._matrix_layout, latexfmt._layout)
+    for cache in caches:
+        cache.cache_clear()
+    sweep = [_emit_argv(0.1, 0.0, 0.21, 0.05, k, False, fmt)
+             for k in range(9) for fmt in ("json", "latex")]
+    for argv in sweep:
+        assert _emit(argv, cli, "bundle_json")[0] == 0
+    misses = [cache.cache_info().misses for cache in caches]
+    for argv in sweep:  # every layout of the second sweep is a hit
+        _emit(argv, cli, "bundle_json")
+    for cache, missed in zip(caches, misses):
+        info = cache.cache_info()
+        assert 0 < info.currsize <= info.maxsize
+        assert info.misses == missed
