@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import ProjectivePoint, doubling_orbit, embed
+from .curve import ProjectivePoint, doubling_orbit, embed, is_three_torsion
 from .errors import (CalibrationFailed, DegenerateOrbit, DenominatorZero, IllConditioned,
                      SamplingFailed, SizeMismatch, ThetaOverflow)
 from .moore import l_derivative, moore_from_coords
@@ -215,7 +215,7 @@ def _orbit(point: ProjectivePoint, k: int) -> list[ProjectivePoint]:
     """[a, -2a, ..., (-2)^k a] for the base point a; no point may lie in E[3]."""
     orbit = doubling_orbit(point, k)
     for l, p in enumerate(orbit):
-        if min(abs(c) for c in p.coords) < 1e-8:
+        if is_three_torsion(p):
             raise DenominatorZero(f"point (-2)^{l} a lies in E[3]", iteration=l)
     return orbit
 
@@ -310,8 +310,12 @@ def _equivalence_solve(jets: list[np.ndarray], reps: list[np.ndarray],
         residual, jac = _equivalence_system(a, t, u, w, lam)
         if step == _POLISH_STEPS or np.linalg.norm(residual) < 1e-13 * scale:
             break
-        delta = np.linalg.lstsq(block_weight[:, None] * jac, -block_weight * residual,
-                                rcond=None)[0]
+        try:
+            delta = np.linalg.lstsq(block_weight[:, None] * jac, -block_weight * residual,
+                                    rcond=None)[0]
+        except np.linalg.LinAlgError as exc:
+            raise CalibrationFailed(f"Gauss-Newton polish step {step + 1} of the "
+                                    f"equivalence solve failed: {exc}") from exc
         u[strict] += delta[:n_uw]
         w[strict] += delta[n_uw:2 * n_uw]
         lam[1:] += delta[2 * n_uw:]
@@ -503,26 +507,30 @@ def verify_presentation(stack: list[PolyMatrix], psi: complex, k: int,
     """det(A) = w^(k+1) up to scalar; corank k+1 on the curve, 0 off it; one
     list of records per matrix A of the stack.
 
-    Every matrix is evaluated at the off- and on-curve samples together, and
-    all of them are judged from one equilibration and one SVD call; the
-    determinant identity is fitted at the off-curve samples, the same
-    evaluations the rank check uses.
+    A is block upper triangular with k+1 diagonal blocks equal to D, its block
+    (0, 0), bit for bit; presentation.structure counts the blocks on or below
+    the diagonal that break this.  So det A = (det D)^(k+1), and A has full
+    rank where D does: det D = c*w (reported as c^(k+1)) and the rank of D are
+    judged off the curve, where an SVD of all of A can judge rounding.  The
+    corank on the curve needs the blocks off the diagonal and reads all of A.
     """
-    size = 3 * (k + 1)
-    n_off = len(off_samples)
-    values = eval_matrix(PolyMatrix(np.stack([a.coeffs for a in stack])),
-                         list(off_samples) + [p.coords for p in curve_samples])
-    w_pow = evaluate(hesse_form(psi), off_samples) ** (k + 1)
-    scalars, det_residuals = det_scalar_fit(values[:, :n_off], w_pow)
-    ranks = numeric_rank(equilibrate(values))
-    worst_on = np.max(np.abs(ranks[:, n_off:] - 2 * (k + 1)), axis=1)
-    worst_off = np.max(np.abs(ranks[:, :n_off] - size), axis=1)
-    return [[check("presentation.det", det_residuals[m], 1e-7,
-                   inputs={"k": k, "scalar": complex(scalars[m])}),
+    coeffs = np.stack([a.coeffs for a in stack])
+    bits = coeffs.view(np.uint64).reshape(len(stack), k + 1, 3, k + 1, 3, -1).swapaxes(2, 3)
+    j, i = _triu(k + 1)  # the blocks (i, j) with i >= j
+    diagonal = np.where((i == j).reshape(-1, 1, 1, 1), bits[:, :1, 0], np.uint64(0))
+    misplaced = np.any(bits[:, i, j] != diagonal, axis=(2, 3, 4)).sum(axis=1)
+    block = eval_matrix(PolyMatrix(coeffs[:, :3, :3]), off_samples)
+    scalars, det_residuals = det_scalar_fit(block, evaluate(hesse_form(psi), off_samples))
+    worst_off = np.max(np.abs(numeric_rank(equilibrate(block)) - 3), axis=1)
+    on = eval_matrix(PolyMatrix(coeffs), [p.coords for p in curve_samples])
+    worst_on = np.max(np.abs(numeric_rank(equilibrate(on)) - 2 * (k + 1)), axis=1)
+    return [[check("presentation.structure", float(misplaced[m]), 0.5, inputs={"k": k}),
+             check("presentation.det", det_residuals[m], 1e-7,
+                   inputs={"k": k, "scalar": complex(scalars[m] ** (k + 1))}),
              check("presentation.corank_on_curve", float(worst_on[m]), 0.5,
                    inputs={"k": k, "samples": len(curve_samples)}),
              check("presentation.rank_off_curve", float(worst_off[m]), 0.5,
-                   inputs={"k": k, "samples": n_off})]
+                   inputs={"k": k, "samples": len(off_samples)})]
             for m in range(len(stack))]
 
 

@@ -29,7 +29,7 @@ from .moore import (l_from_coords, l_matrix, moore_from_coords, moore_matrix,
 from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
                    numeric_rank)
 from .report import CheckReport, bundle_json, check
-from .theta import ThetaContext, basis_provenance, hesse_psi, theta_jet
+from .theta import CHECK_TOL, ThetaContext, basis_provenance, hesse_psi, theta_jet
 
 MUTATIONS = ("zero-block", "drop-binomial", "perturb-psi")
 
@@ -102,7 +102,7 @@ def run_emit(args) -> int:
     else:
         a_z = args.a
         point = embed(a_z, ctx)
-    if is_three_torsion(point, cfg):
+    if is_three_torsion(point):
         return _fail("point in E[3]")
 
     bundle: dict = {
@@ -159,7 +159,7 @@ def _theta_checks(ctx: ThetaContext, psi: complex, rng) -> list[CheckReport]:
     for v, m in zip(values[:5], values[5:]):
         sym = max(sym, abs(m[0] + v[0]), abs(m[1] + v[2]), abs(m[2] + v[1]))
     reports.append(check("theta.symmetry", sym, 1e-9, {"tau": ctx.tau}))
-    reports.append(check("theta.psi_nondegenerate", ctx.check_tol / abs(psi ** 3 - 1),
+    reports.append(check("theta.psi_nondegenerate", CHECK_TOL / abs(psi ** 3 - 1),
                          1.0, {"psi": psi}))
     return reports
 

@@ -96,6 +96,6 @@ def doubling_orbit(p: ProjectivePoint, k: int) -> list[ProjectivePoint]:
     return orbit
 
 
-def is_three_torsion(p: ProjectivePoint, cfg: CurveConfig) -> bool:
+def is_three_torsion(p: ProjectivePoint) -> bool:
     """True iff some normalized coordinate (nearly) vanishes."""
     return min(abs(c) for c in p.coords) < _PROJ_TOL

@@ -27,7 +27,7 @@ from .curve import ProjectivePoint, embed
 from .errors import DenominatorZero
 from .poly import PolyMatrix, monomial_index
 from .report import CheckReport, check
-from .theta import _BINOM, ThetaContext, leibniz_product, leibniz_quotient, theta_jet
+from .theta import _BINOM, CHECK_TOL, ThetaContext, leibniz_product, leibniz_quotient, theta_jet
 
 # (r, c) -> (p, q): entry a_p * x_q
 MOORE_PATTERN = (
@@ -157,5 +157,5 @@ def theta_relation_residuals(a_z, z, ctx: ThetaContext,
     worst = np.max(np.abs(residuals), axis=(0, 2))
     pairs = {"a_z": np.asarray(a_z, dtype=complex).tolist(),
              "z": np.asarray(z, dtype=complex).tolist(), "tau": complex(ctx.tau)}
-    return [check("moore.relation", worst[n], ctx.check_tol * 10 ** min(n, 2),
+    return [check("moore.relation", worst[n], CHECK_TOL * 10 ** min(n, 2),
                   inputs={**pairs, "order": n}) for n in range(max_order + 1)]

@@ -35,7 +35,7 @@ window of indices around the peak term and gets every derivative order
 0..m from that one sum (term-wise differentiation multiplies each term by a
 power of 6*pi*i*(n+a)).  The window is the narrowest one for which an
 a-priori Gaussian tail bound (Deconinck et al., "Computing Riemann theta
-functions", Math. Comp. 2004) keeps the discarded tail below trunc_eps times
+functions", Math. Comp. 2004) keeps the discarded tail below TRUNC_EPS times
 the largest retained term at every requested order.  A window wider than
 600 terms per side raises NonconvergentSeries and a sum that overflows
 double precision raises ThetaOverflow; nothing is truncated silently.  The
@@ -56,6 +56,10 @@ from .errors import (DegenerateProbe, InconsistentPsi, NonconvergentSeries, Orde
                      ThetaOverflow)
 
 MAX_ORDER = 12
+# relative size of the discarded series tail
+TRUNC_EPS = 1e-30
+# residual tolerance of the consistency guards built into the evaluators
+CHECK_TOL = 1e-9
 # window half-width beyond which a series counts as nonconvergent
 _MAX_HALF_WIDTH = 600
 # one-point jets kept per process; one check request reads about 7 distinct ones
@@ -81,28 +85,16 @@ _PROBE_CUT = 1e-6
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Lattice parameter and tolerances governing all series evaluation.
-
-    tau lives in the upper half-plane; trunc_eps bounds the relative size of
-    discarded series tails; check_tol is the residual tolerance used by the
-    consistency guards built into the evaluators.
-    """
+    """The lattice parameter tau, in the upper half-plane."""
 
     tau: complex
-    trunc_eps: float = 1e-30
-    check_tol: float = 1e-9
 
     def __post_init__(self):
         if complex(self.tau).imag <= 0:
             raise NonconvergentSeries(f"Im(tau) must be positive, got tau={self.tau}")
-        if not self.trunc_eps > 0:
-            raise ValueError("trunc_eps must be positive")
-        if not self.check_tol > self.trunc_eps:
-            raise ValueError("check_tol must exceed trunc_eps")
 
 
-def _half_width(t_star: float, centers: list[float], s: float, order: int,
-                trunc_eps: float) -> int | None:
+def _half_width(t_star: float, centers: list[float], s: float, order: int) -> int | None:
     """Smallest R >= the Gaussian estimate whose window meets the tail bound.
 
     Write |exp(pi*i*t^2*sigma + 2*pi*i*t*(u+b))| = P * exp(-pi*s*(t - t*)^2)
@@ -120,14 +112,14 @@ def _half_width(t_star: float, centers: list[float], s: float, order: int,
         h(y+1)/h(y) <= q = (1 + 1/(|t*| + rho))^m * exp(-pi*s*(2*rho + 1)).
 
     If q < 1 each side sums to at most P*h(rho)/(1 - q), a geometric series.
-    The window is accepted when 2*h(rho)/(1 - q) <= trunc_eps * |6*pi*c|^m *
+    The window is accepted when 2*h(rho)/(1 - q) <= TRUNC_EPS * |6*pi*c|^m *
     exp(-pi*s*(c - t*)^2) for every characteristic: the discarded tail is
-    then at most trunc_eps times the retained term at c, hence at most
-    trunc_eps times the largest retained term.  Because |c| <= |t*| + rho and
+    then at most TRUNC_EPS times the retained term at c, hence at most
+    TRUNC_EPS times the largest retained term.  Because |c| <= |t*| + rho and
     q grows with m, the test at m = `order` covers every lower order.  None
     if no R up to _MAX_HALF_WIDTH is accepted.
     """
-    log_eps = math.log(trunc_eps)
+    log_eps = math.log(TRUNC_EPS)
     reference = log_eps + min(order * math.log(6 * math.pi * abs(c))
                               - math.pi * s * (c - t_star) ** 2 for c in centers)
     r = max(0, math.ceil(math.sqrt(max(0.0, -log_eps) / (math.pi * s)) - 0.5))
@@ -154,17 +146,17 @@ def _outside_in(r: int) -> np.ndarray:
                     dtype=float)
 
 
-def _sum_jets(tau: complex, trunc_eps: float, zs: tuple, max_order: int) -> np.ndarray:
+def _sum_jets(tau: complex, zs: tuple, max_order: int) -> np.ndarray:
     """The read-only (len(zs), max_order+1, 3) jets at zs, each over its own window."""
     sigma = 3 * tau
     t_star = [-(3 * z).imag / sigma.imag for z in zs]
     starts = [[round(t - a) for a in _CHAR_A] for t in t_star]
-    radii = [_half_width(t, [n + a for n, a in zip(n0, _CHAR_A)], sigma.imag, max_order,
-                         trunc_eps) for t, n0 in zip(t_star, starts)]
+    radii = [_half_width(t, [n + a for n, a in zip(n0, _CHAR_A)], sigma.imag, max_order)
+             for t, n0 in zip(t_star, starts)]
     if None in radii:
         raise NonconvergentSeries(f"theta series needs more than {_MAX_HALF_WIDTH} terms per "
                                   f"side at z = {zs[radii.index(None)]}, Im(3 tau) = "
-                                  f"{sigma.imag:.3e}, trunc_eps = {trunc_eps:.1e}")
+                                  f"{sigma.imag:.3e}, trunc_eps = {TRUNC_EPS:.1e}")
     # Python complex arithmetic: numpy's complex product rounds differently
     linear = np.array([_TWO_PI_I * (3 * z + _CHAR_B) for z in zs], dtype=complex)
     width = max(radii, default=0)
@@ -189,9 +181,9 @@ def _sum_jets(tau: complex, trunc_eps: float, zs: tuple, max_order: int) -> np.n
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _sum_jet(tau: complex, trunc_eps: float, z: complex, max_order: int) -> np.ndarray:
+def _sum_jet(tau: complex, z: complex, max_order: int) -> np.ndarray:
     """_sum_jets at the one point z, cached: batches are rarely summed twice."""
-    return _sum_jets(tau, trunc_eps, (z,), max_order)
+    return _sum_jets(tau, (z,), max_order)
 
 
 def theta_jet(z, ctx: ThetaContext, max_order: int = 0) -> np.ndarray:
@@ -199,17 +191,16 @@ def theta_jet(z, ctx: ThetaContext, max_order: int = 0) -> np.ndarray:
 
     A 1-D array of z gives the (len(z), max_order+1, 3) jets from one sum, each
     row bit-identical to the scalar call's array.  The result is read-only; a
-    single point's is shared through a bounded cache keyed on (tau, trunc_eps,
-    z, max_order).
+    single point's is shared through a bounded cache keyed on (tau, z, max_order).
     """
     if max_order < 0:
         raise ValueError("order must be non-negative")
     if max_order > MAX_ORDER:
         raise OrderTooHigh(f"derivative order {max_order} exceeds the cap {MAX_ORDER}")
     zs = np.asarray(z, dtype=complex)
-    points, key = zs.ravel().tolist(), (complex(ctx.tau), ctx.trunc_eps)
-    jets = (_sum_jet(*key, points[0], max_order) if len(points) == 1
-            else _sum_jets(*key, tuple(points), max_order))
+    points, tau = zs.ravel().tolist(), complex(ctx.tau)
+    jets = (_sum_jet(tau, points[0], max_order) if len(points) == 1
+            else _sum_jets(tau, tuple(points), max_order))
     return jets[0] if zs.ndim == 0 else jets
 
 
@@ -217,7 +208,7 @@ def hesse_psi(ctx: ThetaContext) -> complex:
     """Modulus psi(tau) = (th0^3 + th1^3 + th2^3) / (3 th0 th1 th2).
 
     Evaluated at several probe points in one sum; the values must agree to
-    check_tol, otherwise the basis itself is wrong and InconsistentPsi is raised.
+    CHECK_TOL, otherwise the basis itself is wrong and InconsistentPsi is raised.
     """
     values, ratios = [], []
     # Python scalars, not numpy: psi is emitted and must stay bit-reproducible
@@ -232,8 +223,8 @@ def hesse_psi(ctx: ThetaContext) -> complex:
         raise DegenerateProbe(f"no probe point clears the cut |th0*th1*th2| >= {_PROBE_CUT:.0e} "
                               f"* max|th_i|^3: the largest ratio is {max(ratios):.2e}")
     spread = max(abs(p - q) for p in values for q in values)
-    if spread > ctx.check_tol:
-        raise InconsistentPsi(f"psi spread {spread:.3e} exceeds check_tol {ctx.check_tol:.1e}")
+    if spread > CHECK_TOL:
+        raise InconsistentPsi(f"psi spread {spread:.3e} exceeds check_tol {CHECK_TOL:.1e}")
     return sum(values) / len(values)
 
 

@@ -23,7 +23,7 @@ from hessecubic.curve import ProjectivePoint, double_neg
 from hessecubic.moore import MOORE_PATTERN, moore_from_coords
 from hessecubic.poly import PolyMatrix, monomial_index, monomials
 from hessecubic.theta import (_CHAR_A, _CHAR_A_ARRAY, _CHAR_B, _PHASE_ARRAY, _TWO_PI_I,
-                              ThetaContext, _half_width, _outside_in, leibniz_quotient,
+                              CHECK_TOL, ThetaContext, _half_width, _outside_in, leibniz_quotient,
                               theta_jet)
 
 
@@ -84,8 +84,7 @@ def per_point_jet(z: complex, ctx: ThetaContext, max_order: int, pad: int = 0) -
     u, sigma = 3 * complex(z), 3 * complex(ctx.tau)
     t_star = -u.imag / sigma.imag
     n0 = [round(t_star - a) for a in _CHAR_A]
-    r = _half_width(t_star, [n + a for n, a in zip(n0, _CHAR_A)], sigma.imag,
-                    max_order, ctx.trunc_eps) + pad
+    r = _half_width(t_star, [n + a for n, a in zip(n0, _CHAR_A)], sigma.imag, max_order) + pad
     t = (np.array(n0, dtype=float)[:, None] + _outside_in(r)) + _CHAR_A_ARRAY[:, None]
     terms = np.empty((max_order + 1,) + t.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -406,7 +405,7 @@ def automorphy_quotient(den: np.ndarray, num: np.ndarray, ctx: ThetaContext) -> 
     good = np.flatnonzero(dens > 1e-6 * dens.max())
     ratios = num[0, good] / den[0, good]
     worst = float(np.max(np.abs(ratios - ratios[0])))
-    assert worst <= ctx.check_tol * (1.0 + abs(ratios[0])), \
+    assert worst <= CHECK_TOL * (1.0 + abs(ratios[0])), \
         f"automorphy ratio disagrees across indices by {worst:.3e}"
     return leibniz_quotient(num[:, good[0]], den[:, good[0]])
 

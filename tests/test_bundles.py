@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hessecubic import (CalibrationFailed, CurveConfig, DegenerateOrbit, DenominatorZero,
+from hessecubic import (CalibrationFailed, DegenerateOrbit, DenominatorZero,
                         HesseCubicError, IllConditioned, PolyMatrix, ProjectivePoint,
                         SamplingFailed, SizeMismatch, ThetaContext,
                         UlrichSpec, automorphy_residuals, build_algebraic,
@@ -636,8 +636,9 @@ def test_det_scalar_value_k1(ctx_i, psi_i, spec1, on_samples, off_samples):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_det_gate_catches_perturbed_diagonal_block(ctx_i, psi_i, on_samples, off_samples, k):
-    # det A is the product of the diagonal-block determinants, so scaling one
-    # coefficient of any diagonal block by 1 + 1e-4 breaks det A = c * w^(k+1)
+    # scaling one coefficient of a diagonal block by 1 + 1e-4 breaks the equal
+    # diagonal; in block (0, 0), the block det and rank are read from, it also
+    # breaks det D = c * w
     spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
     lambdas, _ = calibrate_scalars(spec)
     mutations = [(i, r, c) for i in range(k + 1) for r, c in ((0, 0), (1, 2), (2, 1))]
@@ -650,9 +651,56 @@ def test_det_gate_catches_perturbed_diagonal_block(ctx_i, psi_i, on_samples, off
             stack.append(mutated)
         # the intact matrix and every mutation judged in one stacked call
         intact, *mutated = verify_presentation(stack, psi_i, k, on_samples, off_samples)
-        assert {r.name: r for r in intact}["presentation.det"].passed
+        assert all(r.passed for r in intact), [r.to_dict() for r in intact]
         for where, reports in zip(mutations, mutated):
-            assert not {r.name: r for r in reports}["presentation.det"].passed, where
+            named = {r.name: r for r in reports}
+            assert not named["presentation.structure"].passed, where
+            assert where[0] > 0 or not named["presentation.det"].passed, where
+
+
+@pytest.mark.parametrize("tau", [1j, 0.2 + 1.3j, -0.129 + 1.161j])
+def test_structure_gate_catches_every_block_mutation(tau):
+    # scaling all of block (0, 0) only scales det A and keeps its rank, so
+    # det and rank alone cannot see it; the exact block structure does
+    ctx = ThetaContext(tau=tau)
+    psi = hesse_psi(ctx)
+    a_z = 0.3 + 0.05j
+    lambdas, _ = calibrate_scalars(UlrichSpec(k=8, ctx=ctx, a_z=a_z))
+    on, off = curve_sample_points(ctx, 10, 42), offcurve_sample_triples(psi, 10, 43)
+
+    def below(m):
+        m.coeffs[-3, 0, 0] = 1e-300
+
+    def scale_block(i):
+        def mutate(m):
+            m.coeffs[3 * i:3 * i + 3, 3 * i:3 * i + 3] *= 1 + 1e-6
+        return mutate
+
+    mutations = {"below": below, "block 1": scale_block(1), "block 0": scale_block(0)}
+    for k in range(1, 9):
+        spec = UlrichSpec(k=k, ctx=ctx, a_z=a_z)
+        for matrix in (build_analytic(spec)[0],
+                       build_algebraic(embed(a_z, ctx), k, lambdas[:k])):
+            stack = [matrix]
+            for mutate in mutations.values():
+                stack.append(PolyMatrix(matrix.coeffs.copy()))
+                mutate(stack[-1])
+            intact, *mutated = verify_presentation(stack, psi, k, on, off)
+            assert all(r.passed for r in intact), (k, [r.to_dict() for r in intact])
+            for what, reports in zip(mutations, mutated):
+                assert not {r.name: r for r in reports}["presentation.structure"].passed, \
+                    (k, what)
+
+
+def test_off_curve_rank_reads_the_diagonal_block():
+    # the whole 57-square A reads sigma_min/sigma_max under 1e-7 at one of the
+    # off-curve samples, where its diagonal block has full rank
+    ctx = ThetaContext(tau=-0.129 + 1.161j)
+    psi = hesse_psi(ctx)
+    a, _ = build_analytic(UlrichSpec(k=8, ctx=ctx, a_z=0.295 + 0.013j))
+    (reports,) = verify_presentation([a], psi, 8, curve_sample_points(ctx, 10, 7),
+                                     offcurve_sample_triples(psi, 10, 8))
+    assert all(r.passed for r in reports), [r.to_dict() for r in reports]
 
 
 # -- elimination fit ----------------------------------------------------------
@@ -716,12 +764,11 @@ def test_samplers_draw_the_unbounded_loop_sequence(tau):
     # the draw budget only adds an exit: the samples equal the plain loop's
     ctx = ThetaContext(tau=tau)
     psi = hesse_psi(ctx)
-    cfg = CurveConfig(psi=psi)
     rng = np.random.default_rng(5)
     expected = []
     while len(expected) < 10:
         p = embed(complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45)), ctx)
-        if not is_three_torsion(p, cfg) and min(abs(v) for v in p.coords) > 1e-3:
+        if not is_three_torsion(p) and min(abs(v) for v in p.coords) > 1e-3:
             expected.append(p)
     assert curve_sample_points(ctx, 10, 5) == expected
     rng = np.random.default_rng(6)

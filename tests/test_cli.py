@@ -13,6 +13,7 @@ import hessecubic
 from hessecubic import (CalibrationFailed, OrderTooHigh, ThetaContext, UlrichSpec, bundles, cli,
                         hesse_psi)
 from hessecubic.cli import MUTATIONS, _hesse_identity_residual, build_check_suite, main
+from hessecubic.theta import CHECK_TOL
 
 
 # the child interpreter imports the same package as this one
@@ -146,6 +147,18 @@ def test_automorphy_at_k3_passes_where_the_series_quotient_failed(capfd):
     out, _ = capfd.readouterr()
     records = {r["name"]: r for r in map(json.loads, out.splitlines())}
     assert records["automorphy.transport.k3"]["residual"] < 1e-12
+
+
+def test_off_curve_rank_near_one_third_passes(capfd):
+    # the whole 12-square A read sigma_min/sigma_max 3.5e-8 at an off-curve
+    # sample, under the 1e-7 threshold; its diagonal block reads 2.4e-3
+    assert main(["check", "--tau=-0.33632687847092835+0.9779519076363596i",
+                 "--a=0.3361513672739995+0.0018773830496374433i", "--k", "3",
+                 "--seed", "957398308"]) == 0
+    out, _ = capfd.readouterr()
+    names = {json.loads(l)["name"] for l in out.splitlines()}
+    assert {f"presentation.structure.{form}.k{k}" for form in ("analytic", "algebraic")
+            for k in (1, 2, 3)} <= names
 
 
 @pytest.mark.parametrize("tau", ["i", "0.2+1.3i", "-0.31+1.12i"])
@@ -369,6 +382,17 @@ def test_emit_names_an_orbit_collision(capfd):
                                         "modulo the lattice (l = 1, m = 5)")
 
 
+def test_emit_names_a_failed_polish_solve(capfd):
+    # LAPACK's SVD does not converge on the first Gauss-Newton step here,
+    # although every entry of the system is finite
+    assert main(["emit", "--tau=0.1375906481011525+1.1717141963140842i",
+                 "--a=0.06424538623416298-0.1318002958521102i", "--k", "6"]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == ("Gauss-Newton polish step 1 of the equivalence solve "
+                                        "failed: SVD did not converge in Linear Least Squares")
+
+
 def test_emit_calibrates_past_the_old_overflow_at_k6(capfd):
     assert main(["emit", "--tau", "i", "--a", "0.41-0.08i", "--k", "6"]) == 0
     out, err = capfd.readouterr()
@@ -409,7 +433,7 @@ def test_psi_nondegenerate_measures_distance_to_psi_cubed_one():
     psi = hesse_psi(ctx)
     record = next(r for r in build_check_suite(1j, 0.3, 1, 42)
                   if r.name == "theta.psi_nondegenerate")
-    assert record.residual == ctx.check_tol / abs(psi ** 3 - 1)
+    assert record.residual == CHECK_TOL / abs(psi ** 3 - 1)
     assert record.passed
 
 

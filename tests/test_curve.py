@@ -105,7 +105,7 @@ def test_double_neg_stays_on_curve(ctx_i, cfg):
     for _ in range(20):
         z = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45))
         p = embed(z, ctx_i)
-        if is_three_torsion(p, cfg):
+        if is_three_torsion(p):
             continue
         assert on_curve(double_neg(p), cfg) < 1e-8
 
@@ -159,10 +159,10 @@ def test_doubling_orbit_rejects_negative_length():
         doubling_orbit(ORIGIN, -1)
 
 
-def test_is_three_torsion(ctx_i, cfg):
-    assert is_three_torsion(ORIGIN, cfg)
-    assert is_three_torsion(embed(1.0 / 3.0, ctx_i), cfg)
-    assert not is_three_torsion(embed(0.3, ctx_i), cfg)
+def test_is_three_torsion(ctx_i):
+    assert is_three_torsion(ORIGIN)
+    assert is_three_torsion(embed(1.0 / 3.0, ctx_i))
+    assert not is_three_torsion(embed(0.3, ctx_i))
 
 
 def test_analytic_consistency_sweep(ctx_i):

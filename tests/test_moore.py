@@ -11,7 +11,7 @@ from hessecubic import (DenominatorZero, PolyMatrix, ProjectivePoint,
 from hessecubic import moore
 from hessecubic.moore import l_from_coords, moore_from_coords
 from hessecubic.poly import monomials
-from hessecubic.theta import ThetaContext, theta_jet
+from hessecubic.theta import CHECK_TOL, ThetaContext, theta_jet
 from oracles import (adjugate3, jet_matrices, l_entrywise, matrix_close, moore_derivative,
                      moore_entrywise, random_triple, relation_residual_oracle,
                      theta_vector, zeros)
@@ -222,7 +222,7 @@ def test_relation_residuals_match_loop_oracle(monkeypatch, tau):
 def test_relation_reports_keep_names_tolerances_and_inputs(ctx_i):
     reports = theta_relation_residuals(0.3, 0.11, ctx_i, max_order=4)
     assert [r.name for r in reports] == ["moore.relation"] * 5
-    assert [r.tol for r in reports] == [ctx_i.check_tol * 10 ** min(n, 2) for n in range(5)]
+    assert [r.tol for r in reports] == [CHECK_TOL * 10 ** min(n, 2) for n in range(5)]
     assert [r.inputs["order"] for r in reports] == list(range(5))
     assert all(sorted(r.inputs) == ["a_z", "order", "tau", "z"] for r in reports)
     assert all(r.passed for r in reports)

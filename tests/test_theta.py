@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from hessecubic import (DegenerateProbe, InconsistentPsi, NonconvergentSeries, OrderTooHigh,
                         ThetaContext, ThetaOverflow, hesse_psi, theta_jet)
-from hessecubic.theta import _CHAR_A, MAX_ORDER, _half_width, _sum_jet, automorphy_factor
+from hessecubic import theta
+from hessecubic.theta import (_CHAR_A, CHECK_TOL, MAX_ORDER, TRUNC_EPS, _half_width, _sum_jet,
+                             automorphy_factor)
 from oracles import (automorphy_jet, central_difference, per_point_jet, richardson_derivative,
                      theta_series_oracle, theta_vector)
 
@@ -44,7 +46,7 @@ def test_hesse_identity_random_points(ctx_i, psi_i):
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         v = theta_vector(z, ctx_i)
         residual = abs(v[0] ** 3 + v[1] ** 3 + v[2] ** 3 - 3 * psi_i * v[0] * v[1] * v[2])
-        assert residual < ctx_i.check_tol
+        assert residual < CHECK_TOL
 
 
 def test_symmetry_relations(ctx_i):
@@ -53,9 +55,9 @@ def test_symmetry_relations(ctx_i):
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         v = theta_vector(z, ctx_i)
         m = theta_vector(-z, ctx_i)
-        assert abs(m[0] + v[0]) < ctx_i.check_tol
-        assert abs(m[1] + v[2]) < ctx_i.check_tol
-        assert abs(m[2] + v[1]) < ctx_i.check_tol
+        assert abs(m[0] + v[0]) < CHECK_TOL
+        assert abs(m[1] + v[2]) < CHECK_TOL
+        assert abs(m[2] + v[1]) < CHECK_TOL
 
 
 def test_truncation_depth_stability(ctx_i):
@@ -64,7 +66,7 @@ def test_truncation_depth_stability(ctx_i):
             base = theta_jet(z, ctx_i, order)[order, 0]
             # ten more terms per side than the tail bound asks for
             deeper = per_point_jet(z, ctx_i, order, 10)[order, 0]
-            assert abs(base - deeper) <= 10 * ctx_i.trunc_eps * (1 + abs(base))
+            assert abs(base - deeper) <= 10 * TRUNC_EPS * (1 + abs(base))
 
 
 @settings(max_examples=150, deadline=None)
@@ -118,8 +120,7 @@ def test_batch_of_mixed_windows_is_the_one_point_sums(tau, order, points):
     def radius(z):
         t_star = -complex(z).imag / tau.imag
         n0 = [round(t_star - a) for a in _CHAR_A]
-        return _half_width(t_star, [n + a for n, a in zip(n0, _CHAR_A)],
-                           3 * tau.imag, order, ctx.trunc_eps)
+        return _half_width(t_star, [n + a for n, a in zip(n0, _CHAR_A)], 3 * tau.imag, order)
 
     assert len({radius(z) for z in points}) > 1
     assert np.array_equal(theta_jet(np.array(points), ctx, order),
@@ -185,7 +186,7 @@ def test_overflow_only_in_unrequested_orders_does_not_fail(ctx_i):
 
 
 def test_window_beyond_the_cap_is_nonconvergent():
-    # Im(3 tau) = 3e-5 needs ~860 terms per side for trunc_eps = 1e-30
+    # Im(3 tau) = 3e-5 needs ~860 terms per side for TRUNC_EPS = 1e-30
     with pytest.raises(NonconvergentSeries):
         theta_jet(0.1, ThetaContext(tau=1e-5j))
 
@@ -214,12 +215,12 @@ def test_psi_cubed_avoids_one(tau):
     # the Hesse pencil is singular exactly at psi^3 = 1
     ctx = ThetaContext(tau=tau)
     psi = hesse_psi(ctx)
-    assert abs(psi ** 3 - 1) > ctx.check_tol
+    assert abs(psi ** 3 - 1) > CHECK_TOL
 
 
 def test_hesse_identity_differentiated_at_zero(ctx_i, psi_i):
     d = theta_vector(0.0, ctx_i, order=1)
-    assert abs(psi_i * d[0] + d[1] + d[2]) < ctx_i.check_tol
+    assert abs(psi_i * d[0] + d[1] + d[2]) < CHECK_TOL
 
 
 def test_order_cap():
@@ -233,13 +234,6 @@ def test_lower_half_plane_rejected():
         ThetaContext(tau=-1j)
     with pytest.raises(NonconvergentSeries):
         ThetaContext(tau=0.5)
-
-
-def test_context_tolerance_invariants():
-    with pytest.raises(ValueError):
-        ThetaContext(tau=1j, trunc_eps=0.0)
-    with pytest.raises(ValueError):
-        ThetaContext(tau=1j, trunc_eps=1e-6, check_tol=1e-9)
 
 
 # -- automorphy factors ----------------------------------------------------
@@ -259,7 +253,7 @@ def test_factor_cocycle(ctx_i):
         lhs = automorphy_jet(0.3, 1 + tau, z, ctx_i)[0]
         rhs = (automorphy_jet(0.3, 1.0, z + tau, ctx_i)[0]
                * automorphy_jet(0.3, tau, z, ctx_i)[0])
-        assert abs(lhs - rhs) < ctx_i.check_tol * (1 + abs(lhs))
+        assert abs(lhs - rhs) < CHECK_TOL * (1 + abs(lhs))
 
 
 @pytest.mark.parametrize("lam_name", ["one", "tau"])
@@ -270,7 +264,7 @@ def test_factor_transports_theta(ctx_i, lam_name):
     for i in range(3):
         lhs = e * theta_vector(z + a_z, ctx_i)[i]
         rhs = theta_vector(z + lam + a_z, ctx_i)[i]
-        assert abs(lhs - rhs) < ctx_i.check_tol * (1 + abs(rhs))
+        assert abs(lhs - rhs) < CHECK_TOL * (1 + abs(rhs))
 
 
 def test_factor_derivative_matches_finite_difference(ctx_i):
@@ -314,8 +308,8 @@ def test_quasi_periodicity_large_shifts(ctx_i):
             assert abs(lhs - rhs) < 1e-9 * (1 + abs(lhs))
 
 
-def test_inconsistent_psi_detects_wrong_tolerance():
-    # an absurdly tight check_tol flags the (benign) probe spread
-    ctx = ThetaContext(tau=1j, trunc_eps=1e-40, check_tol=1e-17)
+def test_inconsistent_psi_detects_wrong_tolerance(monkeypatch):
+    # an absurdly tight CHECK_TOL flags the (benign) probe spread
+    monkeypatch.setattr(theta, "CHECK_TOL", 1e-17)
     with pytest.raises(InconsistentPsi):
-        hesse_psi(ctx)
+        hesse_psi(ThetaContext(tau=1j))
