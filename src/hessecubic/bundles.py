@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -127,26 +128,32 @@ def verify_factorization(a: PolyMatrix, b: PolyMatrix, psi: complex,
         raise SizeMismatch(f"incompatible factor shapes {a.rows}x{a.cols}, {b.rows}x{b.cols}")
     w = hesse_form(psi)
     inputs = {"size": a.rows, "psi": complex(psi)}
-    return [check("factorization.AB", factor_backward_error(a, b, w), tol, inputs),
-            check("factorization.BA", factor_backward_error(b, a, w), tol, inputs)]
+    a_norms, b_norms = entry_norms(a.coeffs), entry_norms(b.coeffs)
+    return [check("factorization.AB", factor_backward_error(a @ b, a_norms, b_norms, w),
+                  tol, inputs),
+            check("factorization.BA", factor_backward_error(b @ a, b_norms, a_norms, w),
+                  tol, inputs)]
 
 
-def _entry_norms(coeffs: np.ndarray) -> np.ndarray:
+def entry_norms(coeffs: np.ndarray) -> np.ndarray:
     """2-norm of each entry's coefficient vector, (..., rows, cols, m) -> (..., rows, cols)."""
     # over a float view: np.linalg.norm on the complex last axis costs twice as much
     v = np.ascontiguousarray(coeffs).view(float)
     return np.sqrt(np.einsum("...m,...m->...", v, v))
 
 
-def factor_backward_error(a: PolyMatrix, b: PolyMatrix, w: np.ndarray) -> float:
-    """Largest |(A*B - w*I)_ij| / (sum_m |A_im| * |B_mj| + |w| * delta_ij).
+def factor_backward_error(product: PolyMatrix, a_norms: np.ndarray, b_norms: np.ndarray,
+                          w: np.ndarray) -> float:
+    """Largest |(A*B - w*I)_ij| / (sum_m |A_im| * |B_mj| + |w| * delta_ij) for the
+    product A*B, with the entry_norms of A and B.
 
     Stacks of factors (leading axes) give the largest entry over the stack.
     """
-    residual = (a @ b).coeffs - PolyMatrix.diagonal(w, a.rows).coeffs
-    scale = _entry_norms(a.coeffs) @ _entry_norms(b.coeffs) + np.linalg.norm(w) * np.eye(a.rows)
+    rows = product.rows
+    residual = product.coeffs - PolyMatrix.diagonal(w, rows).coeffs
+    scale = a_norms @ b_norms + np.linalg.norm(w) * np.eye(rows)
     # an entry with no nonzero term is an exact zero of the residual too
-    return float(np.max(_entry_norms(residual) / np.where(scale > 0, scale, 1.0)))
+    return float(np.max(entry_norms(residual) / np.where(scale > 0, scale, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +263,9 @@ def _equivalence_solve(jets: list[np.ndarray], reps: list[np.ndarray],
     w_{r,r+1..k} and lambda_{k-r} (see the module docstring).  Every block
     (i, j) is weighted by 1 / (C(k-i, j-i) * |jets[j-i]|), so the low orders
     count as much as the (6*pi)^d larger high ones; a few weighted
-    Gauss-Newton steps on the whole system then polish the solution.
+    Gauss-Newton steps on the whole system then polish the solution.  A polish
+    step whose least-squares solve fails ends the polish with the current
+    iterate.
 
     u_{r,k} and w_{r,k} enter row r only in block (r, k), both with the
     coefficient A[k, k] = jets[0], so only their sum is determined: w_{r,k}
@@ -313,9 +322,10 @@ def _equivalence_solve(jets: list[np.ndarray], reps: list[np.ndarray],
         try:
             delta = np.linalg.lstsq(block_weight[:, None] * jac, -block_weight * residual,
                                     rcond=None)[0]
-        except np.linalg.LinAlgError as exc:
-            raise CalibrationFailed(f"Gauss-Newton polish step {step + 1} of the "
-                                    f"equivalence solve failed: {exc}") from exc
+        except np.linalg.LinAlgError:
+            # LAPACK's SVD can fail to converge on a finite Jacobian: keep the
+            # current iterate, and let the calibration records judge it
+            break
         u[strict] += delta[:n_uw]
         w[strict] += delta[n_uw:2 * n_uw]
         lam[1:] += delta[2 * n_uw:]
@@ -487,89 +497,132 @@ def equilibrate(n: np.ndarray) -> np.ndarray:
     Rank-preserving; compresses the block-scale spread of jet matrices
     (theta derivatives grow like (6*pi)^d) so that singular value
     thresholding sees the structural zeros, not the scaling.  Acts on the
-    last two axes, so a stack is scaled matrix by matrix.
+    last two axes, so a stack is scaled matrix by matrix.  Each pass scales
+    the rows, then the columns, of the matrix the earlier passes left; the
+    passes run on the squared moduli and accumulate the squared scalings,
+    and the matrix is divided once.  A zero row or column keeps its scaling.
     """
-    n = np.array(n, dtype=complex)
+    n = np.asarray(n, dtype=complex)
+    squares = n.real ** 2 + n.imag ** 2
+    rows = np.ones(n.shape[:-1])
+    cols = np.ones(n.shape[:-2] + n.shape[-1:])
     for _ in range(4):
-        rn = np.linalg.norm(n, axis=-1, keepdims=True)
-        rn[rn == 0] = 1.0
-        n /= rn
-        cn = np.linalg.norm(n, axis=-2, keepdims=True)
-        cn[cn == 0] = 1.0
-        n /= cn
-    return n
+        # squared norms of the rows, then of the columns, of the scaled matrix
+        rn = (squares @ (1.0 / cols)[..., None])[..., 0] / rows
+        rows *= np.where(rn == 0, 1.0, rn)
+        cn = ((1.0 / rows)[..., None, :] @ squares)[..., 0, :] / cols
+        cols *= np.where(cn == 0, 1.0, cn)
+    return n / np.sqrt(rows[..., :, None] * cols[..., None, :])
 
 
-def verify_presentation(stack: list[PolyMatrix], psi: complex, k: int,
+def verify_presentation(stack: list[PolyMatrix], psi: complex, orders,
                         curve_samples: list[ProjectivePoint],
                         off_samples: list[tuple[complex, complex, complex]]
-                        ) -> list[list[CheckReport]]:
-    """det(A) = w^(k+1) up to scalar; corank k+1 on the curve, 0 off it; one
-    list of records per matrix A of the stack.
+                        ) -> list[list[list[CheckReport]]]:
+    """det(A) = w^(k+1) up to scalar; corank k+1 on the curve, 0 off it; for
+    each order k in `orders`, one list of records per matrix of the stack.
 
-    A is block upper triangular with k+1 diagonal blocks equal to D, its block
-    (0, 0), bit for bit; presentation.structure counts the blocks on or below
-    the diagonal that break this.  So det A = (det D)^(k+1), and A has full
-    rank where D does: det D = c*w (reported as c^(k+1)) and the rank of D are
-    judged off the curve, where an SVD of all of A can judge rounding.  The
-    corank on the curve needs the blocks off the diagonal and reads all of A.
+    The stack holds matrices of one top order K, and order k <= K reads the
+    bottom-right 3(k+1) corner A of each, as check reads every order from one
+    build.  A is block upper triangular with k+1 diagonal blocks equal to D,
+    its block (0, 0), bit for bit; presentation.structure counts the blocks on
+    or below the diagonal that break this.  So det A = (det D)^(k+1), and A
+    has full rank where D does: det D = c*w (reported as c^(k+1)) and the rank
+    of D are judged off the curve, where an SVD of all of A can judge
+    rounding.  The corank on the curve needs the blocks off the diagonal and
+    reads all of A.  The distinct D over all orders and matrices are judged in
+    one stacked evaluation, determinant fit and rank test; the whole top-order
+    matrices are evaluated on the curve once, and order k reads the corner of
+    that evaluation.
     """
     coeffs = np.stack([a.coeffs for a in stack])
-    bits = coeffs.view(np.uint64).reshape(len(stack), k + 1, 3, k + 1, 3, -1).swapaxes(2, 3)
-    j, i = _triu(k + 1)  # the blocks (i, j) with i >= j
-    diagonal = np.where((i == j).reshape(-1, 1, 1, 1), bits[:, :1, 0], np.uint64(0))
-    misplaced = np.any(bits[:, i, j] != diagonal, axis=(2, 3, 4)).sum(axis=1)
-    block = eval_matrix(PolyMatrix(coeffs[:, :3, :3]), off_samples)
+    top = coeffs.shape[1] // 3 - 1
+    if not all(0 <= k <= top for k in orders):
+        raise ValueError(f"orders must lie in 0..{top}, got {list(orders)}")
+    starts = [top - k for k in orders]  # the first block of each order's corner
+    blocks = coeffs.view(np.uint64).reshape(len(stack), top + 1, 3, top + 1, 3, -1)
+    blocks = blocks.swapaxes(2, 3)
+    diagonal = blocks[:, range(top + 1), range(top + 1)]
+    below = np.any(blocks != 0, axis=(3, 4, 5)) & np.tri(top + 1, k=-1, dtype=bool)
+    unequal = np.any(diagonal[:, :, None] != diagonal[:, None], axis=(3, 4, 5))
+    # blocks (i, j), i >= j >= s, that differ from those of diag(D_s, ..., D_s)
+    misplaced = np.stack([below[:, s:, s:].sum(axis=(1, 2)) + unequal[:, s, s:].sum(axis=1)
+                          for s in starts], axis=1)
+    # the D of each order and matrix, every distinct one judged once: order k
+    # takes the first diagonal block equal to its own, so under a passing
+    # structure record all orders of a matrix share one
+    first = np.argmax(~unequal[:, starts], axis=-1) + (top + 1) * np.arange(len(stack))[:, None]
+    distinct, which = np.unique(first, return_inverse=True)
+    which = which.reshape(first.shape)
+    mat, j = np.divmod(distinct, top + 1)
+    grid = coeffs.reshape(len(stack), top + 1, 3, top + 1, 3, -1)
+    block = eval_matrix(PolyMatrix(grid[mat, j, :, j]), off_samples)
     scalars, det_residuals = det_scalar_fit(block, evaluate(hesse_form(psi), off_samples))
-    worst_off = np.max(np.abs(numeric_rank(equilibrate(block)) - 3), axis=1)
+    scalars, det_residuals = scalars[which], det_residuals[which]
+    worst_off = np.max(np.abs(numeric_rank(equilibrate(block)) - 3), axis=-1)[which]
     on = eval_matrix(PolyMatrix(coeffs), [p.coords for p in curve_samples])
-    worst_on = np.max(np.abs(numeric_rank(equilibrate(on)) - 2 * (k + 1)), axis=1)
-    return [[check("presentation.structure", float(misplaced[m]), 0.5, inputs={"k": k}),
-             check("presentation.det", det_residuals[m], 1e-7,
-                   inputs={"k": k, "scalar": complex(scalars[m] ** (k + 1))}),
-             check("presentation.corank_on_curve", float(worst_on[m]), 0.5,
-                   inputs={"k": k, "samples": len(curve_samples)}),
-             check("presentation.rank_off_curve", float(worst_off[m]), 0.5,
-                   inputs={"k": k, "samples": len(off_samples)})]
-            for m in range(len(stack))]
+    worst_on = [np.max(np.abs(numeric_rank(equilibrate(on[..., 3 * s:, 3 * s:])) - 2 * (k + 1)),
+                       axis=1) for k, s in zip(orders, starts)]
+    return [[[check("presentation.structure", float(misplaced[m, o]), 0.5, inputs={"k": k}),
+              check("presentation.det", det_residuals[m, o], 1e-7,
+                    inputs={"k": k, "scalar": complex(scalars[m, o] ** (k + 1))}),
+              check("presentation.corank_on_curve", float(worst_on[o][m]), 0.5,
+                    inputs={"k": k, "samples": len(curve_samples)}),
+              check("presentation.rank_off_curve", float(worst_off[m, o]), 0.5,
+                    inputs={"k": k, "samples": len(off_samples)})]
+             for m in range(len(stack))]
+            for o, k in enumerate(orders)]
 
 
 # rejection sampling gives up after this many draws per requested sample
 _DRAWS_PER_SAMPLE = 1000
 
 
-def _rejection_sample(draw, accept, count: int, what: str) -> list:
-    """The first `count` accepted draws; draw(n) gives the next n, in chunks of
-    `count` and then of all drawn so far, so a low acceptance rate costs few."""
+def _rejection_sample(draw, cut: float, count: int, what: str, score: str) -> list:
+    """The first `count` draws whose score exceeds `cut`.
+
+    draw(n) gives the next n draws and an array of their scores, in chunks of
+    `count` and then of all drawn so far, so a low acceptance rate costs few.
+    A failure names the largest score drawn.
+    """
     budget = _DRAWS_PER_SAMPLE * count
-    out, drawn = [], 0
+    out, drawn, best = [], 0, -math.inf
     while len(out) < count and drawn < budget:
         size = min(max(count, drawn), budget - drawn)
-        out += filter(accept, draw(size))
+        items, scores = draw(size)
+        out += compress(items, (scores > cut).tolist())
+        best = max(best, float(scores.max()))
         drawn += size
     if len(out) < count:
-        raise SamplingFailed(f"found {len(out)} of {count} {what} in {budget} draws")
+        raise SamplingFailed(f"found {len(out)} of {count} {what} in {budget} draws; "
+                             f"the largest {score} drawn is {best:.3e}")
     return out[:count]
 
 
 def curve_sample_points(ctx: ThetaContext, count: int, seed: int) -> list[ProjectivePoint]:
-    """Deterministic on-curve samples with every coordinate above 1e-3, away from E[3]."""
+    """Deterministic on-curve samples with every normalized coordinate above 1e-3,
+    away from E[3]."""
     rng = np.random.default_rng(seed)
-    return _rejection_sample(
-        lambda n: embed(rng.uniform(-0.45, 0.45, (n, 2)).view(complex)[:, 0], ctx),
-        lambda p: min(abs(v) for v in p.coords) > 1e-3,
-        count, "curve points away from E[3]")
+
+    def draw(n):
+        points = embed(rng.uniform(-0.45, 0.45, (n, 2)).view(complex)[:, 0], ctx)
+        return points, np.array([min(abs(v) for v in p.coords) for p in points])
+
+    return _rejection_sample(draw, 1e-3, count,
+                             "curve points with every normalized coordinate above 1e-3",
+                             "smallest coordinate")
 
 
 def offcurve_sample_triples(psi: complex, count: int, seed: int) -> list[tuple]:
     """Deterministic generic triples with |w(x)| bounded away from zero."""
     rng = np.random.default_rng(seed)
     w = hesse_form(psi)
-    return _rejection_sample(
-        lambda n: [tuple(xs) for xs in
-                   rng.uniform(-1, 1, (n, 3, 2)).view(complex)[..., 0].tolist()],
-        lambda xs: abs(evaluate(w, xs)) > 1e-2,
-        count, "triples off the curve")
+
+    def draw(n):
+        xs = rng.uniform(-1, 1, (n, 3, 2)).view(complex)[..., 0]
+        return map(tuple, xs.tolist()), np.abs(evaluate(w, xs))
+
+    return _rejection_sample(draw, 1e-2, count, "triples with |w(x)| above 1e-2", "|w(x)|")
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +651,11 @@ def _sections(k: int, jets: np.ndarray) -> np.ndarray:
     return np.where((row <= column)[:, :, None], terms, 0j).transpose(0, 2, 1)
 
 
-def automorphy_residuals(spec: UlrichSpec, z: complex) -> tuple[float, float]:
+def automorphy_residuals(spec: UlrichSpec, z: complex, orders) -> list[tuple[float, float]]:
     """Transport and cocycle residuals at z of the factor f(lambda, z), the
     (k+1)-square block with entries C(k-i, j-i) * e^(j-i)(lambda, z + a) of the
-    closed-form factor e (theta.automorphy_factor).
+    closed-form factor e (theta.automorphy_factor), for each order k in
+    `orders` (k <= spec.k).
 
     The residual at lambda is max |f v(z) - v(z+lambda)| over the section basis
     v, each section normalized by the size of the terms that form it: the
@@ -613,21 +667,30 @@ def automorphy_residuals(spec: UlrichSpec, z: complex) -> tuple[float, float]:
     the worse of lambda = 1 and lambda = tau.  Cocycle is the residual at lambda = 1 + tau
     with the factor f(1, z + tau) f(tau, z): the cocycle condition as the
     sections see it.  The four theta jets they read, at z + a + lambda for
-    lambda in {0, 1, tau, 1 + tau}, come from one sum.
+    lambda in {0, 1, tau, 1 + tau}, come from one sum at order spec.k, and the
+    factor jets from one evaluation at that order; order k reads their first
+    k+1 rows.
     """
-    k, tau = spec.k, spec.ctx.tau
+    top, tau = spec.k, spec.ctx.tau
+    if not all(0 <= k <= top for k in orders):
+        raise ValueError(f"orders must lie in 0..{top}, got {list(orders)}")
     at = z + spec.a_z
-    jets = theta_jet(np.array([at, at + 1.0, at + tau, at + (1 + tau)]), spec.ctx, k)
-    f1, ft, f1_shifted = (_offset_blocks(automorphy_factor(m, n, w, tau, k))
-                          for m, n, w in ((1, 0, at), (0, 1, at), (1, 0, at + tau)))
-    here = _sections(k, jets[0]).reshape(spec.size, -1)
-    residuals = []
-    for f, there in ((f1, jets[1]), (ft, jets[2]), (f1_shifted @ ft, jets[3])):
-        lhs, rhs = here @ f.T, _sections(k, there).reshape(spec.size, -1)
-        terms = _jet_sizes(here, k) @ np.abs(f).T + _jet_sizes(rhs, k)
-        scale = np.repeat(np.max(terms, axis=1), 3)
-        residuals.append(float(np.max(np.max(np.abs(lhs - rhs), axis=1) / scale)))
-    return max(residuals[:2]), residuals[2]
+    jets = theta_jet(np.array([at, at + 1.0, at + tau, at + (1 + tau)]), spec.ctx, top)
+    factors = [automorphy_factor(m, n, w, tau, top)
+               for m, n, w in ((1, 0, at), (0, 1, at), (1, 0, at + tau))]
+    out = []
+    for k in orders:
+        size = 3 * (k + 1)
+        f1, ft, f1_shifted = (_offset_blocks(f[:k + 1]) for f in factors)
+        here = _sections(k, jets[0, :k + 1]).reshape(size, -1)
+        residuals = []
+        for f, there in ((f1, jets[1]), (ft, jets[2]), (f1_shifted @ ft, jets[3])):
+            lhs, rhs = here @ f.T, _sections(k, there[:k + 1]).reshape(size, -1)
+            terms = _jet_sizes(here, k) @ np.abs(f).T + _jet_sizes(rhs, k)
+            scale = np.repeat(np.max(terms, axis=1), 3)
+            residuals.append(float(np.max(np.max(np.abs(lhs - rhs), axis=1) / scale)))
+        out.append((max(residuals[:2]), residuals[2]))
+    return out
 
 
 def _jet_sizes(sections: np.ndarray, k: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from .bundles import (UlrichSpec, _elimination_solve, _elimination_system,
                       automorphy_residuals, build_algebraic, build_analytic,
                       calibrate_by_order, calibrate_scalars, curve_sample_points,
                       derivative_elimination_fit, elimination_consequence_residual,
-                      equilibrate, factor_backward_error, jet_kernel_residual,
+                      entry_norms, equilibrate, factor_backward_error, jet_kernel_residual,
                       offcurve_sample_triples,
                       relation_annihilation_residual, relation_matrix,
                       verify_factorization, verify_presentation)
@@ -177,9 +177,11 @@ def _moore_checks(ctx: ThetaContext, psi: complex, rng, off: list[tuple]) -> lis
     samples = curve_sample_points(ctx, 20, int(rng.integers(1 << 30)))
     coords = np.array([p.coords for p in samples])
     m, l = moore_from_coords(coords), l_from_coords(coords)
+    ml, m_norms, l_norms = m @ l, entry_norms(m.coeffs), entry_norms(l.coeffs)
     # entrywise backward errors over the stack of samples, as in verify_factorization
-    worst_ml, worst_lm = factor_backward_error(m, l, w), factor_backward_error(l, m, w)
-    worst_off = np.linalg.norm((m @ l).coeffs, axis=-1)[:, ~np.eye(3, dtype=bool)].max()
+    worst_ml = factor_backward_error(ml, m_norms, l_norms, w)
+    worst_lm = factor_backward_error(l @ m, l_norms, m_norms, w)
+    worst_off = np.linalg.norm(ml.coeffs, axis=-1)[:, ~np.eye(3, dtype=bool)].max()
     scalar, fit = det_scalar_fit(eval_matrix(m, off), evaluate(w, off))
     prod = coords.prod(axis=1)
     worst_det = max(fit.max(), (np.abs(scalar - prod) / np.abs(prod)).max())
@@ -225,7 +227,8 @@ def _factorization_checks(spec: UlrichSpec, a: PolyMatrix, b: PolyMatrix, psi: c
 
 def _presentation_checks(spec: UlrichSpec, a: PolyMatrix, psi: complex, k_max: int,
                          seed: int, off: list[tuple]) -> list[CheckReport]:
-    """Both presentations at every k <= min(k_max, 3), from one calibration at that order."""
+    """Both presentations at every k <= min(k_max, 3), from one calibration and one
+    presentation test at that order."""
     on = curve_sample_points(spec.ctx, 10, seed)
     point = embed(spec.a_z, spec.ctx)
     top = min(k_max, 3)
@@ -242,10 +245,10 @@ def _presentation_checks(spec: UlrichSpec, a: PolyMatrix, psi: complex, k_max: i
             calibrate_scalars(UlrichSpec(k=k, ctx=spec.ctx, a_z=spec.a_z))
         raise
     algebraic = build_algebraic(point, top, lambdas)
+    presentation = verify_presentation([_corner(a, top), algebraic], psi, orders, on, off)
     reports = []
-    for k, cal_reports in zip(orders, calibration):
-        analytic_reports, algebraic_reports = verify_presentation(
-            [_corner(a, k), _corner(algebraic, k)], psi, k, on, off)
+    for k, cal_reports, (analytic_reports, algebraic_reports) in zip(orders, calibration,
+                                                                      presentation):
         reports += (_suffixed(analytic_reports, f".analytic.k{k}")
                     + _suffixed(cal_reports, f".k{k}")
                     + _suffixed(algebraic_reports, f".algebraic.k{k}"))
@@ -253,10 +256,13 @@ def _presentation_checks(spec: UlrichSpec, a: PolyMatrix, psi: complex, k_max: i
 
 
 def _automorphy_checks(ctx: ThetaContext, a_z: complex, k_max: int) -> list[CheckReport]:
+    if k_max < 1:
+        return []
     reports = []
     z = 0.13 + 0.05j
-    for k in range(1, k_max + 1):
-        transport, cocycle = automorphy_residuals(UlrichSpec(k=k, ctx=ctx, a_z=a_z), z)
+    orders = range(1, k_max + 1)
+    residuals = automorphy_residuals(UlrichSpec(k=k_max, ctx=ctx, a_z=a_z), z, orders)
+    for k, (transport, cocycle) in zip(orders, residuals):
         reports.append(check(f"automorphy.transport.k{k}", transport, 1e-7, {"z": z}))
         reports.append(check(f"automorphy.cocycle.k{k}", cocycle, 1e-7, {"z": z}))
     return reports

@@ -16,6 +16,10 @@ import numpy as np
 from .poly import PolyMatrix, monomials
 
 
+# what json.dumps(..., sort_keys=True) builds anew on every call
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _jsonable(value):
     if isinstance(value, complex):
         return [value.real, value.imag]
@@ -48,7 +52,7 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return _RECORD_ENCODER.encode(self.to_dict())
 
 
 def check(name: str, residual: float, tol: float, inputs: dict | None = None) -> CheckReport:

@@ -8,7 +8,9 @@ jets, from the one-point sum they must equal bit for bit), the automorphy
 factor as the quotient of two summed series, Moore and L
 matrices and the Moore relations entry by entry in plain Python, the
 calibration's block equivalence by nested loops over blocks and unknowns,
-and the emitted JSON and LaTeX of a matrix term by term.  The short helpers
+the emitted JSON and LaTeX of a matrix term by term, and the presentation
+records, the equilibration and the off-curve sampler one order, one pass
+and one triple at a time.  The short helpers
 at the end are conveniences the tests read jets and points through; the
 package itself passes the arrays.
 """
@@ -21,7 +23,9 @@ import numpy as np
 
 from hessecubic.curve import ProjectivePoint, double_neg
 from hessecubic.moore import MOORE_PATTERN, moore_from_coords
-from hessecubic.poly import PolyMatrix, monomial_index, monomials
+from hessecubic.poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
+                             monomial_index, monomials, numeric_rank)
+from hessecubic.report import CheckReport, check
 from hessecubic.theta import (_CHAR_A, _CHAR_A_ARRAY, _CHAR_B, _PHASE_ARRAY, _TWO_PI_I,
                               CHECK_TOL, ThetaContext, _half_width, _outside_in, leibniz_quotient,
                               theta_jet)
@@ -339,6 +343,60 @@ def equivalence_solve_oracle(jets, reps, chain, max_iter: int = 60):
         lam[1:] += step[2 * n_uw:]
     residual = equivalence_residual_oracle(jets, reps, u, w, lam)
     return lam[1:], float(np.linalg.norm(residual) / scale)
+
+
+def equilibrate_oracle(n) -> np.ndarray:
+    """Four passes that divide the rows, then the columns, by their 2-norms."""
+    n = np.array(n, dtype=complex)
+    for _ in range(4):
+        rn = np.linalg.norm(n, axis=-1, keepdims=True)
+        rn[rn == 0] = 1.0
+        n /= rn
+        cn = np.linalg.norm(n, axis=-2, keepdims=True)
+        cn[cn == 0] = 1.0
+        n /= cn
+    return n
+
+
+def presentation_oracle(stack: list[PolyMatrix], psi: complex, k: int,
+                        curve_samples, off_samples) -> list[list[CheckReport]]:
+    """The presentation records of each order-k matrix of the stack, one order at a time.
+
+    The structure compares the blocks on and below the diagonal with block
+    (0, 0) and with zero; det and the off-curve rank read block (0, 0) at the
+    off-curve samples, the corank all of the matrix at the curve samples, each
+    scaled pass by pass (equilibrate_oracle).
+    """
+    coeffs = np.stack([a.coeffs for a in stack])
+    bits = coeffs.view(np.uint64).reshape(len(stack), k + 1, 3, k + 1, 3, -1).swapaxes(2, 3)
+    j, i = np.triu_indices(k + 1)  # the blocks (i, j) with i >= j
+    diagonal = np.where((i == j).reshape(-1, 1, 1, 1), bits[:, :1, 0], np.uint64(0))
+    misplaced = np.any(bits[:, i, j] != diagonal, axis=(2, 3, 4)).sum(axis=1)
+    block = eval_matrix(PolyMatrix(coeffs[:, :3, :3]), off_samples)
+    scalars, det_residuals = det_scalar_fit(block, evaluate(hesse_form(psi), off_samples))
+    worst_off = np.max(np.abs(numeric_rank(equilibrate_oracle(block)) - 3), axis=1)
+    on = eval_matrix(PolyMatrix(coeffs), [p.coords for p in curve_samples])
+    worst_on = np.max(np.abs(numeric_rank(equilibrate_oracle(on)) - 2 * (k + 1)), axis=1)
+    return [[check("presentation.structure", float(misplaced[m]), 0.5, inputs={"k": k}),
+             check("presentation.det", det_residuals[m], 1e-7,
+                   inputs={"k": k, "scalar": complex(scalars[m] ** (k + 1))}),
+             check("presentation.corank_on_curve", float(worst_on[m]), 0.5,
+                   inputs={"k": k, "samples": len(curve_samples)}),
+             check("presentation.rank_off_curve", float(worst_off[m]), 0.5,
+                   inputs={"k": k, "samples": len(off_samples)})]
+            for m in range(len(stack))]
+
+
+def offcurve_triples_oracle(psi: complex, count: int, seed: int) -> list[tuple]:
+    """The first `count` triples, drawn one at a time, with |w(x)| > 1e-2 at that triple."""
+    rng = np.random.default_rng(seed)
+    w = hesse_form(psi)
+    out = []
+    while len(out) < count:
+        xs = tuple(rng.uniform(-1, 1, (3, 2)).view(complex)[:, 0].tolist())
+        if abs(evaluate(w, xs)) > 1e-2:
+            out.append(xs)
+    return out
 
 
 def to_json(m: PolyMatrix) -> dict:

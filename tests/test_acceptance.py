@@ -114,7 +114,7 @@ def test_criterion_5_presentation_law(ctx_i, psi_i):
         lambdas, _ = calibrate_scalars(spec)
         stack = [build_analytic(spec)[0], build_algebraic(embed(A_Z, ctx_i), k, lambdas)]
         for tag, reports in zip(("analytic", "algebraic"),
-                                verify_presentation(stack, psi_i, k, on, off)):
+                                verify_presentation(stack, psi_i, [k], on, off)[0]):
             for rep in reports:
                 if not rep.passed:
                     failures.append(f"{tag}.k{k}.{rep.name}")
@@ -165,8 +165,8 @@ def test_criterion_8_automorphy(ctx_i):
     for k in range(1, 9):
         # transport is the worse of lambda = 1 and lambda = tau; cocycle is
         # lambda = 1 + tau with the factor f(1, z + tau) f(tau, z)
-        transport, cocycle = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z),
-                                                  0.13 + 0.05j)
+        ((transport, cocycle),) = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z),
+                                                       0.13 + 0.05j, [k])
         worst_t, worst_c = max(worst_t, transport), max(worst_c, cocycle)
     passed = worst_t < 1e-7 and worst_c < 1e-7
     _report(8, "automorphy", passed,

@@ -23,15 +23,15 @@ from hessecubic import (CalibrationFailed, DegenerateOrbit, DenominatorZero,
 from hessecubic import bundles
 from hessecubic.bundles import _finite_at, _offset_blocks, _rejection_sample, equilibrate
 from hessecubic.curve import is_three_torsion
-from hessecubic.poly import evaluate, hesse_form
+from hessecubic.poly import eval_matrix, evaluate, hesse_form
 from hessecubic.theta import automorphy_factor, hesse_psi
 from hessecubic.moore import moore_from_coords
 from oracles import (annihilation_residual_oracle, as_array, automorphy_block_oracle,
-                     automorphy_jet, equivalence_jacobian_oracle, equivalence_residual_oracle,
-                     equivalence_solve_oracle, jet_matrices, matrix_close,
-                     moore_derivative, per_point_jet, random_poly_matrix,
-                     section_components_oracle, theta_vector, transport_residual_oracle,
-                     zeros)
+                     automorphy_jet, equilibrate_oracle, equivalence_jacobian_oracle,
+                     equivalence_residual_oracle, equivalence_solve_oracle, jet_matrices,
+                     matrix_close, moore_derivative, offcurve_triples_oracle, per_point_jet,
+                     presentation_oracle, random_poly_matrix, section_components_oracle,
+                     theta_vector, transport_residual_oracle, zeros)
 
 A_Z = 0.3
 
@@ -337,8 +337,8 @@ def test_gauge_pinned_k8_calibration_is_a_presentation(tau, a_z):
     assert all(r.passed for r in reports), [r.to_dict() for r in reports]
     psi = hesse_psi(ctx)
     a = build_algebraic(embed(a_z, ctx), 8, lambdas)
-    (checks,) = verify_presentation([a], psi, 8, curve_sample_points(ctx, 10, 42),
-                                 offcurve_sample_triples(psi, 10, 43))
+    (checks,) = verify_presentation([a], psi, [8], curve_sample_points(ctx, 10, 42),
+                                    offcurve_sample_triples(psi, 10, 43))[0]
     assert all(r.passed for r in checks), [r.to_dict() for r in checks]
 
 
@@ -356,6 +356,31 @@ def test_calibration_survives_an_lstsq_failure_at_the_rounding_floor():
     spec = UlrichSpec(k=5, ctx=ThetaContext(tau=0.34161358082023807 + 0.982635655079061j),
                       a_z=0.4149917991988276 - 0.12876540806486045j)
     _, reports = calibrate_scalars(spec)
+    assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_a_failed_polish_step_keeps_the_current_iterate(monkeypatch, ctx_i, k):
+    # every least-squares solve of the polish fails, as LAPACK's SVD can: the
+    # calibration is then that of the row solves alone, judged as it is
+    spec = UlrichSpec(k=k, ctx=ctx_i, a_z=0.301)
+    with monkeypatch.context() as patch:
+        patch.setattr(bundles, "_POLISH_STEPS", 0)
+        lambdas, reports = calibrate_scalars(spec)
+    lstsq, failed = np.linalg.lstsq, []
+
+    def failing(lhs, rhs, rcond=None):
+        # the polish system has a row per component of every block on or above the diagonal
+        if len(lhs) == 3 * (k + 1) * (k + 2) // 2:
+            failed.append(lhs.shape)
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        return lstsq(lhs, rhs, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", failing)
+    kept, kept_reports = calibrate_scalars(spec)
+    assert len(failed) == 1
+    assert kept == lambdas
+    assert [r.to_dict() for r in kept_reports] == [r.to_dict() for r in reports]
     assert all(r.passed for r in reports)
 
 
@@ -444,7 +469,7 @@ def test_high_k_calibration_is_a_presentation(ctx_i, psi_i, on_samples, off_samp
     lambdas, reports = calibrate_scalars(UlrichSpec(k=k, ctx=ctx_i, a_z=a_z))
     assert all(r.passed for r in reports)
     a = build_algebraic(embed(a_z, ctx_i), k, lambdas)
-    (checks,) = verify_presentation([a], psi_i, k, on_samples, off_samples)
+    (checks,) = verify_presentation([a], psi_i, [k], on_samples, off_samples)[0]
     assert all(r.passed for r in checks), [r.to_dict() for r in checks]
 
 
@@ -547,7 +572,7 @@ def test_presentation_complex_tau_k3(ctx_c, psi_c):
     on = curve_sample_points(ctx_c, 10, 42)
     off = offcurve_sample_triples(psi_c, 10, 43)
     (reports,) = verify_presentation([build_algebraic(embed(spec.a_z, ctx_c), 3, lambdas)],
-                                  psi_c, 3, on, off)
+                                     psi_c, [3], on, off)[0]
     assert all(r.passed for r in reports)
 
 
@@ -588,7 +613,7 @@ def test_zeroed_lambda1_breaks_block_agreement(ctx_i, psi_i, spec1, on_samples, 
     lambdas, _ = calibrate_scalars(spec1)
     base = embed(A_Z, ctx_i)
     mutated = build_algebraic(base, 1, [0.0 + 0.0j])
-    for rep in verify_presentation([mutated], psi_i, 1, on_samples, off_samples)[0]:
+    for rep in verify_presentation([mutated], psi_i, [1], on_samples, off_samples)[0][0]:
         assert rep.passed
     good = build_algebraic(base, 1, lambdas)
     diff = (_block(good, 0, 1) - _block(mutated, 0, 1)).coefficient_norm()
@@ -598,8 +623,8 @@ def test_zeroed_lambda1_breaks_block_agreement(ctx_i, psi_i, spec1, on_samples, 
 def test_wrong_lambda2_breaks_corank(ctx_i, psi_i, spec2, on_samples, off_samples):
     lambdas, _ = calibrate_scalars(spec2)
     mutated = build_algebraic(embed(A_Z, ctx_i), 2, [lambdas[0], lambdas[1] * 1.05])
-    reports = {r.name: r for r in verify_presentation([mutated], psi_i, 2,
-                                                      on_samples, off_samples)[0]}
+    reports = {r.name: r for r in verify_presentation([mutated], psi_i, [2],
+                                                      on_samples, off_samples)[0][0]}
     assert not reports["presentation.corank_on_curve"].passed
 
 
@@ -611,14 +636,14 @@ def test_presentation_both_constructions(ctx_i, psi_i, on_samples, off_samples, 
     a_an, _ = build_analytic(spec)
     lambdas, _ = calibrate_scalars(spec)
     a_alg = build_algebraic(embed(A_Z, ctx_i), k, lambdas)
-    for reports in verify_presentation([a_an, a_alg], psi_i, k, on_samples, off_samples):
+    for reports in verify_presentation([a_an, a_alg], psi_i, [k], on_samples, off_samples)[0]:
         assert all(r.passed for r in reports), [r.to_dict() for r in reports]
 
 
 def test_presentation_rejects_generic_matrix(psi_i, on_samples, off_samples):
     rng = np.random.default_rng(55)
-    (reports,) = verify_presentation([random_poly_matrix(rng, 6, 6, 1)], psi_i, 1,
-                                  on_samples, off_samples)
+    (reports,) = verify_presentation([random_poly_matrix(rng, 6, 6, 1)], psi_i, [1],
+                                     on_samples, off_samples)[0]
     named = {r.name: r for r in reports}
     assert not named["presentation.det"].passed
     assert not named["presentation.corank_on_curve"].passed
@@ -627,11 +652,24 @@ def test_presentation_rejects_generic_matrix(psi_i, on_samples, off_samples):
 def test_det_scalar_value_k1(ctx_i, psi_i, spec1, on_samples, off_samples):
     # det A = c * w^2 with c = det(M_0 jet)^2 / w^2 = (th0 th1 th2)(a)^2
     a, _ = build_analytic(spec1)
-    named = {r.name: r for r in verify_presentation([a], psi_i, 1, on_samples, off_samples)[0]}
+    named = {r.name: r
+             for r in verify_presentation([a], psi_i, [1], on_samples, off_samples)[0][0]}
     th = theta_vector(A_Z, ctx_i)
     expected = (th[0] * th[1] * th[2]) ** 2
     assert named["presentation.det"].residual < 1e-7
     assert abs(named["presentation.det"].inputs["scalar"] - expected) < 1e-10 * abs(expected)
+
+
+def _diagonal_mutations(matrix: PolyMatrix, k: int) -> list[PolyMatrix]:
+    """One coefficient of a diagonal block scaled by 1 + 1e-4, at three entries of each block."""
+    out = []
+    for i in range(k + 1):
+        for r, c in ((0, 0), (1, 2), (2, 1)):
+            mutated = PolyMatrix(matrix.coeffs.copy())
+            entry = mutated.coeffs[3 * i + r, 3 * i + c]
+            entry[np.flatnonzero(entry)[0]] *= 1 + 1e-4
+            out.append(mutated)
+    return out
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -643,14 +681,9 @@ def test_det_gate_catches_perturbed_diagonal_block(ctx_i, psi_i, on_samples, off
     lambdas, _ = calibrate_scalars(spec)
     mutations = [(i, r, c) for i in range(k + 1) for r, c in ((0, 0), (1, 2), (2, 1))]
     for matrix in (build_analytic(spec)[0], build_algebraic(embed(A_Z, ctx_i), k, lambdas)):
-        stack = [matrix]
-        for i, r, c in mutations:
-            mutated = PolyMatrix(matrix.coeffs.copy())
-            entry = mutated.coeffs[3 * i + r, 3 * i + c]
-            entry[np.flatnonzero(entry)[0]] *= 1 + 1e-4
-            stack.append(mutated)
+        stack = [matrix] + _diagonal_mutations(matrix, k)
         # the intact matrix and every mutation judged in one stacked call
-        intact, *mutated = verify_presentation(stack, psi_i, k, on_samples, off_samples)
+        intact, *mutated = verify_presentation(stack, psi_i, [k], on_samples, off_samples)[0]
         assert all(r.passed for r in intact), [r.to_dict() for r in intact]
         for where, reports in zip(mutations, mutated):
             named = {r.name: r for r in reports}
@@ -685,7 +718,7 @@ def test_structure_gate_catches_every_block_mutation(tau):
             for mutate in mutations.values():
                 stack.append(PolyMatrix(matrix.coeffs.copy()))
                 mutate(stack[-1])
-            intact, *mutated = verify_presentation(stack, psi, k, on, off)
+            intact, *mutated = verify_presentation(stack, psi, [k], on, off)[0]
             assert all(r.passed for r in intact), (k, [r.to_dict() for r in intact])
             for what, reports in zip(mutations, mutated):
                 assert not {r.name: r for r in reports}["presentation.structure"].passed, \
@@ -698,9 +731,61 @@ def test_off_curve_rank_reads_the_diagonal_block():
     ctx = ThetaContext(tau=-0.129 + 1.161j)
     psi = hesse_psi(ctx)
     a, _ = build_analytic(UlrichSpec(k=8, ctx=ctx, a_z=0.295 + 0.013j))
-    (reports,) = verify_presentation([a], psi, 8, curve_sample_points(ctx, 10, 7),
-                                     offcurve_sample_triples(psi, 10, 8))
+    (reports,) = verify_presentation([a], psi, [8], curve_sample_points(ctx, 10, 7),
+                                     offcurve_sample_triples(psi, 10, 8))[0]
     assert all(r.passed for r in reports), [r.to_dict() for r in reports]
+
+
+@pytest.mark.parametrize("tau", [1j, 0.2 + 1.3j, -0.31 + 1.12j])
+def test_all_orders_presentation_is_the_per_order_computation(tau):
+    # every order read from one stacked test of the top-order matrices gives
+    # the records of the old test of that order's corners, byte for byte,
+    # also where a diagonal block is perturbed
+    ctx = ThetaContext(tau=tau)
+    psi = hesse_psi(ctx)
+    on, off = curve_sample_points(ctx, 10, 42), offcurve_sample_triples(psi, 10, 43)
+    for top in (1, 2, 3):
+        spec = UlrichSpec(k=top, ctx=ctx, a_z=A_Z)
+        lambdas, _ = calibrate_scalars(spec)
+        stack = []
+        for matrix in (build_analytic(spec)[0], build_algebraic(embed(A_Z, ctx), top, lambdas)):
+            stack += [matrix] + _diagonal_mutations(matrix, top)
+        orders = range(1, top + 1)
+        for k, got in zip(orders, verify_presentation(stack, psi, orders, on, off)):
+            start = 3 * (top - k)
+            corners = [PolyMatrix(m.coeffs[start:, start:]) for m in stack]
+            expected = presentation_oracle(corners, psi, k, on, off)
+            assert [[r.to_json() for r in reports] for reports in got] == \
+                [[r.to_json() for r in reports] for reports in expected], (top, k)
+
+
+def test_presentation_orders_lie_inside_the_stack(psi_i, on_samples, off_samples):
+    a, _ = build_analytic(UlrichSpec(k=2, ctx=ThetaContext(tau=1j), a_z=A_Z))
+    with pytest.raises(ValueError, match="orders must lie in 0..2"):
+        verify_presentation([a], psi_i, [1, 3], on_samples, off_samples)
+
+
+def test_equilibrate_is_the_pass_by_pass_scaling(ctx_i, psi_i, on_samples, off_samples):
+    # the stacks the presentation and bookkeeping gates scale, and one with a
+    # zero row and column
+    stacks = []
+    for k in (1, 2, 3):
+        spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
+        analytic = build_analytic(spec)[0]
+        algebraic = build_algebraic(embed(A_Z, ctx_i), k, calibrate_scalars(spec)[0])
+        for m in (analytic, algebraic):
+            stacks.append(eval_matrix(m, [p.coords for p in on_samples]))
+            stacks.append(eval_matrix(_block(m, 0, 0), off_samples))
+        stacks.append(relation_matrix(analytic))
+    rng = np.random.default_rng(3)
+    sparse = rng.normal(size=(4, 7, 5)) + 1j * rng.normal(size=(4, 7, 5))
+    sparse[:, 2] = 0.0
+    sparse[:, :, 4] = 0.0
+    stacks.append(sparse * np.logspace(-6, 6, 5))
+    for n in stacks:
+        got, expected = equilibrate(n), equilibrate_oracle(n)
+        assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
+        assert np.array_equal(numeric_rank(got), numeric_rank(expected))
 
 
 # -- elimination fit ----------------------------------------------------------
@@ -745,17 +830,29 @@ def test_elimination_fits_from_one_sum_are_the_one_point_fits(ctx_i):
 
 def test_rejection_sampler_stops_after_its_draw_budget():
     chunks = []
-    with pytest.raises(SamplingFailed, match="found 0 of 3 points in 3000 draws"):
-        _rejection_sample(lambda n: chunks.append(n) or [1] * n, lambda _: False, 3, "points")
+
+    def draw(n):
+        # draw number d scores d / 1e4, always under the cut
+        first = sum(chunks)
+        chunks.append(n)
+        return [1] * n, np.arange(first, first + n) / 1e4
+
+    with pytest.raises(SamplingFailed, match=r"^found 0 of 3 points in 3000 draws; "
+                                             r"the largest score drawn is 2\.999e-01$"):
+        _rejection_sample(draw, 1.0, 3, "points", "score")
     # each chunk as large as all before it, the last one what is left of the budget
     assert chunks == [3, 3, 6, 12, 24, 48, 96, 192, 384, 768, 1464]
 
 
 def test_rejection_sampler_stops_drawing_once_complete():
     draws = iter(range(100))
-    take = lambda n: [next(draws) for _ in range(n)]  # noqa: E731
+
+    def take(n):
+        items = [next(draws) for _ in range(n)]
+        return items, np.array(items) % 2
+
     # the chunks hold 0..2 and 3..5: the third odd number ends the sampling
-    assert _rejection_sample(take, lambda n: n % 2, 3, "odd") == [1, 3, 5]
+    assert _rejection_sample(take, 0.5, 3, "odd", "parity") == [1, 3, 5]
     assert next(draws) == 6
 
 
@@ -780,6 +877,14 @@ def test_samplers_draw_the_unbounded_loop_sequence(tau):
     assert offcurve_sample_triples(psi, 10, 6) == expected
 
 
+def test_offcurve_triples_are_the_per_triple_filter(psi_i):
+    # each chunk of draws is judged by one stacked evaluation of w; about 4 in
+    # 1e5 draws fall under the cut, 5 of these 100,000 at tau = i
+    for seed in range(200):
+        assert offcurve_sample_triples(psi_i, 500, seed) == offcurve_triples_oracle(psi_i, 500,
+                                                                                   seed)
+
+
 @pytest.mark.parametrize("tau, seed", [(1j, 42), (0.2 + 1.3j, 7), (-0.45 + 0.95j, 123)])
 def test_curve_samples_are_the_one_point_loop_samples(tau, seed):
     # drawn one pair and embedded by one one-point sum at a time, as before chunking
@@ -795,8 +900,11 @@ def test_curve_samples_are_the_one_point_loop_samples(tau, seed):
 
 
 def test_curve_sampler_fails_by_name_near_the_cusp():
-    # at Im tau = 5 every sampled point has a coordinate below 1e-3
-    with pytest.raises(SamplingFailed, match="curve points"):
+    # at Im tau = 5 every sampled point has a coordinate below 1e-3, though
+    # none lies near E[3]: the failure names the cut and the closest miss
+    with pytest.raises(SamplingFailed, match=r"curve points with every normalized coordinate "
+                                             r"above 1e-3 .* the largest smallest coordinate "
+                                             r"drawn is 4\.781e-04$"):
         curve_sample_points(ThetaContext(tau=5j), 2, 0)
 
 
@@ -885,7 +993,7 @@ def test_transport_residual_matches_loop_oracle(monkeypatch, ctx_i, k):
         with monkeypatch.context() as patch:
             patch.setattr(bundles, "automorphy_factor", lambda m, n, w, tau, order: original(
                 m, n, w, tau, order) * (wrong if (m, n, w) == target else 1.0))
-            got = automorphy_residuals(spec, z)
+            (got,) = automorphy_residuals(spec, z, [k])
         assert expected > 1e-3
         assert abs(got[which] - expected) <= 1e-12 * expected
         if target[1] == 0:  # f(tau, z) is intact, so the other record is too
@@ -913,7 +1021,7 @@ def test_automorphy_residuals_read_the_one_point_jets(ctx_i, k):
 
     transport = max(residual(factor(1, 0, at), 1.0), residual(factor(0, 1, at), tau))
     cocycle = residual(factor(1, 0, at + tau) @ factor(0, 1, at), 1 + tau)
-    assert automorphy_residuals(spec, z) == (transport, cocycle)
+    assert automorphy_residuals(spec, z, [k]) == [(transport, cocycle)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -939,13 +1047,15 @@ def test_automorphy_block_at_one(ctx_i, spec2):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_automorphy_transport(ctx_i, k):
     # the worse of lambda = 1 and lambda = tau
-    transport, _ = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z), 0.13 + 0.05j)
+    ((transport, _),) = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z),
+                                             0.13 + 0.05j, [k])
     assert transport < 1e-7
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_automorphy_cocycle(ctx_i, k):
-    _, cocycle = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z), 0.13 + 0.05j)
+    ((_, cocycle),) = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z),
+                                           0.13 + 0.05j, [k])
     assert cocycle < 1e-7
 
 
@@ -963,8 +1073,25 @@ def test_automorphy_holds_to_rounding_at_every_k(re_tau, lift, re_a, im_a, re_z,
     floor = math.sqrt(1.0 - re_tau ** 2)
     ctx = ThetaContext(tau=complex(re_tau, floor + lift * (4.0 - floor)))
     spec = UlrichSpec(k=k, ctx=ctx, a_z=complex(re_a, im_a))
-    transport, cocycle = automorphy_residuals(spec, complex(re_z, im_z))
+    ((transport, cocycle),) = automorphy_residuals(spec, complex(re_z, im_z), [k])
     assert transport < 1e-11 and cocycle < 1e-11
+
+
+@settings(max_examples=40, deadline=None)
+@given(re_tau=st.floats(-0.5, 0.5), lift=st.floats(0.0, 1.0),
+       re_a=st.floats(0.05, 0.45), im_a=st.floats(-0.15, 0.15),
+       re_z=st.floats(-0.5, 0.5), im_z=st.floats(-0.5, 0.5), top=st.integers(1, 8))
+def test_all_orders_automorphy_is_the_per_order_computation(re_tau, lift, re_a, im_a,
+                                                            re_z, im_z, top):
+    # every order read from the first rows of one sum at the top order gives
+    # the residuals of that order's own sum, bit for bit
+    floor = math.sqrt(1.0 - re_tau ** 2)
+    ctx = ThetaContext(tau=complex(re_tau, floor + lift * (4.0 - floor)))
+    a_z, z = complex(re_a, im_a), complex(re_z, im_z)
+    orders = range(1, top + 1)
+    got = automorphy_residuals(UlrichSpec(k=top, ctx=ctx, a_z=a_z), z, orders)
+    assert got == [automorphy_residuals(UlrichSpec(k=k, ctx=ctx, a_z=a_z), z, [k])[0]
+                   for k in orders]
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -978,7 +1105,8 @@ def test_automorphy_gates_see_a_perturbed_second_derivative(monkeypatch, ctx_i, 
         return jets
 
     monkeypatch.setattr(bundles, "theta_jet", perturbed)
-    transport, cocycle = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z), 0.13 + 0.05j)
+    ((transport, cocycle),) = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z),
+                                                   0.13 + 0.05j, [k])
     assert transport > 1e-7 and cocycle > 1e-7
 
 
