@@ -45,7 +45,7 @@ from itertools import compress
 
 import numpy as np
 
-from .curve import ProjectivePoint, doubling_orbit, embed, is_three_torsion
+from .curve import ProjectivePoint, doubling_orbit, embed
 from .errors import (CalibrationFailed, DegenerateOrbit, DenominatorZero, IllConditioned,
                      SamplingFailed, SizeMismatch, ThetaOverflow)
 from .moore import l_derivative, moore_from_coords
@@ -172,13 +172,13 @@ def tangent_rep(coords) -> np.ndarray:
     return num / (a0 * a1 * a2)
 
 
-def derivative_elimination_fit(a_z: complex, ctx: ThetaContext) -> tuple[complex, complex, float]:
-    """Least-squares solve of theta'(a) = s*theta(a) + c*V(a).
+def elimination_fit(jet: np.ndarray) -> tuple[complex, complex, float]:
+    """(s, c, residual) of theta'(a) = s*theta(a) + c*V(a) in least squares, from a's jet.
 
     Three equations, two unknowns; c is the a-independent scalar hidden in
     the projective statement of the elimination identity.
     """
-    return _elimination_solve(_elimination_system(theta_jet(a_z, ctx, 1)))
+    return _elimination_solve(_elimination_system(jet))
 
 
 def _elimination_system(jet: np.ndarray) -> np.ndarray:
@@ -200,10 +200,10 @@ def build_algebraic(point: ProjectivePoint, k: int,
     """Block matrix from the points (-2)^l a of the base point a; lambda_0 is fixed to 1.
 
     With lambdas omitted the printed form (all scalars 1) is built; pass the
-    result of calibrate_scalars for the presentation equivalent to the
+    scalars of calibrate_by_order for the presentation equivalent to the
     analytic matrix.
     """
-    points = _orbit(point, k)
+    points = doubling_orbit(point, k)
     weights = [1.0 + 0.0j] + list(lambdas or [1.0 + 0.0j] * k)
     if len(weights) != k + 1:
         raise ValueError(f"need {k} offset scalars, got {len(weights) - 1}")
@@ -216,15 +216,6 @@ def build_algebraic(point: ProjectivePoint, k: int,
             block = [c * weights[j - i] for c in block]
         coords[i, j] = block
     return _block_matrix(moore_from_coords(coords).coeffs)
-
-
-def _orbit(point: ProjectivePoint, k: int) -> list[ProjectivePoint]:
-    """[a, -2a, ..., (-2)^k a] for the base point a; no point may lie in E[3]."""
-    orbit = doubling_orbit(point, k)
-    for l, p in enumerate(orbit):
-        if is_three_torsion(p):
-            raise DenominatorZero(f"point (-2)^{l} a lies in E[3]", iteration=l)
-    return orbit
 
 
 def _equivalence_system(a: np.ndarray, t: np.ndarray, u: np.ndarray, w: np.ndarray,
@@ -343,31 +334,21 @@ def _equivalence_solve(jets: list[np.ndarray], reps: list[np.ndarray],
     return lam[1:], facts
 
 
-def calibrate_scalars(spec: UlrichSpec) -> tuple[list[complex], list[CheckReport]]:
-    """Fit the per-offset scalars lambda_1..lambda_k of the algebraic blocks.
+def calibrate_by_order(spec: UlrichSpec, orders) -> tuple[list[complex], list[list[CheckReport]]]:
+    """The scalars lambda_1..lambda_k of the algebraic blocks at k = spec.k, and the
+    calibration records of every order n in `orders` (n <= k).
 
     Solves the block equivalence with the analytic matrix after eliminating
     s(a) and its derivatives; lambda_1 = c * nu_1/nu_0 and
     lambda_2 = -2c^2 * nu_2/nu_0 come out exactly, higher offsets absorb
     further a-dependent scalars (so the pattern is not of the pure form t^l).
-    The report also carries the elimination fit residual, the constancy of c
-    along the doubling orbit, and the block (0,1) agreement.  An orbit
-    collision raises DegenerateOrbit before any theta is evaluated; a failed
-    calibration names the nearest one.
-    """
-    lambdas, (reports,) = calibrate_by_order(spec, [spec.k])
-    return lambdas, reports
-
-
-def calibrate_by_order(spec: UlrichSpec, orders) -> tuple[list[complex], list[list[CheckReport]]]:
-    """calibrate_scalars at spec.k, with its records at every order n in `orders` (n <= k).
-
     The order-n calibration is the bottom-right corner of the order-k one
     (module docstring), so one solve gives the records of each order:
     calibration.equivalence from the corner of U*A*W - T, representative and
-    c_constancy as maxima over the offsets l <= n, fit and block01 as at k.
-    lambda_1..lambda_n are the first n of the returned scalars.  Any failing
-    record raises CalibrationFailed.
+    c_constancy (of c along the orbit) as maxima over the offsets l <= n, fit
+    and block01 as at k.  lambda_1..lambda_n are the first n of the scalars.
+    An orbit collision raises DegenerateOrbit before any theta is evaluated;
+    any failing record raises CalibrationFailed, which names the nearest one.
     """
     if spec.k < 1:
         raise ValueError("nothing to calibrate at k = 0")
@@ -375,7 +356,7 @@ def calibrate_by_order(spec: UlrichSpec, orders) -> tuple[list[complex], list[li
         raise ValueError(f"orders must lie in 1..{spec.k}, got {list(orders)}")
     ctx = spec.ctx
     gaps = _orbit_gaps(spec.a_z, ctx.tau, spec.k)
-    orbit = _orbit(embed(spec.a_z, ctx), spec.k)
+    orbit = doubling_orbit(embed(spec.a_z, ctx), spec.k)
     # Everything the least-squares solves below consume, offset by offset:
     # the jets at a and the tangent iterates V^l(theta(a)), which are never
     # normalized, can overflow.
@@ -443,7 +424,7 @@ def _orbit_gaps(a_z: complex, tau: complex, k: int) -> list[tuple[float, int, in
     m with l = 0 or 1 on, calibration fails (measured with both the row solves
     and Gauss-Newton); a collision of two later points (l >= 2) and a negation
     collision (-2)^m a = -(-2)^l a still calibrate.  An l with (-2)^l a in E[3]
-    is left out: that point collides with every later one, and _orbit names it.
+    is left out: it collides with every later one, and doubling_orbit names it.
     """
     bases = [l for l in range(2) if abs(_lattice_reduced(3 * (-2) ** l * a_z, tau)) >= 1e-9]
     gaps = [(abs(_lattice_reduced(((-2) ** m - (-2) ** l) * a_z, tau)), l, m)
@@ -478,10 +459,8 @@ def _overflow_at(l: int) -> CalibrationFailed:
                              f"at offset l = {l}")
 
 
-def elimination_consequence_residual(a_z: complex, ctx: ThetaContext) -> float:
-    """Coefficient norm of M' - s*M - c*M_V, the matrix form of the fit."""
-    s, c, _ = derivative_elimination_fit(a_z, ctx)
-    jet = theta_jet(a_z, ctx, 1)
+def elimination_consequence_residual(jet: np.ndarray, s: complex, c: complex) -> float:
+    """Coefficient norm of M' - s*M - c*M_V at a's jet: elimination_fit as matrices."""
     m0, m1 = moore_from_coords(jet[0]), moore_from_coords(jet[1])
     mv = moore_from_coords(tangent_rep(jet[0]))
     return (m1 - m0.scale(s) - mv.scale(c)).coefficient_norm()
@@ -515,14 +494,14 @@ def equilibrate(n: np.ndarray) -> np.ndarray:
     return n / np.sqrt(rows[..., :, None] * cols[..., None, :])
 
 
-def verify_presentation(stack: list[PolyMatrix], psi: complex, orders,
+def verify_presentation(stack: list[PolyMatrix], psi: complex,
                         curve_samples: list[ProjectivePoint],
                         off_samples: list[tuple[complex, complex, complex]]
                         ) -> list[list[list[CheckReport]]]:
     """det(A) = w^(k+1) up to scalar; corank k+1 on the curve, 0 off it; for
-    each order k in `orders`, one list of records per matrix of the stack.
+    each order k = 1..K, one list of records per matrix of the stack.
 
-    The stack holds matrices of one top order K, and order k <= K reads the
+    The stack holds matrices of one top order K, and order k reads the
     bottom-right 3(k+1) corner A of each, as check reads every order from one
     build.  A is block upper triangular with k+1 diagonal blocks equal to D,
     its block (0, 0), bit for bit; presentation.structure counts the blocks on
@@ -537,8 +516,9 @@ def verify_presentation(stack: list[PolyMatrix], psi: complex, orders,
     """
     coeffs = np.stack([a.coeffs for a in stack])
     top = coeffs.shape[1] // 3 - 1
-    if not all(0 <= k <= top for k in orders):
-        raise ValueError(f"orders must lie in 0..{top}, got {list(orders)}")
+    if top < 1:  # a 3 x 3 stack has no order to judge
+        return []
+    orders = range(1, top + 1)
     starts = [top - k for k in orders]  # the first block of each order's corner
     blocks = coeffs.view(np.uint64).reshape(len(stack), top + 1, 3, top + 1, 3, -1)
     blocks = blocks.swapaxes(2, 3)
@@ -651,11 +631,10 @@ def _sections(k: int, jets: np.ndarray) -> np.ndarray:
     return np.where((row <= column)[:, :, None], terms, 0j).transpose(0, 2, 1)
 
 
-def automorphy_residuals(spec: UlrichSpec, z: complex, orders) -> list[tuple[float, float]]:
+def automorphy_residuals(spec: UlrichSpec, z: complex) -> list[tuple[float, float]]:
     """Transport and cocycle residuals at z of the factor f(lambda, z), the
     (k+1)-square block with entries C(k-i, j-i) * e^(j-i)(lambda, z + a) of the
-    closed-form factor e (theta.automorphy_factor), for each order k in
-    `orders` (k <= spec.k).
+    closed-form factor e (theta.automorphy_factor), for each order k = 1..spec.k.
 
     The residual at lambda is max |f v(z) - v(z+lambda)| over the section basis
     v, each section normalized by the size of the terms that form it: the
@@ -672,14 +651,12 @@ def automorphy_residuals(spec: UlrichSpec, z: complex, orders) -> list[tuple[flo
     k+1 rows.
     """
     top, tau = spec.k, spec.ctx.tau
-    if not all(0 <= k <= top for k in orders):
-        raise ValueError(f"orders must lie in 0..{top}, got {list(orders)}")
     at = z + spec.a_z
     jets = theta_jet(np.array([at, at + 1.0, at + tau, at + (1 + tau)]), spec.ctx, top)
     factors = [automorphy_factor(m, n, w, tau, top)
                for m, n, w in ((1, 0, at), (0, 1, at), (1, 0, at + tau))]
     out = []
-    for k in orders:
+    for k in range(1, top + 1):
         size = 3 * (k + 1)
         f1, ft, f1_shifted = (_offset_blocks(f[:k + 1]) for f in factors)
         here = _sections(k, jets[0, :k + 1]).reshape(size, -1)

@@ -84,15 +84,15 @@ def double_neg(p: ProjectivePoint) -> ProjectivePoint:
 
 
 def doubling_orbit(p: ProjectivePoint, k: int) -> list[ProjectivePoint]:
-    """[p, -2p, 4p, ..., (-2)^k p] from k applications of double_neg."""
+    """[p, -2p, 4p, ..., (-2)^k p] by double_neg; DenominatorZero at a point in E[3]."""
     if k < 0:
         raise ValueError("iteration count must be non-negative")
     orbit = [p]
-    for step in range(k):
-        try:
-            orbit.append(double_neg(orbit[-1]))
-        except DenominatorZero as exc:
-            raise DenominatorZero(f"{exc} at iteration {step}", iteration=step) from exc
+    for l in range(k + 1):
+        if is_three_torsion(orbit[l]):
+            raise DenominatorZero(f"point (-2)^{l} a lies in E[3]", iteration=l)
+        if l < k:
+            orbit.append(double_neg(orbit[l]))
     return orbit
 
 

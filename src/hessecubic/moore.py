@@ -19,11 +19,9 @@ or of its six coefficient ratios (L) into a zero coefficient array.
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .curve import ProjectivePoint, embed
+from .curve import embed
 from .errors import DenominatorZero
 from .poly import PolyMatrix, monomial_index
 from .report import CheckReport, check
@@ -78,12 +76,6 @@ def moore_from_coords(coords) -> PolyMatrix:
     return PolyMatrix(out)
 
 
-def moore_matrix(a: ProjectivePoint) -> PolyMatrix:
-    if min(abs(c) for c in a.coords) < 1e-8:
-        warnings.warn("Moore matrix at a 3-torsion point is degenerate", stacklevel=2)
-    return moore_from_coords(a.coords)
-
-
 def _l_entries(ratios) -> PolyMatrix:
     """L-patterned matrices from the ratios (..., 6) in _L_PAIRS order."""
     ratios = np.asarray(ratios, dtype=complex)
@@ -106,10 +98,6 @@ def l_from_coords(coords) -> PolyMatrix:
         ratios.append([pref * point[p] * point[q] for p, q in _L_PAIRS[:3]]
                       + [pref * v ** 2 for v in point])
     return _l_entries(np.reshape(ratios, a.shape[:-1] + (6,)))
-
-
-def l_matrix(a: ProjectivePoint) -> PolyMatrix:
-    return l_from_coords(a.coords)
 
 
 def l_derivative(a_z: complex, ctx: ThetaContext, max_order: int) -> PolyMatrix:
@@ -157,5 +145,5 @@ def theta_relation_residuals(a_z, z, ctx: ThetaContext,
     worst = np.max(np.abs(residuals), axis=(0, 2))
     pairs = {"a_z": np.asarray(a_z, dtype=complex).tolist(),
              "z": np.asarray(z, dtype=complex).tolist(), "tau": complex(ctx.tau)}
-    return [check("moore.relation", worst[n], CHECK_TOL * 10 ** min(n, 2),
+    return [check(f"moore.relation.order{n}", worst[n], CHECK_TOL * 10 ** min(n, 2),
                   inputs={**pairs, "order": n}) for n in range(max_order + 1)]

@@ -39,8 +39,11 @@ class CheckReport:
     name: str
     residual: float
     tol: float
-    passed: bool
     inputs: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.residual < self.tol
 
     def to_dict(self) -> dict:
         return {
@@ -56,10 +59,8 @@ class CheckReport:
 
 
 def check(name: str, residual: float, tol: float, inputs: dict | None = None) -> CheckReport:
-    """Build a CheckReport, deciding pass/fail from the tolerance."""
-    residual = float(residual)
-    return CheckReport(name=name, residual=residual, tol=float(tol),
-                       passed=residual < tol, inputs=inputs or {})
+    """Build a CheckReport; it passes while its residual is below the tolerance."""
+    return CheckReport(name=name, residual=float(residual), tol=float(tol), inputs=inputs or {})
 
 
 def bundle_json(bundle: dict) -> str:

@@ -8,14 +8,13 @@ import time
 import numpy as np
 
 from hessecubic import (PolyMatrix, ThetaContext, UlrichSpec, automorphy_residuals,
-                        build_algebraic, build_analytic, calibrate_scalars,
-                        curve_sample_points, derivative_elimination_fit,
-                        det_scalar_fit, double_neg, doubling_orbit,
-                        elimination_consequence_residual, embed, eval_matrix, evaluate,
-                        hesse_form, hesse_psi, l_matrix,
-                        moore_matrix, numeric_rank, offcurve_sample_triples,
+                        build_algebraic, build_analytic, calibrate_by_order,
+                        curve_sample_points, det_scalar_fit, double_neg, doubling_orbit,
+                        elimination_consequence_residual, elimination_fit, embed,
+                        eval_matrix, evaluate, hesse_form, hesse_psi, l_from_coords,
+                        moore_from_coords, numeric_rank, offcurve_sample_triples,
                         relation_annihilation_residual,
-                        relation_matrix, theta_relation_residuals,
+                        relation_matrix, theta_jet, theta_relation_residuals,
                         verify_factorization, verify_presentation)
 from oracles import moore_derivative, proj_distance, theta_vector
 
@@ -61,7 +60,8 @@ def test_criterion_3_rank_one_factorization(ctx_i, psi_i):
     w_id = PolyMatrix.diagonal(hesse_form(psi_i), 3)
     worst_ml = 0.0
     for p in curve_sample_points(ctx_i, 20, 101):
-        worst_ml = max(worst_ml, ((moore_matrix(p) @ l_matrix(p)) - w_id).coefficient_norm())
+        ml = moore_from_coords(p.coords) @ l_from_coords(p.coords)
+        worst_ml = max(worst_ml, (ml - w_id).coefficient_norm())
 
     rng = np.random.default_rng(102)
     worst_off = 0.0
@@ -72,7 +72,7 @@ def test_criterion_3_rank_one_factorization(ctx_i, psi_i):
         p = ProjectivePoint.from_coords(coords)
         if min(abs(c) for c in p.coords) < 1e-2:
             continue
-        ml = moore_matrix(p) @ l_matrix(p)
+        ml = moore_from_coords(p.coords) @ l_from_coords(p.coords)
         worst_off = max(worst_off, max(np.linalg.norm(ml.coeffs[i, j])
                                        for i in range(3) for j in range(3) if i != j))
         trials += 1
@@ -81,7 +81,7 @@ def test_criterion_3_rank_one_factorization(ctx_i, psi_i):
     off = offcurve_sample_triples(psi_i, 10, 43)
     w_off = evaluate(hesse_form(psi_i), off)
     for p in curve_sample_points(ctx_i, 5, 103):
-        c, fit = det_scalar_fit(eval_matrix(moore_matrix(p), off), w_off)
+        c, fit = det_scalar_fit(eval_matrix(moore_from_coords(p.coords), off), w_off)
         ok = fit < 1e-8
         prod = p.coords[0] * p.coords[1] * p.coords[2]
         worst_scalar = max(worst_scalar, abs(c - prod) / abs(prod))
@@ -111,10 +111,10 @@ def test_criterion_5_presentation_law(ctx_i, psi_i):
     worst = 0.0
     for k in (1, 2, 3):
         spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
-        lambdas, _ = calibrate_scalars(spec)
+        lambdas, _ = calibrate_by_order(spec, [k])
         stack = [build_analytic(spec)[0], build_algebraic(embed(A_Z, ctx_i), k, lambdas)]
         for tag, reports in zip(("analytic", "algebraic"),
-                                verify_presentation(stack, psi_i, [k], on, off)[0]):
+                                verify_presentation(stack, psi_i, on, off)[-1]):
             for rep in reports:
                 if not rep.passed:
                     failures.append(f"{tag}.k{k}.{rep.name}")
@@ -128,11 +128,12 @@ def test_criterion_5_presentation_law(ctx_i, psi_i):
 
 def test_criterion_6_derivative_elimination(ctx_i):
     points = (0.2, 0.3, 0.41 + 0.1j, 0.23 + 0.05j, -0.31 + 0.07j)
-    fits = [derivative_elimination_fit(a_z, ctx_i) for a_z in points]
+    fits = [elimination_fit(theta_jet(a_z, ctx_i, 1)) for a_z in points]
     worst_fit = max(f[2] for f in fits)
     c0 = fits[0][1]
     drift = max(abs(f[1] - c0) / abs(c0) for f in fits)
-    consequence = elimination_consequence_residual(A_Z, ctx_i)
+    jet = theta_jet(A_Z, ctx_i, 1)
+    consequence = elimination_consequence_residual(jet, *elimination_fit(jet)[:2])
     passed = worst_fit < 1e-8 and drift < 1e-6 and consequence < 1e-7
     _report(6, "derivative-elimination", passed,
             f"fit residual {worst_fit:.2e} < 1e-8 at 5 pts, c drift {drift:.2e} < 1e-6, "
@@ -165,8 +166,8 @@ def test_criterion_8_automorphy(ctx_i):
     for k in range(1, 9):
         # transport is the worse of lambda = 1 and lambda = tau; cocycle is
         # lambda = 1 + tau with the factor f(1, z + tau) f(tau, z)
-        ((transport, cocycle),) = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z),
-                                                       0.13 + 0.05j, [k])
+        transport, cocycle = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z),
+                                                  0.13 + 0.05j)[-1]
         worst_t, worst_c = max(worst_t, transport), max(worst_c, cocycle)
     passed = worst_t < 1e-7 and worst_c < 1e-7
     _report(8, "automorphy", passed,
@@ -205,7 +206,8 @@ def test_criterion_10_mutation_sanity(ctx_i, psi_i):
     # perturb psi by 1e-3: criterion 3 check
     w_id = PolyMatrix.diagonal(hesse_form(psi_i + 1e-3), 3)
     p = curve_sample_points(ctx_i, 1, 101)[0]
-    if ((moore_matrix(p) @ l_matrix(p)) - w_id).coefficient_norm() >= 1e-8:
+    ml = moore_from_coords(p.coords) @ l_from_coords(p.coords)
+    if (ml - w_id).coefficient_norm() >= 1e-8:
         broke.append("perturb-psi->criterion3")
 
     _report(10, "mutation-sanity", len(broke) == 3,

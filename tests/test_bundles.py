@@ -11,11 +11,9 @@ from hessecubic import (CalibrationFailed, DegenerateOrbit, DenominatorZero,
                         HesseCubicError, IllConditioned, PolyMatrix, ProjectivePoint,
                         SamplingFailed, SizeMismatch, ThetaContext,
                         UlrichSpec, automorphy_residuals, build_algebraic,
-                        build_analytic, calibrate_by_order, calibrate_scalars,
-                        curve_sample_points,
-                        derivative_elimination_fit, elimination_consequence_residual,
-                        doubling_orbit, embed,
-                        jet_kernel_residual, l_derivative,
+                        build_analytic, calibrate_by_order, curve_sample_points,
+                        doubling_orbit, elimination_consequence_residual, elimination_fit,
+                        embed, jet_kernel_residual, l_derivative,
                         numeric_rank, offcurve_sample_triples,
                         relation_annihilation_residual, relation_matrix,
                         section_basis, tangent_rep, theta_jet,
@@ -201,7 +199,7 @@ def test_algebraic_k0_is_moore(ctx_i):
 
 
 def test_algebraic_k1_block_layout(ctx_i, spec1):
-    lambdas, _ = calibrate_scalars(spec1)
+    lambdas, _ = calibrate_by_order(spec1, [1])
     base = embed(A_Z, ctx_i)
     a = build_algebraic(base, 1, lambdas)
     m_base = moore_from_coords(base.coords)
@@ -212,7 +210,7 @@ def test_algebraic_k1_block_layout(ctx_i, spec1):
 
 
 def test_algebraic_k2_offset_two_block(ctx_i, spec2):
-    lambdas, _ = calibrate_scalars(spec2)
+    lambdas, _ = calibrate_by_order(spec2, [2])
     a = build_algebraic(embed(A_Z, ctx_i), 2, lambdas)
     orbit = doubling_orbit(embed(A_Z, ctx_i), 2)
     pt2 = orbit[2]
@@ -231,7 +229,7 @@ def test_calibration_rejects_orbit_through_torsion(ctx_i):
     # (-2)^2 * 0.25 = 1, the origin: the doubling orbit leaves the good locus
     spec = UlrichSpec(k=2, ctx=ctx_i, a_z=0.25)
     with pytest.raises(DenominatorZero) as err:
-        calibrate_scalars(spec)
+        calibrate_by_order(spec, [spec.k])
     assert err.value.iteration == 2
 
 
@@ -239,7 +237,7 @@ def test_calibration_names_the_overflowing_jet_order(ctx_i):
     # at Im a = 8.41 the theta values fit in a double, their 9th derivatives
     # not (8.4i itself is 5-torsion: (-2)^4 a = a, a DegenerateOrbit)
     with pytest.raises(CalibrationFailed, match="overflow at offset l = 9$"):
-        calibrate_scalars(UlrichSpec(k=9, ctx=ctx_i, a_z=8.41j))
+        calibrate_by_order(UlrichSpec(k=9, ctx=ctx_i, a_z=8.41j), [9])
 
 
 def test_finite_at_maps_series_overflow_to_the_offset(ctx_i):
@@ -248,17 +246,17 @@ def test_finite_at_maps_series_overflow_to_the_offset(ctx_i):
 
 
 def test_calibration_converges_at_k4(ctx_i):
-    _, reports = calibrate_scalars(UlrichSpec(k=4, ctx=ctx_i, a_z=A_Z))
+    _, (reports,) = calibrate_by_order(UlrichSpec(k=4, ctx=ctx_i, a_z=A_Z), [4])
     assert all(r.passed for r in reports)
 
 
 def _calibration_inputs(ctx, a_z, k):
-    """Jets and tangent iterates as calibrate_scalars forms them, and the loop solver's start."""
+    """Jets and tangent iterates as calibrate_by_order forms them, and the loop solver's start."""
     jets = theta_jet(a_z, ctx, k)
     reps = [jets[0]]
     for _ in range(k):
         reps.append(tangent_rep(reps[-1]))
-    _, c, _ = derivative_elimination_fit(a_z, ctx)
+    _, c, _ = elimination_fit(theta_jet(a_z, ctx, 1))
     chain = np.array([c ** d * (-2.0) ** (d * (d - 1) // 2) for d in range(1, k + 1)])
     return list(jets), reps, chain
 
@@ -298,9 +296,9 @@ def test_block_solve_matches_loop_solver(ctx_i, k):
 def test_row_solves_reproduce_the_lower_order_solves(tau):
     # the bottom-right corner of the order-k system is the order-k' system
     ctx = ThetaContext(tau=tau)
-    lam_k, _ = calibrate_scalars(UlrichSpec(k=7, ctx=ctx, a_z=0.3 + 0.05j))
+    lam_k, _ = calibrate_by_order(UlrichSpec(k=7, ctx=ctx, a_z=0.3 + 0.05j), [7])
     for k_low in range(1, 7):
-        lam_low, _ = calibrate_scalars(UlrichSpec(k=k_low, ctx=ctx, a_z=0.3 + 0.05j))
+        lam_low, _ = calibrate_by_order(UlrichSpec(k=k_low, ctx=ctx, a_z=0.3 + 0.05j), [k_low])
         assert np.allclose(lam_k[:k_low], lam_low, rtol=1e-10, atol=0)
 
 
@@ -333,17 +331,17 @@ def test_row_solve_sees_only_the_sum_of_its_last_unknowns(ctx_i, k, r):
 def test_gauge_pinned_k8_calibration_is_a_presentation(tau, a_z):
     # the row solves with both last unknowns free read 8.4e6 and 5.2e7 here
     ctx = ThetaContext(tau=tau)
-    lambdas, reports = calibrate_scalars(UlrichSpec(k=8, ctx=ctx, a_z=a_z))
+    lambdas, (reports,) = calibrate_by_order(UlrichSpec(k=8, ctx=ctx, a_z=a_z), [8])
     assert all(r.passed for r in reports), [r.to_dict() for r in reports]
     psi = hesse_psi(ctx)
     a = build_algebraic(embed(a_z, ctx), 8, lambdas)
-    (checks,) = verify_presentation([a], psi, [8], curve_sample_points(ctx, 10, 42),
-                                    offcurve_sample_triples(psi, 10, 43))[0]
+    (checks,) = verify_presentation([a], psi, curve_sample_points(ctx, 10, 42),
+                                    offcurve_sample_triples(psi, 10, 43))[-1]
     assert all(r.passed for r in checks), [r.to_dict() for r in checks]
 
 
 def test_equivalence_record_carries_the_row_conditioning(ctx_i):
-    _, reports = calibrate_scalars(UlrichSpec(k=4, ctx=ctx_i, a_z=0.301))
+    _, (reports,) = calibrate_by_order(UlrichSpec(k=4, ctx=ctx_i, a_z=0.301), [4])
     inputs = next(r for r in reports if r.name == "calibration.equivalence").inputs
     assert 0 < inputs["row_sigma"] < 1
     # the rounding floor of a passing solve lies under the tolerance
@@ -355,7 +353,7 @@ def test_calibration_survives_an_lstsq_failure_at_the_rounding_floor():
     # LAPACK's SVD failed on the Jacobian of a later iterate
     spec = UlrichSpec(k=5, ctx=ThetaContext(tau=0.34161358082023807 + 0.982635655079061j),
                       a_z=0.4149917991988276 - 0.12876540806486045j)
-    _, reports = calibrate_scalars(spec)
+    _, (reports,) = calibrate_by_order(spec, [spec.k])
     assert all(r.passed for r in reports)
 
 
@@ -366,7 +364,7 @@ def test_a_failed_polish_step_keeps_the_current_iterate(monkeypatch, ctx_i, k):
     spec = UlrichSpec(k=k, ctx=ctx_i, a_z=0.301)
     with monkeypatch.context() as patch:
         patch.setattr(bundles, "_POLISH_STEPS", 0)
-        lambdas, reports = calibrate_scalars(spec)
+        lambdas, (reports,) = calibrate_by_order(spec, [spec.k])
     lstsq, failed = np.linalg.lstsq, []
 
     def failing(lhs, rhs, rcond=None):
@@ -377,7 +375,7 @@ def test_a_failed_polish_step_keeps_the_current_iterate(monkeypatch, ctx_i, k):
         return lstsq(lhs, rhs, rcond=rcond)
 
     monkeypatch.setattr(np.linalg, "lstsq", failing)
-    kept, kept_reports = calibrate_scalars(spec)
+    kept, (kept_reports,) = calibrate_by_order(spec, [spec.k])
     assert len(failed) == 1
     assert kept == lambdas
     assert [r.to_dict() for r in kept_reports] == [r.to_dict() for r in reports]
@@ -388,7 +386,7 @@ def test_calibration_failure_names_the_worst_record(ctx_i):
     # 1e-6 from the 5-torsion point 0.2, whose orbit collides at m = 4: no
     # exact collision, but the orbit blocks nearly coincide
     with pytest.raises(CalibrationFailed) as info:
-        calibrate_scalars(UlrichSpec(k=5, ctx=ctx_i, a_z=0.2 + 1e-6))
+        calibrate_by_order(UlrichSpec(k=5, ctx=ctx_i, a_z=0.2 + 1e-6), [5])
     match = re.fullmatch(r"calibration residuals exceed tolerance "
                          r"\(worst (\S+)x: (calibration\.\w+) (\S+); "
                          r"row solve sigma/sigma_0 (\S+); rounding floor (\S+)\); "
@@ -412,7 +410,7 @@ def test_calibration_failure_names_the_nearest_orbit_collision(ctx_i, a_z, k, l,
     # (-2)^m a - (-2)^l a = ((-2)^m - (-2)^l) a is a lattice point plus
     # ((-2)^m - (-2)^l) * 1e-6: 15 * 1e-6 at 0.2 (m = 4), -30 * 1e-6 at 0.3 (m = 5)
     with pytest.raises(CalibrationFailed) as info:
-        calibrate_scalars(UlrichSpec(k=k, ctx=ctx_i, a_z=a_z))
+        calibrate_by_order(UlrichSpec(k=k, ctx=ctx_i, a_z=a_z), [k])
     message = str(info.value)
     assert message.startswith("calibration residuals exceed ")
     fact = re.search(r"; nearest orbit collision \(l = (\d), m = (\d)\) (\S+) away "
@@ -428,7 +426,7 @@ def test_orbit_gaps_measure_the_distance_to_a_collision(ctx_i):
     assert [(l, m) for _, l, m in gaps] == [(l, m) for m in range(3, 7) for l in (0, 1)]
     assert min(gaps)[1:] == (1, 5)
     assert min(gaps)[0] == pytest.approx(30e-5, rel=1e-6)
-    _, reports = calibrate_scalars(UlrichSpec(k=6, ctx=ctx_i, a_z=0.3 + 1e-5))
+    _, (reports,) = calibrate_by_order(UlrichSpec(k=6, ctx=ctx_i, a_z=0.3 + 1e-5), [6])
     assert all(r.passed for r in reports)
 
 
@@ -438,7 +436,7 @@ def test_orbit_collision_is_a_named_error(ctx_i, a_z, l, m):
     assert abs(bundles._lattice_reduced(((-2) ** m - (-2) ** l) * a_z, ctx_i.tau)) < 1e-12
     for k in range(m, 9):
         with pytest.raises(DegenerateOrbit, match=f"l = {l}, m = {m}") as info:
-            calibrate_scalars(UlrichSpec(k=k, ctx=ctx_i, a_z=a_z))
+            calibrate_by_order(UlrichSpec(k=k, ctx=ctx_i, a_z=a_z), [k])
         assert (info.value.l, info.value.m) == (l, m)
 
 
@@ -449,7 +447,7 @@ def test_orbit_collision_is_found_before_any_theta_work(ctx_i, monkeypatch):
     monkeypatch.setattr(bundles, "embed", no_theta)
     monkeypatch.setattr(bundles, "theta_jet", no_theta)
     with pytest.raises(DegenerateOrbit):
-        calibrate_scalars(UlrichSpec(k=5, ctx=ctx_i, a_z=0.3))
+        calibrate_by_order(UlrichSpec(k=5, ctx=ctx_i, a_z=0.3), [5])
 
 
 @pytest.mark.parametrize("a_z, ks, multiple", [
@@ -460,16 +458,16 @@ def test_orbit_collision_is_found_before_any_theta_work(ctx_i, monkeypatch):
 def test_harmless_orbit_collisions_calibrate(ctx_i, a_z, ks, multiple):
     assert abs(bundles._lattice_reduced(multiple * a_z, ctx_i.tau)) < 1e-12
     for k in ks:
-        _, reports = calibrate_scalars(UlrichSpec(k=k, ctx=ctx_i, a_z=a_z))
+        _, (reports,) = calibrate_by_order(UlrichSpec(k=k, ctx=ctx_i, a_z=a_z), [k])
         assert all(r.passed for r in reports)
 
 
 @pytest.mark.parametrize("a_z, k", [(0.301, 5), (0.301, 6), (0.3 + 0.05j, 7)])
 def test_high_k_calibration_is_a_presentation(ctx_i, psi_i, on_samples, off_samples, a_z, k):
-    lambdas, reports = calibrate_scalars(UlrichSpec(k=k, ctx=ctx_i, a_z=a_z))
+    lambdas, (reports,) = calibrate_by_order(UlrichSpec(k=k, ctx=ctx_i, a_z=a_z), [k])
     assert all(r.passed for r in reports)
     a = build_algebraic(embed(a_z, ctx_i), k, lambdas)
-    (checks,) = verify_presentation([a], psi_i, [k], on_samples, off_samples)[0]
+    (checks,) = verify_presentation([a], psi_i, on_samples, off_samples)[-1]
     assert all(r.passed for r in checks), [r.to_dict() for r in checks]
 
 
@@ -481,7 +479,7 @@ def test_calibration_passes_or_names_its_failure(re_tau, lift, re_a, im_a, k):
     floor = math.sqrt(1.0 - re_tau ** 2)
     ctx = ThetaContext(tau=complex(re_tau, floor + lift * (2.0 - floor)))
     try:
-        _, reports = calibrate_scalars(UlrichSpec(k=k, ctx=ctx, a_z=complex(re_a, im_a)))
+        _, (reports,) = calibrate_by_order(UlrichSpec(k=k, ctx=ctx, a_z=complex(re_a, im_a)), [k])
     except HesseCubicError:
         return
     assert all(r.passed for r in reports)
@@ -561,25 +559,25 @@ def test_elimination_scalar_is_lattice_invariant(re_tau, lift, re_a, im_a, m, n)
     ctx = ThetaContext(tau=complex(re_tau, floor + lift * (2.0 - floor)))
     a_z = complex(re_a, im_a)
     assume(abs(a_z - 1.0 / 3.0) > 1e-3)
-    _, c, _ = derivative_elimination_fit(a_z, ctx)
-    _, c_moved, _ = derivative_elimination_fit(a_z + m + n * ctx.tau, ctx)
+    _, c, _ = elimination_fit(theta_jet(a_z, ctx, 1))
+    _, c_moved, _ = elimination_fit(theta_jet(a_z + m + n * ctx.tau, ctx, 1))
     assert abs(c_moved - c) <= 1e-10 * abs(c)
 
 
 def test_presentation_complex_tau_k3(ctx_c, psi_c):
     spec = UlrichSpec(k=3, ctx=ctx_c, a_z=0.23 + 0.05j)
-    lambdas, _ = calibrate_scalars(spec)
+    lambdas, _ = calibrate_by_order(spec, [spec.k])
     on = curve_sample_points(ctx_c, 10, 42)
     off = offcurve_sample_triples(psi_c, 10, 43)
     (reports,) = verify_presentation([build_algebraic(embed(spec.a_z, ctx_c), 3, lambdas)],
-                                     psi_c, [3], on, off)[0]
+                                     psi_c, on, off)[-1]
     assert all(r.passed for r in reports)
 
 
 def test_calibration_lambda1_oracle(ctx_i, spec1):
     # independent least squares: lambda1 minimizes || (M'-sM)/nu0 - x*M_P1 ||
-    lambdas, reports = calibrate_scalars(spec1)
-    s, c, _ = derivative_elimination_fit(A_Z, ctx_i)
+    lambdas, (reports,) = calibrate_by_order(spec1, [1])
+    s, c, _ = elimination_fit(theta_jet(A_Z, ctx_i, 1))
     vec = np.array(theta_vector(A_Z, ctx_i))
     base = embed(A_Z, ctx_i)
     nu0 = complex(np.vdot(as_array(base), vec) / np.vdot(as_array(base), as_array(base)))
@@ -593,8 +591,8 @@ def test_calibration_lambda1_oracle(ctx_i, spec1):
 
 def test_calibration_chain_values(ctx_i, spec2):
     # lambda_1 and lambda_2 follow the iterated elimination chain c, -2c^2
-    lambdas, _ = calibrate_scalars(spec2)
-    _, c, _ = derivative_elimination_fit(A_Z, ctx_i)
+    lambdas, _ = calibrate_by_order(spec2, [2])
+    _, c, _ = elimination_fit(theta_jet(A_Z, ctx_i, 1))
     vec = np.array(theta_vector(A_Z, ctx_i))
     base = embed(A_Z, ctx_i)
     nu0 = complex(np.vdot(as_array(base), vec) / np.vdot(as_array(base), as_array(base)))
@@ -610,10 +608,10 @@ def test_calibration_chain_values(ctx_i, spec2):
 def test_zeroed_lambda1_breaks_block_agreement(ctx_i, psi_i, spec1, on_samples, off_samples):
     # det and corank cannot see lambda1 = 0 (the decoupled matrix presents a
     # decomposable bundle); the block-agreement check is what catches it
-    lambdas, _ = calibrate_scalars(spec1)
+    lambdas, _ = calibrate_by_order(spec1, [1])
     base = embed(A_Z, ctx_i)
     mutated = build_algebraic(base, 1, [0.0 + 0.0j])
-    for rep in verify_presentation([mutated], psi_i, [1], on_samples, off_samples)[0][0]:
+    for rep in verify_presentation([mutated], psi_i, on_samples, off_samples)[-1][0]:
         assert rep.passed
     good = build_algebraic(base, 1, lambdas)
     diff = (_block(good, 0, 1) - _block(mutated, 0, 1)).coefficient_norm()
@@ -621,10 +619,10 @@ def test_zeroed_lambda1_breaks_block_agreement(ctx_i, psi_i, spec1, on_samples, 
 
 
 def test_wrong_lambda2_breaks_corank(ctx_i, psi_i, spec2, on_samples, off_samples):
-    lambdas, _ = calibrate_scalars(spec2)
+    lambdas, _ = calibrate_by_order(spec2, [2])
     mutated = build_algebraic(embed(A_Z, ctx_i), 2, [lambdas[0], lambdas[1] * 1.05])
-    reports = {r.name: r for r in verify_presentation([mutated], psi_i, [2],
-                                                      on_samples, off_samples)[0][0]}
+    reports = {r.name: r for r in verify_presentation([mutated], psi_i,
+                                                      on_samples, off_samples)[-1][0]}
     assert not reports["presentation.corank_on_curve"].passed
 
 
@@ -634,16 +632,16 @@ def test_wrong_lambda2_breaks_corank(ctx_i, psi_i, spec2, on_samples, off_sample
 def test_presentation_both_constructions(ctx_i, psi_i, on_samples, off_samples, k):
     spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
     a_an, _ = build_analytic(spec)
-    lambdas, _ = calibrate_scalars(spec)
+    lambdas, _ = calibrate_by_order(spec, [spec.k])
     a_alg = build_algebraic(embed(A_Z, ctx_i), k, lambdas)
-    for reports in verify_presentation([a_an, a_alg], psi_i, [k], on_samples, off_samples)[0]:
+    for reports in verify_presentation([a_an, a_alg], psi_i, on_samples, off_samples)[-1]:
         assert all(r.passed for r in reports), [r.to_dict() for r in reports]
 
 
 def test_presentation_rejects_generic_matrix(psi_i, on_samples, off_samples):
     rng = np.random.default_rng(55)
-    (reports,) = verify_presentation([random_poly_matrix(rng, 6, 6, 1)], psi_i, [1],
-                                     on_samples, off_samples)[0]
+    (reports,) = verify_presentation([random_poly_matrix(rng, 6, 6, 1)], psi_i,
+                                     on_samples, off_samples)[-1]
     named = {r.name: r for r in reports}
     assert not named["presentation.det"].passed
     assert not named["presentation.corank_on_curve"].passed
@@ -653,7 +651,7 @@ def test_det_scalar_value_k1(ctx_i, psi_i, spec1, on_samples, off_samples):
     # det A = c * w^2 with c = det(M_0 jet)^2 / w^2 = (th0 th1 th2)(a)^2
     a, _ = build_analytic(spec1)
     named = {r.name: r
-             for r in verify_presentation([a], psi_i, [1], on_samples, off_samples)[0][0]}
+             for r in verify_presentation([a], psi_i, on_samples, off_samples)[-1][0]}
     th = theta_vector(A_Z, ctx_i)
     expected = (th[0] * th[1] * th[2]) ** 2
     assert named["presentation.det"].residual < 1e-7
@@ -678,12 +676,12 @@ def test_det_gate_catches_perturbed_diagonal_block(ctx_i, psi_i, on_samples, off
     # diagonal; in block (0, 0), the block det and rank are read from, it also
     # breaks det D = c * w
     spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
-    lambdas, _ = calibrate_scalars(spec)
+    lambdas, _ = calibrate_by_order(spec, [spec.k])
     mutations = [(i, r, c) for i in range(k + 1) for r, c in ((0, 0), (1, 2), (2, 1))]
     for matrix in (build_analytic(spec)[0], build_algebraic(embed(A_Z, ctx_i), k, lambdas)):
         stack = [matrix] + _diagonal_mutations(matrix, k)
         # the intact matrix and every mutation judged in one stacked call
-        intact, *mutated = verify_presentation(stack, psi_i, [k], on_samples, off_samples)[0]
+        intact, *mutated = verify_presentation(stack, psi_i, on_samples, off_samples)[-1]
         assert all(r.passed for r in intact), [r.to_dict() for r in intact]
         for where, reports in zip(mutations, mutated):
             named = {r.name: r for r in reports}
@@ -698,7 +696,7 @@ def test_structure_gate_catches_every_block_mutation(tau):
     ctx = ThetaContext(tau=tau)
     psi = hesse_psi(ctx)
     a_z = 0.3 + 0.05j
-    lambdas, _ = calibrate_scalars(UlrichSpec(k=8, ctx=ctx, a_z=a_z))
+    lambdas, _ = calibrate_by_order(UlrichSpec(k=8, ctx=ctx, a_z=a_z), [8])
     on, off = curve_sample_points(ctx, 10, 42), offcurve_sample_triples(psi, 10, 43)
 
     def below(m):
@@ -718,7 +716,7 @@ def test_structure_gate_catches_every_block_mutation(tau):
             for mutate in mutations.values():
                 stack.append(PolyMatrix(matrix.coeffs.copy()))
                 mutate(stack[-1])
-            intact, *mutated = verify_presentation(stack, psi, [k], on, off)[0]
+            intact, *mutated = verify_presentation(stack, psi, on, off)[-1]
             assert all(r.passed for r in intact), (k, [r.to_dict() for r in intact])
             for what, reports in zip(mutations, mutated):
                 assert not {r.name: r for r in reports}["presentation.structure"].passed, \
@@ -731,8 +729,8 @@ def test_off_curve_rank_reads_the_diagonal_block():
     ctx = ThetaContext(tau=-0.129 + 1.161j)
     psi = hesse_psi(ctx)
     a, _ = build_analytic(UlrichSpec(k=8, ctx=ctx, a_z=0.295 + 0.013j))
-    (reports,) = verify_presentation([a], psi, [8], curve_sample_points(ctx, 10, 7),
-                                     offcurve_sample_triples(psi, 10, 8))[0]
+    (reports,) = verify_presentation([a], psi, curve_sample_points(ctx, 10, 7),
+                                     offcurve_sample_triples(psi, 10, 8))[-1]
     assert all(r.passed for r in reports), [r.to_dict() for r in reports]
 
 
@@ -746,12 +744,11 @@ def test_all_orders_presentation_is_the_per_order_computation(tau):
     on, off = curve_sample_points(ctx, 10, 42), offcurve_sample_triples(psi, 10, 43)
     for top in (1, 2, 3):
         spec = UlrichSpec(k=top, ctx=ctx, a_z=A_Z)
-        lambdas, _ = calibrate_scalars(spec)
+        lambdas, _ = calibrate_by_order(spec, [spec.k])
         stack = []
         for matrix in (build_analytic(spec)[0], build_algebraic(embed(A_Z, ctx), top, lambdas)):
             stack += [matrix] + _diagonal_mutations(matrix, top)
-        orders = range(1, top + 1)
-        for k, got in zip(orders, verify_presentation(stack, psi, orders, on, off)):
+        for k, got in enumerate(verify_presentation(stack, psi, on, off), 1):
             start = 3 * (top - k)
             corners = [PolyMatrix(m.coeffs[start:, start:]) for m in stack]
             expected = presentation_oracle(corners, psi, k, on, off)
@@ -759,10 +756,10 @@ def test_all_orders_presentation_is_the_per_order_computation(tau):
                 [[r.to_json() for r in reports] for reports in expected], (top, k)
 
 
-def test_presentation_orders_lie_inside_the_stack(psi_i, on_samples, off_samples):
-    a, _ = build_analytic(UlrichSpec(k=2, ctx=ThetaContext(tau=1j), a_z=A_Z))
-    with pytest.raises(ValueError, match="orders must lie in 0..2"):
-        verify_presentation([a], psi_i, [1, 3], on_samples, off_samples)
+def test_presentation_of_an_order_zero_stack_has_no_records(ctx_i, psi_i, on_samples,
+                                                            off_samples):
+    a, _ = build_analytic(UlrichSpec(k=0, ctx=ctx_i, a_z=A_Z))
+    assert verify_presentation([a], psi_i, on_samples, off_samples) == []
 
 
 def test_equilibrate_is_the_pass_by_pass_scaling(ctx_i, psi_i, on_samples, off_samples):
@@ -772,7 +769,7 @@ def test_equilibrate_is_the_pass_by_pass_scaling(ctx_i, psi_i, on_samples, off_s
     for k in (1, 2, 3):
         spec = UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z)
         analytic = build_analytic(spec)[0]
-        algebraic = build_algebraic(embed(A_Z, ctx_i), k, calibrate_scalars(spec)[0])
+        algebraic = build_algebraic(embed(A_Z, ctx_i), k, calibrate_by_order(spec, [spec.k])[0])
         for m in (analytic, algebraic):
             stacks.append(eval_matrix(m, [p.coords for p in on_samples]))
             stacks.append(eval_matrix(_block(m, 0, 0), off_samples))
@@ -791,39 +788,39 @@ def test_equilibrate_is_the_pass_by_pass_scaling(ctx_i, psi_i, on_samples, off_s
 # -- elimination fit ----------------------------------------------------------
 
 def test_elimination_fit_residual(ctx_i):
-    s, c, residual = derivative_elimination_fit(A_Z, ctx_i)
+    s, c, residual = elimination_fit(theta_jet(A_Z, ctx_i, 1))
     assert residual < 1e-8
     assert abs(c) > 1e-3
 
 
 def test_elimination_scalar_constant_across_points(ctx_i):
-    cs = [derivative_elimination_fit(az, ctx_i)[1]
+    cs = [elimination_fit(theta_jet(az, ctx_i, 1))[1]
           for az in (0.2, 0.3, 0.41 + 0.1j)]
     for c in cs[1:]:
         assert abs(c - cs[0]) / abs(cs[0]) < 1e-6
 
 
 def test_elimination_consequence_matrix_level(ctx_i):
-    assert elimination_consequence_residual(A_Z, ctx_i) < 1e-7
+    jet = theta_jet(A_Z, ctx_i, 1)
+    assert elimination_consequence_residual(jet, *elimination_fit(jet)[:2]) < 1e-7
 
 
 def test_elimination_rejects_torsion(ctx_i):
     with pytest.raises(DenominatorZero):
-        derivative_elimination_fit(1.0 / 3.0, ctx_i)
+        elimination_fit(theta_jet(1.0 / 3.0, ctx_i, 1))
 
 
 def test_elimination_next_to_torsion_is_ill_conditioned(ctx_i):
     # 1e-9 from the origin theta(a) and V(a) are parallel to 1e-10, while the
     # smallest coordinate still clears the E[3] guard of tangent_rep
     with pytest.raises(IllConditioned, match="lost rank"):
-        derivative_elimination_fit(1e-9, ctx_i)
+        elimination_fit(theta_jet(1e-9, ctx_i, 1))
 
 
 def test_elimination_fits_from_one_sum_are_the_one_point_fits(ctx_i):
     points = [A_Z, A_Z + 0.1, A_Z - 0.07 + 0.1j, 0.2, 0.41 + 0.1j]
-    fits = [bundles._elimination_solve(bundles._elimination_system(jet))
-            for jet in theta_jet(np.array(points), ctx_i, 1)]
-    assert fits == [derivative_elimination_fit(p, ctx_i) for p in points]
+    fits = [elimination_fit(jet) for jet in theta_jet(np.array(points), ctx_i, 1)]
+    assert fits == [elimination_fit(theta_jet(p, ctx_i, 1)) for p in points]
 
 
 # -- sample points ---------------------------------------------------------------
@@ -993,7 +990,7 @@ def test_transport_residual_matches_loop_oracle(monkeypatch, ctx_i, k):
         with monkeypatch.context() as patch:
             patch.setattr(bundles, "automorphy_factor", lambda m, n, w, tau, order: original(
                 m, n, w, tau, order) * (wrong if (m, n, w) == target else 1.0))
-            (got,) = automorphy_residuals(spec, z, [k])
+            got = automorphy_residuals(spec, z)[-1]
         assert expected > 1e-3
         assert abs(got[which] - expected) <= 1e-12 * expected
         if target[1] == 0:  # f(tau, z) is intact, so the other record is too
@@ -1021,7 +1018,7 @@ def test_automorphy_residuals_read_the_one_point_jets(ctx_i, k):
 
     transport = max(residual(factor(1, 0, at), 1.0), residual(factor(0, 1, at), tau))
     cocycle = residual(factor(1, 0, at + tau) @ factor(0, 1, at), 1 + tau)
-    assert automorphy_residuals(spec, z, [k]) == [(transport, cocycle)]
+    assert automorphy_residuals(spec, z)[-1] == (transport, cocycle)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -1047,15 +1044,13 @@ def test_automorphy_block_at_one(ctx_i, spec2):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_automorphy_transport(ctx_i, k):
     # the worse of lambda = 1 and lambda = tau
-    ((transport, _),) = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z),
-                                             0.13 + 0.05j, [k])
+    transport, _ = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z), 0.13 + 0.05j)[-1]
     assert transport < 1e-7
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_automorphy_cocycle(ctx_i, k):
-    ((_, cocycle),) = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z),
-                                           0.13 + 0.05j, [k])
+    _, cocycle = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z), 0.13 + 0.05j)[-1]
     assert cocycle < 1e-7
 
 
@@ -1073,7 +1068,7 @@ def test_automorphy_holds_to_rounding_at_every_k(re_tau, lift, re_a, im_a, re_z,
     floor = math.sqrt(1.0 - re_tau ** 2)
     ctx = ThetaContext(tau=complex(re_tau, floor + lift * (4.0 - floor)))
     spec = UlrichSpec(k=k, ctx=ctx, a_z=complex(re_a, im_a))
-    ((transport, cocycle),) = automorphy_residuals(spec, complex(re_z, im_z), [k])
+    transport, cocycle = automorphy_residuals(spec, complex(re_z, im_z))[-1]
     assert transport < 1e-11 and cocycle < 1e-11
 
 
@@ -1088,10 +1083,9 @@ def test_all_orders_automorphy_is_the_per_order_computation(re_tau, lift, re_a, 
     floor = math.sqrt(1.0 - re_tau ** 2)
     ctx = ThetaContext(tau=complex(re_tau, floor + lift * (4.0 - floor)))
     a_z, z = complex(re_a, im_a), complex(re_z, im_z)
-    orders = range(1, top + 1)
-    got = automorphy_residuals(UlrichSpec(k=top, ctx=ctx, a_z=a_z), z, orders)
-    assert got == [automorphy_residuals(UlrichSpec(k=k, ctx=ctx, a_z=a_z), z, [k])[0]
-                   for k in orders]
+    got = automorphy_residuals(UlrichSpec(k=top, ctx=ctx, a_z=a_z), z)
+    assert got == [automorphy_residuals(UlrichSpec(k=k, ctx=ctx, a_z=a_z), z)[-1]
+                   for k in range(1, top + 1)]
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -1105,8 +1099,8 @@ def test_automorphy_gates_see_a_perturbed_second_derivative(monkeypatch, ctx_i, 
         return jets
 
     monkeypatch.setattr(bundles, "theta_jet", perturbed)
-    ((transport, cocycle),) = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z),
-                                                   0.13 + 0.05j, [k])
+    transport, cocycle = automorphy_residuals(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z),
+                                              0.13 + 0.05j)[-1]
     assert transport > 1e-7 and cocycle > 1e-7
 
 

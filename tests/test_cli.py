@@ -13,6 +13,7 @@ import hessecubic
 from hessecubic import (CalibrationFailed, OrderTooHigh, ThetaContext, UlrichSpec, bundles, cli,
                         hesse_psi)
 from hessecubic.cli import MUTATIONS, _hesse_identity_residual, build_check_suite, main
+from hessecubic.report import check
 from hessecubic.theta import CHECK_TOL
 
 
@@ -230,6 +231,28 @@ def test_check_evaluates_on_the_curve_once_and_sums_automorphy_once(monkeypatch,
     assert sums == ([(4, k_max)] if k_max else [])
 
 
+@pytest.mark.parametrize("k_max", [0, 1])
+def test_check_draws_presentation_samples_only_above_k0(monkeypatch, k_max):
+    # at k = 0 there is no presentation to judge: the one curve draw is the
+    # 20 samples of the Moore checks, and the base point is never embedded
+    draws, embeds = [], []
+    sample, embed = cli.curve_sample_points, cli.embed
+
+    def counted_sample(ctx, count, seed):
+        draws.append(count)
+        return sample(ctx, count, seed)
+
+    def counted_embed(z, ctx):
+        embeds.append(z)
+        return embed(z, ctx)
+
+    monkeypatch.setattr(cli, "curve_sample_points", counted_sample)
+    monkeypatch.setattr(cli, "embed", counted_embed)
+    assert all(r.passed for r in build_check_suite(1j, 0.3, k_max, 42))
+    assert draws == ([20, 10] if k_max else [20])
+    assert embeds == ([0.3] if k_max else [])
+
+
 def _check_lines(capfd, argv) -> tuple[int, list[str]]:
     code = main(argv)
     out, _ = capfd.readouterr()
@@ -291,9 +314,9 @@ def test_check_names_the_calibration_error_of_its_lowest_failing_order(capfd):
         return UlrichSpec(k=k, ctx=ThetaContext(tau=1j), a_z=0.11111111)
 
     for k in (1, 2):
-        bundles.calibrate_scalars(spec(k))
+        bundles.calibrate_by_order(spec(k), [k])
     with pytest.raises(CalibrationFailed) as alone:
-        bundles.calibrate_scalars(spec(3))
+        bundles.calibrate_by_order(spec(3), [3])
     with pytest.raises(CalibrationFailed) as joint:
         bundles.calibrate_by_order(spec(3), [1, 2, 3])
     assert str(joint.value) != str(alone.value)
@@ -311,6 +334,13 @@ def test_parser_is_built_once_per_process():
 def test_check_unreachable_tolerance_fails():
     proc = run_cli("check", "--k", "1", "--tol", "1e-30")
     assert proc.returncode == 1
+
+
+def test_a_record_passes_by_its_current_tolerance():
+    rep = check("x", 1e-6, 1e-5)
+    assert rep.passed and rep.to_dict()["pass"]
+    rep.tol = 1e-7  # as check --tol sets it
+    assert not rep.passed and not rep.to_dict()["pass"]
 
 
 def test_check_rejects_triple_point():
@@ -354,6 +384,21 @@ def test_sweep_empty_range():
     proc = run_cli("sweep", "--taus", "", "--azs", "", "--ks", "")
     assert proc.returncode == 0
     assert proc.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("lists, message", [
+    (["--taus", "foo", "--azs", "0.3", "--ks", "1"],
+     "argument --taus: cannot parse complex number 'foo'"),
+    (["--taus", "i", "--azs", "0.3", "--ks=-1"], "argument --ks: k must be non-negative"),
+    (["--taus", "i", "--azs", "0.3", "--ks=-2:0"], "argument --ks: k must be non-negative"),
+])
+def test_sweep_rejects_a_malformed_list_as_a_usage_error(capsys, lists, message):
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", *lists])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.rstrip().endswith(message)
 
 
 def test_usage_error_exit_code():

@@ -146,6 +146,14 @@ def test_iterate_error_carries_index():
     assert err.value.iteration == 0
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_iterate_names_an_exact_zero_iterate_at_every_length(k):
+    # a1 = a2 makes -2a = [0 : 1 : -1] exactly: every orbit length names that iterate
+    with pytest.raises(DenominatorZero, match=r"^point \(-2\)\^1 a lies in E\[3\]$") as err:
+        doubling_orbit(ProjectivePoint.from_coords((0.5, 1, 1)), k)
+    assert err.value.iteration == 1
+
+
 @pytest.mark.parametrize("z", [0.3, 0.21 + 0.17j, -0.37 + 0.05j, 0.41 - 0.08j])
 def test_doubling_orbit_matches_the_iterate_bit_for_bit(ctx_i, z):
     orbit = doubling_orbit(embed(z, ctx_i), 8)

@@ -6,8 +6,7 @@ import pytest
 
 from hessecubic import (DenominatorZero, PolyMatrix, ProjectivePoint,
                         det_scalar_fit, embed, eval_matrix, evaluate, hesse_form,
-                        l_derivative, l_matrix, moore_matrix,
-                        offcurve_sample_triples, theta_relation_residuals)
+                        l_derivative, offcurve_sample_triples, theta_relation_residuals)
 from hessecubic import moore
 from hessecubic.moore import l_from_coords, moore_from_coords
 from hessecubic.poly import monomials
@@ -24,15 +23,14 @@ def _terms(coeffs) -> dict:
 
 
 def test_moore_symmetric_point_row_sums():
-    m = moore_matrix(ProjectivePoint.from_coords((1, 1, 1)))
+    m = moore_from_coords(ProjectivePoint.from_coords((1, 1, 1)).coords)
     for r in range(3):
         assert _terms(m.coeffs[r].sum(axis=0)) == {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
 
 
 def test_moore_det_degenerate_at_inflection(psi_i):
     # det M vanishes identically at [0:1:-1]: the sampled fit gives c = 0
-    with pytest.warns(UserWarning):
-        m = moore_matrix(ProjectivePoint.from_coords((0, 1, -1)))
+    m = moore_from_coords(ProjectivePoint.from_coords((0, 1, -1)).coords)
     off = offcurve_sample_triples(psi_i, 10, 43)
     with np.errstate(all="raise"):
         c, residual = det_scalar_fit(eval_matrix(m, off), evaluate(hesse_form(psi_i), off))
@@ -43,7 +41,7 @@ def test_moore_det_degenerate_at_inflection(psi_i):
 def test_moore_det_is_cubic_with_product_scalar(ctx_i, psi_i):
     a = embed(0.3 + 0.07j, ctx_i)
     off = offcurve_sample_triples(psi_i, 10, 43)
-    c, residual = det_scalar_fit(eval_matrix(moore_matrix(a), off),
+    c, residual = det_scalar_fit(eval_matrix(moore_from_coords(a.coords), off),
                                  evaluate(hesse_form(psi_i), off))
     prod = a.coords[0] * a.coords[1] * a.coords[2]
     assert residual < 1e-8
@@ -51,14 +49,14 @@ def test_moore_det_is_cubic_with_product_scalar(ctx_i, psi_i):
 
 
 def test_l_matrix_symmetric_point_entry():
-    l = l_matrix(ProjectivePoint.from_coords((1, 1, 1)))
+    l = l_from_coords(ProjectivePoint.from_coords((1, 1, 1)).coords)
     assert _terms(l.coeffs[0, 0]) == {(2, 0, 0): 1, (0, 1, 1): -1}
 
 
 def test_l_matrix_is_scaled_adjugate(ctx_i):
     a = embed(0.3, ctx_i)
     prod = a.coords[0] * a.coords[1] * a.coords[2]
-    m, l = moore_matrix(a), l_matrix(a)
+    m, l = moore_from_coords(a.coords), l_from_coords(a.coords)
     rng = np.random.default_rng(16)
     for _ in range(5):
         xs = random_triple(rng)
@@ -68,7 +66,7 @@ def test_l_matrix_is_scaled_adjugate(ctx_i):
 
 def test_l_matrix_rejects_inflection_points():
     with pytest.raises(DenominatorZero):
-        l_matrix(ProjectivePoint.from_coords((0, 1, -1)))
+        l_from_coords(ProjectivePoint.from_coords((0, 1, -1)).coords)
 
 
 def test_ml_off_diagonal_vanishes_identically():
@@ -79,7 +77,7 @@ def test_ml_off_diagonal_vanishes_identically():
         p = ProjectivePoint.from_coords(coords)
         if min(abs(c) for c in p.coords) < 1e-2:
             continue
-        ml = moore_matrix(p) @ l_matrix(p)
+        ml = moore_from_coords(p.coords) @ l_from_coords(p.coords)
         for i in range(3):
             for j in range(3):
                 if i != j:
@@ -88,7 +86,7 @@ def test_ml_off_diagonal_vanishes_identically():
 
 def test_ml_diagonal_is_cubic_on_curve(ctx_i, psi_i):
     a = embed(0.3, ctx_i)
-    ml = moore_matrix(a) @ l_matrix(a)
+    ml = moore_from_coords(a.coords) @ l_from_coords(a.coords)
     w = hesse_form(psi_i)
     for i in range(3):
         assert np.linalg.norm(ml.coeffs[i, i] - w) < 1e-8 * np.linalg.norm(w)
@@ -106,7 +104,7 @@ def test_factorization_both_orders_random_points(request, tau_fixture):
         a = embed(z, ctx)
         if min(abs(c) for c in a.coords) < 1e-2:
             continue
-        m, l = moore_matrix(a), l_matrix(a)
+        m, l = moore_from_coords(a.coords), l_from_coords(a.coords)
         assert ((m @ l) - w_id).coefficient_norm() < 1e-8
         assert ((l @ m) - w_id).coefficient_norm() < 1e-8
         count += 1
@@ -115,7 +113,7 @@ def test_factorization_both_orders_random_points(request, tau_fixture):
 def test_moore_derivative_order_zero_matches_normalized(ctx_i):
     a_z = 0.3
     raw = moore_derivative(a_z, ctx_i, 0)
-    normalized = moore_matrix(embed(a_z, ctx_i))
+    normalized = moore_from_coords(embed(a_z, ctx_i).coords)
     vec = theta_vector(a_z, ctx_i)
     scalar = vec[int(np.argmax(np.abs(vec)))]
     assert matrix_close(raw, normalized.scale(scalar), tol=1e-12)
@@ -133,7 +131,7 @@ def test_moore_derivative_matches_finite_difference(ctx_i):
 def test_l_derivative_order_zero_matches_l_matrix(ctx_i):
     a_z = 0.3
     jet0 = jet_matrices(l_derivative(a_z, ctx_i, 0))[0]
-    direct = l_matrix(embed(a_z, ctx_i))
+    direct = l_from_coords(embed(a_z, ctx_i).coords)
     vec = theta_vector(a_z, ctx_i)
     scalar = vec[int(np.argmax(np.abs(vec)))]
     # L is homogeneous of degree -1 in the point coordinates
@@ -221,7 +219,7 @@ def test_relation_residuals_match_loop_oracle(monkeypatch, tau):
 
 def test_relation_reports_keep_names_tolerances_and_inputs(ctx_i):
     reports = theta_relation_residuals(0.3, 0.11, ctx_i, max_order=4)
-    assert [r.name for r in reports] == ["moore.relation"] * 5
+    assert [r.name for r in reports] == [f"moore.relation.order{n}" for n in range(5)]
     assert [r.tol for r in reports] == [CHECK_TOL * 10 ** min(n, 2) for n in range(5)]
     assert [r.inputs["order"] for r in reports] == list(range(5))
     assert all(sorted(r.inputs) == ["a_z", "order", "tau", "z"] for r in reports)

@@ -6,7 +6,7 @@ import pytest
 
 from hessecubic import (NotSquare, PolyMatrix, UlrichSpec, ZeroReference,
                         build_analytic, det_scalar_fit, embed, eval_matrix,
-                        evaluate, hesse_form, l_matrix, moore_matrix, numeric_rank,
+                        evaluate, hesse_form, l_from_coords, moore_from_coords, numeric_rank,
                         offcurve_sample_triples)
 from hessecubic.bundles import equilibrate
 from hessecubic.poly import monomials
@@ -84,7 +84,7 @@ def test_block_product_matches_numpy_both_orders(ctx_i, k):
 
 
 def test_eval_stack_matches_single_points(ctx_i):
-    m = l_matrix(embed(0.3, ctx_i))
+    m = l_from_coords(embed(0.3, ctx_i).coords)
     rng = np.random.default_rng(7)
     xs = [random_triple(rng) for _ in range(4)]
     stacked = eval_matrix(m, xs)
@@ -166,10 +166,10 @@ def test_stacked_det_fit_matches_per_slice(ctx_i, psi_i):
     off = offcurve_sample_triples(psi_i, 10, 43)
     w_off = evaluate(hesse_form(psi_i), off)
     rng = np.random.default_rng(33)
-    stack = np.array([moore_matrix(embed(0.1, ctx_i)).coeffs,
+    stack = np.array([moore_from_coords(embed(0.1, ctx_i).coords).coeffs,
                       random_poly_matrix(rng, 3, 3, 1).coeffs,
                       np.zeros((3, 3, 3)),
-                      moore_matrix(embed(0.23 + 0.05j, ctx_i)).coeffs])
+                      moore_from_coords(embed(0.23 + 0.05j, ctx_i).coords).coeffs])
     values = eval_matrix(PolyMatrix(stack), off)
     c, residual = det_scalar_fit(values, w_off)
     assert c.shape == residual.shape == (len(stack),)
@@ -198,7 +198,7 @@ def test_det_not_square():
 
 def test_moore_det_closed_form(ctx_i):
     a = embed(0.3, ctx_i)
-    m = moore_matrix(a)
+    m = moore_from_coords(a.coords)
     rng = np.random.default_rng(9)
     for _ in range(10):
         xs = random_triple(rng)
@@ -217,8 +217,8 @@ def test_det_multiplicative_numeric():
 
 
 def test_det_block_triangular(ctx_i, psi_i):
-    m = moore_matrix(embed(0.3, ctx_i))
-    n = moore_matrix(embed(0.17 + 0.2j, ctx_i))
+    m = moore_from_coords(embed(0.3, ctx_i).coords)
+    n = moore_from_coords(embed(0.17 + 0.2j, ctx_i).coords)
     rng = np.random.default_rng(12)
     big = zeros(6, 6, 1)
     big.coeffs[:3, :3] = m.coeffs
@@ -231,7 +231,7 @@ def test_det_block_triangular(ctx_i, psi_i):
 
 
 def test_eval_linear_matrix_at_origin(ctx_i):
-    m = moore_matrix(embed(0.3, ctx_i))
+    m = moore_from_coords(embed(0.3, ctx_i).coords)
     assert np.max(np.abs(eval_matrix(m, (0.0, 0.0, 0.0)))) == 0.0
 
 
@@ -246,12 +246,12 @@ def test_numeric_rank_zero_matrix():
 
 
 def test_numeric_rank_moore_off_curve(ctx_i):
-    m = moore_matrix(embed(0.3, ctx_i))
+    m = moore_from_coords(embed(0.3, ctx_i).coords)
     assert numeric_rank(eval_matrix(m, (0.9, -0.2 + 0.4j, 0.3))) == 3
 
 
 def test_numeric_rank_moore_on_curve(ctx_i):
-    m = moore_matrix(embed(0.3, ctx_i))
+    m = moore_from_coords(embed(0.3, ctx_i).coords)
     x = embed(0.11 + 0.07j, ctx_i).coords
     assert numeric_rank(eval_matrix(m, x)) == 2
 
@@ -317,7 +317,7 @@ def test_multipoly_json_round_trip():
 
 
 def test_polymatrix_json_round_trip(ctx_i):
-    m = moore_matrix(embed(0.3, ctx_i))
+    m = moore_from_coords(embed(0.3, ctx_i).coords)
     data = json.loads(json.dumps(to_json(m)))
     assert (data["rows"], data["cols"]) == (3, 3)
     decoded = zeros(3, 3, 1)
@@ -331,6 +331,6 @@ def test_polymatrix_json_round_trip(ctx_i):
 
 
 def test_linear_flag(ctx_i):
-    assert moore_matrix(embed(0.3, ctx_i)).degree == 1
-    assert l_matrix(embed(0.3, ctx_i)).degree == 2
+    assert moore_from_coords(embed(0.3, ctx_i).coords).degree == 1
+    assert l_from_coords(embed(0.3, ctx_i).coords).degree == 2
     assert zeros(2, 2, 3).degree == 3
