@@ -651,6 +651,8 @@ def automorphy_residuals(spec: UlrichSpec, z: complex) -> list[tuple[float, floa
     k+1 rows.
     """
     top, tau = spec.k, spec.ctx.tau
+    if top < 1:  # order 0 has no factor to judge
+        return []
     at = z + spec.a_z
     jets = theta_jet(np.array([at, at + 1.0, at + tau, at + (1 + tau)]), spec.ctx, top)
     factors = [automorphy_factor(m, n, w, tau, top)

@@ -259,7 +259,7 @@ def _presentation_checks(spec: UlrichSpec, a: PolyMatrix, psi: complex, k_max: i
 
 def _automorphy_checks(ctx: ThetaContext, a_z: complex, k_max: int) -> list[CheckReport]:
     z = 0.13 + 0.05j
-    residuals = automorphy_residuals(UlrichSpec(k=k_max, ctx=ctx, a_z=a_z), z) if k_max else []
+    residuals = automorphy_residuals(UlrichSpec(k=k_max, ctx=ctx, a_z=a_z), z)
     return [check(f"automorphy.{name}.k{k}", residual, 1e-7, {"z": z})
             for k, pair in enumerate(residuals, 1)
             for name, residual in zip(("transport", "cocycle"), pair)]

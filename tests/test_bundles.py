@@ -762,6 +762,11 @@ def test_presentation_of_an_order_zero_stack_has_no_records(ctx_i, psi_i, on_sam
     assert verify_presentation([a], psi_i, on_samples, off_samples) == []
 
 
+def test_automorphy_of_order_zero_has_no_records_and_sums_nothing(ctx_i, monkeypatch):
+    monkeypatch.setattr(bundles, "theta_jet", lambda *args, **kwargs: pytest.fail("summed"))
+    assert automorphy_residuals(UlrichSpec(k=0, ctx=ctx_i, a_z=A_Z), 0.13 + 0.05j) == []
+
+
 def test_equilibrate_is_the_pass_by_pass_scaling(ctx_i, psi_i, on_samples, off_samples):
     # the stacks the presentation and bookkeeping gates scale, and one with a
     # zero row and column
