@@ -110,29 +110,35 @@ def _block_matrix(blocks: np.ndarray) -> PolyMatrix:
     return PolyMatrix(blocks.transpose(0, 2, 1, 3, 4).reshape(size, size, -1))
 
 
-def verify_factorization(a: PolyMatrix, b: PolyMatrix, psi: complex,
-                         tol: float = 1e-7) -> list[CheckReport]:
-    """Entrywise backward errors of A*B = w*I and B*A = w*I, reported separately.
+def verify_factorization(a: PolyMatrix, b: PolyMatrix, psi: complex) -> list[list[CheckReport]]:
+    """Entrywise backward errors of A*B = w*I and B*A = w*I: one [AB, BA] record pair
+    for each order k = 1..K of a 3(K+1)-square pair, read from its bottom-right
+    3(k+1) corner, with tolerance 1e-8 at k = 1 and 1e-7 above.
 
     Entry (i, j) of A*B - w*I is measured against the terms that form it,
 
         |(AB - wI)_ij| / (sum_m |A_im| * |B_mj| + |w| * delta_ij),
 
     each |.| the 2-norm of one entry's coefficient vector (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 7), and the report is the
+    and Stability of Numerical Algorithms, ch. 7), and the record is the
     largest entry.  A norm over the whole matrix goes blind as k grows: jet
     coefficients grow like (6*pi)^d with the block order, so the high-order
-    blocks swamp an error in a low-order one.
+    blocks swamp an error in a low-order one.  A and B are block upper
+    triangular, so the corners of A*B and |A|*|B| are the products of corners.
     """
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows or a.rows % 3:
         raise SizeMismatch(f"incompatible factor shapes {a.rows}x{a.cols}, {b.rows}x{b.cols}")
     w = hesse_form(psi)
-    inputs = {"size": a.rows, "psi": complex(psi)}
     a_norms, b_norms = entry_norms(a.coeffs), entry_norms(b.coeffs)
-    return [check("factorization.AB", factor_backward_error(a @ b, a_norms, b_norms, w),
-                  tol, inputs),
-            check("factorization.BA", factor_backward_error(b @ a, b_norms, a_norms, w),
-                  tol, inputs)]
+    ratios = np.stack([factor_backward_error(a @ b, a_norms, b_norms, w),
+                       factor_backward_error(b @ a, b_norms, a_norms, w)])
+    # worst[p, r, r]: the largest ratio of product p over its last r+1 rows and
+    # columns, a suffix maximum along both axes; order k's corner is r = 3k+2
+    worst = np.maximum.accumulate(np.maximum.accumulate(ratios[:, ::-1, ::-1], axis=1), axis=2)
+    return [[check(f"factorization.{name}", worst[p, 3 * k + 2, 3 * k + 2],
+                   1e-8 if k == 1 else 1e-7, {"size": 3 * (k + 1), "psi": complex(psi)})
+             for p, name in enumerate(("AB", "BA"))]
+            for k in range(1, a.rows // 3)]
 
 
 def entry_norms(coeffs: np.ndarray) -> np.ndarray:
@@ -143,17 +149,15 @@ def entry_norms(coeffs: np.ndarray) -> np.ndarray:
 
 
 def factor_backward_error(product: PolyMatrix, a_norms: np.ndarray, b_norms: np.ndarray,
-                          w: np.ndarray) -> float:
-    """Largest |(A*B - w*I)_ij| / (sum_m |A_im| * |B_mj| + |w| * delta_ij) for the
-    product A*B, with the entry_norms of A and B.
-
-    Stacks of factors (leading axes) give the largest entry over the stack.
+                          w: np.ndarray) -> np.ndarray:
+    """|(A*B - w*I)_ij| / (sum_m |A_im| * |B_mj| + |w| * delta_ij), entry by entry, for
+    the product A*B, with the entry_norms of A and B; leading stack axes broadcast.
     """
     rows = product.rows
     residual = product.coeffs - PolyMatrix.diagonal(w, rows).coeffs
     scale = a_norms @ b_norms + np.linalg.norm(w) * np.eye(rows)
     # an entry with no nonzero term is an exact zero of the residual too
-    return float(np.max(entry_norms(residual) / np.where(scale > 0, scale, 1.0)))
+    return entry_norms(residual) / np.where(scale > 0, scale, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 
@@ -48,10 +49,21 @@ def parse_point(text: str):
     return parse_complex(text)
 
 
-def non_negative_int(text: str) -> int:
+def non_negative_int(text: str, what: str = "k") -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError("k must be non-negative")
+        raise argparse.ArgumentTypeError(f"{what} must be non-negative")
+    return value
+
+
+def parse_seed(text: str) -> int:
+    return non_negative_int(text, "seed")
+
+
+def parse_tol(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tol must be positive and finite, got {text!r}")
     return value
 
 
@@ -67,7 +79,10 @@ def parse_int_list(text: str) -> list[int]:
         return []
     if ":" in text:
         lo, hi = text.split(":")
-        return list(range(non_negative_int(lo), int(hi) + 1))
+        lo, hi = non_negative_int(lo), int(hi)
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"empty range {text}")
+        return list(range(lo, hi + 1))
     return [non_negative_int(t) for t in text.split(",")]
 
 
@@ -181,8 +196,8 @@ def _moore_checks(ctx: ThetaContext, psi: complex, rng, off: list[tuple]) -> lis
     m, l = moore_from_coords(coords), l_from_coords(coords)
     ml, m_norms, l_norms = m @ l, entry_norms(m.coeffs), entry_norms(l.coeffs)
     # entrywise backward errors over the stack of samples, as in verify_factorization
-    worst_ml = factor_backward_error(ml, m_norms, l_norms, w)
-    worst_lm = factor_backward_error(l @ m, l_norms, m_norms, w)
+    worst_ml = factor_backward_error(ml, m_norms, l_norms, w).max()
+    worst_lm = factor_backward_error(l @ m, l_norms, m_norms, w).max()
     worst_off = np.linalg.norm(ml.coeffs, axis=-1)[:, ~np.eye(3, dtype=bool)].max()
     scalar, fit = det_scalar_fit(eval_matrix(m, off), evaluate(w, off))
     prod = coords.prod(axis=1)
@@ -195,17 +210,17 @@ def _moore_checks(ctx: ThetaContext, psi: complex, rng, off: list[tuple]) -> lis
 
 
 def _corner(m: PolyMatrix, k: int) -> PolyMatrix:
-    """A copy of the bottom-right 3(k+1) square: the order-k block matrix inside a higher one."""
-    start = m.rows - 3 * (k + 1)
-    return PolyMatrix(m.coeffs[start:, start:].copy())
+    """A view of the bottom-right 3(k+1) square: the order-k block matrix inside a higher one."""
+    return PolyMatrix(m.coeffs[-3 * (k + 1):, -3 * (k + 1):])
 
 
-def _mutate_analytic(a: PolyMatrix, k: int, mutate: str, ctx: ThetaContext, a_z: complex):
-    if mutate == "zero-block":
-        a.coeffs[:3, 3:6] = 0.0
-    elif mutate == "drop-binomial" and k >= 2:
-        # block (0,1) carries C(k,1): rebuild it with coefficient 1
-        a.coeffs[:3, 3:6] = moore_from_coords(theta_jet(a_z, ctx, 1)[1]).coeffs
+def _mutate_analytic(a: PolyMatrix, mutate: str) -> PolyMatrix:
+    """A copy of a whose blocks (i, i+1), block (0, 1) of every order's corner, are
+    zeroed or lose their binomial C(k-i, 1): each becomes block (k-1, k), which has 1."""
+    out = PolyMatrix(a.coeffs.copy())
+    for i in range(0, a.rows - 3, 3):
+        out.coeffs[i:i + 3, i + 3:i + 6] = 0.0 if mutate == "zero-block" else a.coeffs[-6:-3, -3:]
+    return out
 
 
 def _suffixed(reports: list[CheckReport], suffix: str) -> list[CheckReport]:
@@ -214,17 +229,14 @@ def _suffixed(reports: list[CheckReport], suffix: str) -> list[CheckReport]:
     return reports
 
 
-def _factorization_checks(spec: UlrichSpec, a: PolyMatrix, b: PolyMatrix, psi: complex,
-                          k_max: int, mutate: str | None) -> list[CheckReport]:
-    reports = []
-    for k in range(1, k_max + 1):
-        a_k, b_k = _corner(a, k), _corner(b, k)
-        if mutate in ("zero-block", "drop-binomial"):
-            _mutate_analytic(a_k, k, mutate, spec.ctx, spec.a_z)
-        use_psi = psi + 1e-3 if mutate == "perturb-psi" else psi
-        tol = 1e-8 if k == 1 else 1e-7
-        reports += _suffixed(verify_factorization(a_k, b_k, use_psi, tol=tol), f".k{k}")
-    return reports
+def _factorization_checks(a: PolyMatrix, b: PolyMatrix, psi: complex, k_max: int,
+                          mutate: str | None) -> list[CheckReport]:
+    if k_max < 1:  # the order-1 build of k = 0 has no factorization to report
+        return []
+    if mutate in ("zero-block", "drop-binomial"):
+        a = _mutate_analytic(a, mutate)
+    return [rep for k, pair in enumerate(verify_factorization(a, b, psi), 1)
+            for rep in _suffixed(pair, f".k{k}")]
 
 
 def _presentation_checks(spec: UlrichSpec, a: PolyMatrix, psi: complex, k_max: int,
@@ -237,15 +249,8 @@ def _presentation_checks(spec: UlrichSpec, a: PolyMatrix, psi: complex, k_max: i
     on = curve_sample_points(spec.ctx, 10, seed)
     point = embed(spec.a_z, spec.ctx)
     orders = range(1, top + 1)
-    try:
-        lambdas, calibration = calibrate_by_order(UlrichSpec(k=top, ctx=spec.ctx, a_z=spec.a_z),
-                                                  orders)
-    except HesseCubicError:
-        # name the error of the lowest order whose own calibration fails, as
-        # calibrating order by order would
-        for k in orders:
-            calibrate_by_order(UlrichSpec(k=k, ctx=spec.ctx, a_z=spec.a_z), [k])
-        raise
+    lambdas, calibration = calibrate_by_order(UlrichSpec(k=top, ctx=spec.ctx, a_z=spec.a_z),
+                                              orders)
     algebraic = build_algebraic(point, top, lambdas)
     presentation = verify_presentation([_corner(a, top), algebraic], psi, on, off)
     reports = []
@@ -301,10 +306,11 @@ def build_check_suite(tau: complex, a_z: complex, k_max: int, seed: int,
     rng = np.random.default_rng(seed)
     off = offcurve_sample_triples(psi, 10, seed + 1)
     reports = _theta_checks(ctx, psi, rng)
-    reports += _moore_checks(ctx, psi + 1e-3 if mutate == "perturb-psi" else psi, rng, off)
+    broken_psi = psi + 1e-3 if mutate == "perturb-psi" else psi  # Moore and A*B gates only
+    reports += _moore_checks(ctx, broken_psi, rng, off)
     spec = UlrichSpec(k=max(k_max, 1), ctx=ctx, a_z=a_z)
     a, b = build_analytic(spec)
-    reports += _factorization_checks(spec, a, b, psi, k_max, mutate)
+    reports += _factorization_checks(a, b, broken_psi, k_max, mutate)
     reports += _presentation_checks(spec, a, psi, k_max, seed, off)
     reports += _automorphy_checks(ctx, a_z, k_max)
     reports += _elimination_checks(ctx, a_z)
@@ -320,10 +326,9 @@ def run_check(args) -> int:
     if args.k < least:
         return _fail(f"{args.mutate} only exists for k >= {least}")
     reports = build_check_suite(args.tau, args.a, args.k, args.seed, args.mutate)
-    if args.tol is not None:
-        for rep in reports:
-            rep.tol = args.tol
     for rep in reports:
+        if args.tol is not None:
+            rep.tol = args.tol
         sys.stdout.write(rep.to_json() + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
@@ -341,7 +346,7 @@ def _sweep_config(tau: complex, a_z: complex, k: int, seed: int) -> list[CheckRe
     if k >= 1:
         spec = UlrichSpec(k=k, ctx=ctx, a_z=a_z)
         a, b = build_analytic(spec)
-        reports.extend(verify_factorization(a, b, psi, tol=1e-7))
+        reports.extend(verify_factorization(a, b, psi)[-1])
         fit = elimination_fit(theta_jet(a_z, ctx, 1))[2]
         reports.append(check("elimination.fit", fit, 1e-8, {}))
     return reports
@@ -395,8 +400,8 @@ def make_parser() -> argparse.ArgumentParser:
     chk.add_argument("--tau", type=parse_complex, default=1j)
     chk.add_argument("--a", type=parse_point, default=0.3 + 0j)
     chk.add_argument("--k", type=non_negative_int, default=3)
-    chk.add_argument("--seed", type=int, default=42)
-    chk.add_argument("--tol", type=float, default=None,
+    chk.add_argument("--seed", type=parse_seed, default=42)
+    chk.add_argument("--tol", type=parse_tol, default=None,
                      help="override every tolerance in the suite")
     chk.add_argument("--mutate", choices=MUTATIONS, default=None,
                      help="sanity hook: break the construction on purpose")
@@ -409,7 +414,7 @@ def make_parser() -> argparse.ArgumentParser:
                      help="comma-separated a_z values")
     swp.add_argument("--ks", type=parse_int_list, default="",
                      help="comma list or lo:hi range of k")
-    swp.add_argument("--seed", type=int, default=42)
+    swp.add_argument("--seed", type=parse_seed, default=42)
     swp.add_argument("--out", default="-")
     swp.set_defaults(func=run_sweep)
     return parser

@@ -98,7 +98,8 @@ def test_criterion_4_analytic_block_factorization(ctx_i, psi_i):
     worst = 0.0
     for k in (1, 2, 3, 4):
         a, b = build_analytic(UlrichSpec(k=k, ctx=ctx_i, a_z=A_Z))
-        worst = max(worst, *(r.residual for r in verify_factorization(a, b, psi_i)))
+        worst = max(worst, *(r.residual for pair in verify_factorization(a, b, psi_i)
+                             for r in pair))
     elapsed = time.perf_counter() - start
     _report(4, "analytic-block-factorization", worst < 1e-7 and elapsed < 30.0,
             f"max |AB-wI|, |BA-wI| {worst:.2e} < 1e-7 for k in 1..4 [{elapsed:.1f}s < 30s]")
@@ -194,13 +195,13 @@ def test_criterion_10_mutation_sanity(ctx_i, psi_i):
     # zero an off-diagonal block of the analytic k=1 matrix: criterion 4 check
     a, b = build_analytic(UlrichSpec(k=1, ctx=ctx_i, a_z=A_Z))
     a.coeffs[:3, 3:6] = 0.0
-    if any(not r.passed for r in verify_factorization(a, b, psi_i)):
+    if any(not r.passed for pair in verify_factorization(a, b, psi_i) for r in pair):
         broke.append("zero-block->criterion4")
 
     # drop the binomial coefficient on block (0,1) at k=2: criterion 4 check
     a2, b2 = build_analytic(UlrichSpec(k=2, ctx=ctx_i, a_z=A_Z))
     a2.coeffs[:3, 3:6] = moore_derivative(A_Z, ctx_i, 1).coeffs
-    if any(not r.passed for r in verify_factorization(a2, b2, psi_i)):
+    if any(not r.passed for pair in verify_factorization(a2, b2, psi_i) for r in pair):
         broke.append("drop-binomial->criterion4")
 
     # perturb psi by 1e-3: criterion 3 check

@@ -91,14 +91,16 @@ def test_analytic_k2_binomials(ctx_i, spec2):
 
 def test_factorization_k1(psi_i, spec1):
     a, b = build_analytic(spec1)
-    reports = verify_factorization(a, b, psi_i, tol=1e-8)
-    assert {r.name for r in reports} == {"factorization.AB", "factorization.BA"}
-    assert all(r.passed for r in reports)
+    (reports,) = verify_factorization(a, b, psi_i)
+    assert [r.name for r in reports] == ["factorization.AB", "factorization.BA"]
+    assert all(r.passed and r.tol == 1e-8 for r in reports)
 
 
 def test_factorization_k3(ctx_i, psi_i):
     a, b = build_analytic(UlrichSpec(k=3, ctx=ctx_i, a_z=A_Z))
-    assert all(r.residual < 1e-7 for r in verify_factorization(a, b, psi_i))
+    orders = verify_factorization(a, b, psi_i)
+    assert [[r.inputs["size"] for r in pair] for pair in orders] == [[6, 6], [9, 9], [12, 12]]
+    assert all(r.residual < 1e-7 for pair in orders for r in pair)
 
 
 def test_factorization_three_configurations():
@@ -109,13 +111,14 @@ def test_factorization_three_configurations():
         psi = hesse_psi(ctx)
         for k in (1, 4):
             a, b = build_analytic(UlrichSpec(k=k, ctx=ctx, a_z=a_z))
-            assert all(r.residual < 1e-7 for r in verify_factorization(a, b, psi))
+            assert all(r.residual < 1e-7 for pair in verify_factorization(a, b, psi)
+                       for r in pair)
 
 
 def test_factorization_detects_zeroed_block(psi_i, spec1):
     a, b = build_analytic(spec1)
     a.coeffs[:3, 3:6] = 0.0
-    reports = verify_factorization(a, b, psi_i)
+    (reports,) = verify_factorization(a, b, psi_i)
     assert max(r.residual for r in reports) > 1e-3
     assert not all(r.passed for r in reports)
 
@@ -127,7 +130,7 @@ _POWER_CONFIGS = [(tau, a_z) for tau in (1j, 0.2 + 1.3j, -0.31 + 1.12j)
 
 
 def _factorization_residual(a, b, psi) -> float:
-    return max(r.residual for r in verify_factorization(a, b, psi))
+    return max(r.residual for r in verify_factorization(a, b, psi)[-1])
 
 
 def _scaled_diagonal_block(a: PolyMatrix, block: int) -> PolyMatrix:
@@ -138,14 +141,14 @@ def _scaled_diagonal_block(a: PolyMatrix, block: int) -> PolyMatrix:
 
 @pytest.mark.parametrize("tau, a_z", _POWER_CONFIGS)
 def test_factorization_gate_catches_perturbed_psi_at_every_k(tau, a_z):
-    # the tolerances of the check suite: 1e-8 at k = 1, 1e-7 above
+    # every order of every build fails, at its tolerance: 1e-8 at k = 1, 1e-7 above
     ctx = ThetaContext(tau=tau)
     psi = hesse_psi(ctx)
     for k in range(1, 9):
         a, b = build_analytic(UlrichSpec(k=k, ctx=ctx, a_z=a_z))
         assert _factorization_residual(a, b, psi) <= 1e-12, k
-        tol = 1e-8 if k == 1 else 1e-7
-        assert not any(r.passed for r in verify_factorization(a, b, psi + 1e-3, tol=tol)), k
+        assert not any(r.passed for pair in verify_factorization(a, b, psi + 1e-3)
+                       for r in pair), k
 
 
 @pytest.mark.parametrize("tau, a_z", _POWER_CONFIGS)
@@ -169,20 +172,40 @@ def test_factorization_gate_sees_a_scaled_diagonal_block_at_every_k(tau, a_z):
 
 
 def test_factorization_gate_is_the_entrywise_backward_error(ctx_c, psi_c):
-    # one entry's error against the terms of that entry, not of the matrix
+    # one entry's error against the terms of that entry, not of the matrix; order
+    # k's record is the worst entry of the bottom-right 3(k+1) corner
     a, b = build_analytic(UlrichSpec(k=2, ctx=ctx_c, a_z=0.23 + 0.05j))
-    mutated = _scaled_diagonal_block(a, 0)
+    mutated = _scaled_diagonal_block(a, 1)
     prod, w = (mutated @ b).coeffs, hesse_form(psi_c)
-    worst = 0.0
+    ratio = np.zeros((9, 9))
     for i in range(9):
         for j in range(9):
             err = np.linalg.norm(prod[i, j] - (w if i == j else 0.0))
             scale = sum(np.linalg.norm(mutated.coeffs[i, m]) * np.linalg.norm(b.coeffs[m, j])
                         for m in range(9)) + (np.linalg.norm(w) if i == j else 0.0)
-            worst = max(worst, err / scale if scale else 0.0)
-    got = verify_factorization(mutated, b, psi_c)[0]
-    assert got.name == "factorization.AB"
-    assert abs(got.residual - worst) <= 1e-12 * worst
+            ratio[i, j] = err / scale if scale else 0.0
+    for k, pair in enumerate(verify_factorization(mutated, b, psi_c), 1):
+        worst = ratio[9 - 3 * (k + 1):, 9 - 3 * (k + 1):].max()
+        assert pair[0].name == "factorization.AB"
+        assert abs(pair[0].residual - worst) <= 1e-12 * worst, k
+
+
+@pytest.mark.parametrize("tau, a_z", _POWER_CONFIGS)
+def test_every_order_reads_the_corner_of_one_product(tau, a_z):
+    # each order's records match those of its own build to rounding of the longer
+    # inner sums; the top order's are those of the whole product
+    ctx = ThetaContext(tau=tau)
+    psi = hesse_psi(ctx)
+    orders = verify_factorization(*build_analytic(UlrichSpec(k=8, ctx=ctx, a_z=a_z)), psi)
+    for k, pair in enumerate(orders, 1):
+        alone = verify_factorization(*build_analytic(UlrichSpec(k=k, ctx=ctx, a_z=a_z)), psi)[-1]
+        assert [(r.name, r.tol, r.inputs) for r in pair] == [(r.name, r.tol, r.inputs)
+                                                             for r in alone]
+        for got, want in zip(pair, alone):
+            assert abs(got.residual - want.residual) <= 1e-15, (k, got.name)
+            if k == 8:
+                assert got.residual == want.residual
+    assert len(orders) == 8
 
 
 def test_factorization_shape_guard(psi_i, spec1):

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import hessecubic
-from hessecubic import (CalibrationFailed, OrderTooHigh, ThetaContext, UlrichSpec, bundles, cli,
-                        hesse_psi)
+from hessecubic import (CalibrationFailed, OrderTooHigh, PolyMatrix, ThetaContext, UlrichSpec,
+                        bundles, cli, hesse_psi)
 from hessecubic.cli import MUTATIONS, _hesse_identity_residual, build_check_suite, main
 from hessecubic.report import check
 from hessecubic.theta import CHECK_TOL
@@ -203,6 +203,24 @@ def test_check_builds_once_and_calibrates_once(monkeypatch, k_max, orders):
 
 
 @pytest.mark.parametrize("k_max", [0, 1, 3, 8])
+def test_check_multiplies_the_top_order_pair_once(monkeypatch, k_max):
+    # every order's factorization records read the corners of one A*B and one
+    # B*A; the Moore checks multiply their stack of 20 sample pairs once each way
+    products = []
+    matmul = PolyMatrix.__matmul__
+
+    def counted_matmul(left, right):
+        products.append((left.coeffs.shape, left.degree, right.degree))
+        return matmul(left, right)
+
+    monkeypatch.setattr(PolyMatrix, "__matmul__", counted_matmul)
+    assert all(r.passed for r in build_check_suite(1j, 0.3, k_max, 42))
+    size = 3 * (k_max + 1)
+    assert products == [((20, 3, 3, 3), 1, 2), ((20, 3, 3, 6), 2, 1)] + (
+        [((size, size, 3), 1, 2), ((size, size, 6), 2, 1)] if k_max else [])
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 3, 8])
 def test_check_evaluates_on_the_curve_once_and_sums_automorphy_once(monkeypatch, k_max):
     # every order's presentation reads one evaluation of the top-order pair and
     # one of its two distinct diagonal blocks, and every order's automorphy
@@ -262,7 +280,9 @@ def _check_lines(capfd, argv) -> tuple[int, list[str]]:
 @pytest.mark.parametrize("tau", ["i", "0.2+1.3i", "-0.31+1.12i"])
 def test_a_mutation_stays_in_its_own_corner(capfd, tau):
     # every order reads its matrices from one build; a mutation edits a copy of
-    # its order's corner, so only the factorization records may see it
+    # the top-order A, so only the factorization records may see it.  Block
+    # (0, 1) of every order's corner is broken: each order fails, but order 1
+    # keeps its binomial C(1, 1) = 1
     def untouched(lines):
         return [l for l in lines if json.loads(l)["name"].startswith(
             ("presentation.", "calibration.", "bookkeeping."))]
@@ -271,13 +291,16 @@ def test_a_mutation_stays_in_its_own_corner(capfd, tau):
         code, clean = _check_lines(capfd, ["check", "--tau", tau, "--k", str(k)])
         assert code == 0
         for mutate in MUTATIONS:
-            if mutate == "drop-binomial" and k < 2:
+            least = 2 if mutate == "drop-binomial" else 1
+            if k < least:
                 continue
             code, lines = _check_lines(capfd, ["check", "--tau", tau, "--k", str(k),
                                                "--mutate", mutate])
             assert code == 1, (k, mutate)
-            assert any(not json.loads(l)["pass"] for l in lines
-                       if json.loads(l)["name"].startswith("factorization.")), (k, mutate)
+            failed = {r["name"] for r in map(json.loads, lines)
+                      if r["name"].startswith("factorization.") and not r["pass"]}
+            assert failed == {f"factorization.{p}.k{j}" for p in ("AB", "BA")
+                              for j in range(least, k + 1)}, (k, mutate)
             if mutate != "perturb-psi":
                 assert untouched(lines) == untouched(clean), (k, mutate)
 
@@ -306,24 +329,16 @@ def test_check_above_the_order_cap_is_a_named_error(capfd):
         build_check_suite(1j, 0.3, 13, 42)
 
 
-def test_check_names_the_calibration_error_of_its_lowest_failing_order(capfd):
-    # 9a lies 1e-8 from the lattice: orders 1 and 2 calibrate, order 3 does not,
-    # and the one solve at order 3 names another worst record than the order-3
-    # calibration alone; check reports the latter, as calibrating order by order did
-    def spec(k):
-        return UlrichSpec(k=k, ctx=ThetaContext(tau=1j), a_z=0.11111111)
-
-    for k in (1, 2):
-        bundles.calibrate_by_order(spec(k), [k])
-    with pytest.raises(CalibrationFailed) as alone:
-        bundles.calibrate_by_order(spec(3), [3])
+def test_check_names_the_calibration_error_of_its_one_solve(capfd):
+    # 9a lies 1e-8 from the lattice, so order 3 does not calibrate: check at any
+    # k_max >= 3 reports the error of its one solve over orders 1..3
+    spec = UlrichSpec(k=3, ctx=ThetaContext(tau=1j), a_z=0.11111111)
     with pytest.raises(CalibrationFailed) as joint:
-        bundles.calibrate_by_order(spec(3), [1, 2, 3])
-    assert str(joint.value) != str(alone.value)
+        bundles.calibrate_by_order(spec, [1, 2, 3])
     assert main(["check", "--a", "0.11111111", "--k", "5"]) == 1
     out, err = capfd.readouterr()
     assert out == ""
-    assert json.loads(err) == {"error": str(alone.value)}
+    assert json.loads(err) == {"error": str(joint.value)}
 
 
 def test_parser_is_built_once_per_process():
@@ -380,6 +395,21 @@ def test_sweep_sixty_configurations():
                    for r in same)
 
 
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_sweep_reads_the_top_order_of_the_check_product(capfd, k):
+    # the factorization records of sweep --ks k are those of check --k k at order k
+    assert main(["check", "--tau", "0.2+1.3i", "--a", "0.41+0.1i", "--k", str(k)]) == 0
+    checked = {r["name"]: r for r in map(json.loads, capfd.readouterr()[0].splitlines())}
+    assert main(["sweep", "--taus", "0.2+1.3i", "--azs", "0.41+0.1i", "--ks", str(k)]) == 0
+    swept = [r for r in map(json.loads, capfd.readouterr()[0].splitlines())
+             if r.get("name", "").startswith("factorization.")]
+    assert [r["name"] for r in swept] == ["factorization.AB", "factorization.BA"]
+    for r in swept:
+        top = checked[f"{r['name']}.k{k}"]
+        assert (r["residual"], r["tol"], r["inputs"]) == (top["residual"], top["tol"],
+                                                          top["inputs"])
+
+
 def test_sweep_empty_range():
     proc = run_cli("sweep", "--taus", "", "--azs", "", "--ks", "")
     assert proc.returncode == 0
@@ -391,10 +421,30 @@ def test_sweep_empty_range():
      "argument --taus: cannot parse complex number 'foo'"),
     (["--taus", "i", "--azs", "0.3", "--ks=-1"], "argument --ks: k must be non-negative"),
     (["--taus", "i", "--azs", "0.3", "--ks=-2:0"], "argument --ks: k must be non-negative"),
+    (["--taus", "i", "--azs", "0.3", "--ks", "3:1"], "argument --ks: empty range 3:1"),
 ])
 def test_sweep_rejects_a_malformed_list_as_a_usage_error(capsys, lists, message):
     with pytest.raises(SystemExit) as exit_:
         main(["sweep", *lists])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.rstrip().endswith(message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--seed", "-1", "--k", "1"], "argument --seed: seed must be non-negative"),
+    (["sweep", "--seed", "-1", "--taus", "i", "--azs", "0.3", "--ks", "1"],
+     "argument --seed: seed must be non-negative"),
+    # NaN is not JSON, and an infinite tolerance passes every record
+    (["check", "--tol", "nan"], "argument --tol: tol must be positive and finite, got 'nan'"),
+    (["check", "--tol", "inf"], "argument --tol: tol must be positive and finite, got 'inf'"),
+    (["check", "--tol", "0"], "argument --tol: tol must be positive and finite, got '0'"),
+    (["check", "--tol", "-1e-3"], "argument --tol: tol must be positive and finite, got '-1e-3'"),
+])
+def test_a_bad_seed_or_tolerance_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
     assert exit_.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
