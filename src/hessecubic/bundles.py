@@ -10,6 +10,15 @@ Two constructions of the 3(k+1)-square presentation matrix:
   derivative-elimination row operations once the per-offset scalars lambda
   are calibrated.
 
+The analytic A is the Moore matrix of theta(a + eps) over the ring of
+(k+1)-jets: block (i, j) is C(k-i, j-i) * J[j-i] with J[d] = M^(d).  By the
+Leibniz rule block (i, i+d) of A*B is C(k-i, d) * S_d, where
+S_d = sum_e C(d, e) * M^(e) * L^(d-e), so the factorization gate judges the
+k+1 jet products S_d (factorization_errors) and never multiplies the
+3(k+1)-square pair.  On a built pair it reads the jets from the last block
+column and compares every other block with its pattern exactly
+(verify_factorization).
+
 The elimination rests on the componentwise identity
 
     theta'_i(a) = s(a) * theta_i(a) + c * V_i(a),
@@ -49,10 +58,10 @@ from .curve import ProjectivePoint, doubling_orbit, embed
 from .errors import (CalibrationFailed, DegenerateOrbit, DenominatorZero, IllConditioned,
                      SamplingFailed, SizeMismatch, ThetaOverflow)
 from .moore import l_derivative, moore_from_coords
-from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
-                   monomial_index, numeric_rank)
+from .poly import (PolyMatrix, _degree, _product_table, det_scalar_fit, eval_matrix, evaluate,
+                   hesse_form, monomial_index, monomials, numeric_rank)
 from .report import CheckReport, check
-from .theta import ThetaContext, automorphy_factor, theta_jet
+from .theta import _BINOM, ThetaContext, automorphy_factor, theta_jet
 
 
 @dataclass(frozen=True)
@@ -76,11 +85,15 @@ class UlrichSpec:
 # analytic construction
 # ---------------------------------------------------------------------------
 
+def analytic_jets(spec: UlrichSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The (k+1, 3, 3, m) coefficient stacks M, M', ..., M^(k) and L, L', ..., L^(k) at a."""
+    return (moore_from_coords(theta_jet(spec.a_z, spec.ctx, spec.k)).coeffs,
+            l_derivative(spec.a_z, spec.ctx, spec.k).coeffs)
+
+
 def build_analytic(spec: UlrichSpec) -> tuple[PolyMatrix, PolyMatrix]:
     """The derivative block matrices (A, B); upper triangular, 3(k+1) square."""
-    m_jets = moore_from_coords(theta_jet(spec.a_z, spec.ctx, spec.k)).coeffs
-    l_jets = l_derivative(spec.a_z, spec.ctx, spec.k).coeffs
-    return _block_matrix(_offset_blocks(m_jets)), _block_matrix(_offset_blocks(l_jets))
+    return tuple(_block_matrix(_offset_blocks(jets)) for jets in analytic_jets(spec))
 
 
 def _block_binomials(k: int) -> list[list[int]]:
@@ -93,10 +106,16 @@ def _offset_blocks(jets) -> np.ndarray:
     """(k+1, k+1, ...) array with block (i, j) = C(k-i, j-i) * jets[j-i], zero below."""
     jets = np.asarray(jets)
     i, j = _triu(len(jets))
-    weights = np.array(_block_binomials(len(jets) - 1))[i, j]
+    weights = _offset_weights(len(jets) - 1)
     out = np.zeros((len(jets),) + jets.shape, dtype=complex)
     out[i, j] = weights.reshape((-1,) + (1,) * (jets.ndim - 1)) * jets[j - i]
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _offset_weights(k: int) -> np.ndarray:
+    """C(k-i, j-i) at the (i, j) of np.triu_indices(k+1), as integers."""
+    return np.array(_block_binomials(k))[_triu(k + 1)]
 
 
 # np.triu_indices costs ~20 us a call and each Gauss-Newton step needs four;
@@ -110,35 +129,110 @@ def _block_matrix(blocks: np.ndarray) -> PolyMatrix:
     return PolyMatrix(blocks.transpose(0, 2, 1, 3, 4).reshape(size, size, -1))
 
 
-def verify_factorization(a: PolyMatrix, b: PolyMatrix, psi: complex) -> list[list[CheckReport]]:
-    """Entrywise backward errors of A*B = w*I and B*A = w*I: one [AB, BA] record pair
-    for each order k = 1..K of a 3(K+1)-square pair, read from its bottom-right
-    3(k+1) corner, with tolerance 1e-8 at k = 1 and 1e-7 above.
+@functools.lru_cache(maxsize=16)
+def _series_plan(k: int, m1: int, m2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gather index d - e and weight C(d, e) of term e of S_d, as [e, d] arrays (weight
+    0 for e > d), and for X*Y and Y*X the table from coefficient slot pairs to monomials.
 
-    Entry (i, j) of A*B - w*I is measured against the terms that form it,
+    Every jet entry is padded to max(m1, m2) + 1 slots, the last one holding
+    its norm; the tables send every pair with a pad or a norm slot nowhere.
+    """
+    e, d = np.indices((k + 1, k + 1))
+    width = max(m1, m2) + 1
+    tables = np.zeros((2, width, width, len(monomials(_degree(m1) + _degree(m2)))),
+                      dtype=complex)
+    tables[0, :m1, :m2] = _product_table(_degree(m1), _degree(m2)).reshape(m1, m2, -1)
+    tables[1, :m2, :m1] = _product_table(_degree(m2), _degree(m1)).reshape(m2, m1, -1)
+    weight = _BINOM[:k + 1, :k + 1].T[..., None, None, None]
+    return np.maximum(d - e, 0), weight, tables.reshape(2, width ** 2, -1)
 
-        |(AB - wI)_ij| / (sum_m |A_im| * |B_mj| + |w| * delta_ij),
+
+def factorization_errors(left: np.ndarray, right: np.ndarray, psi: complex) -> np.ndarray:
+    """Entrywise backward errors of S_d = w * I * delta_d0, d = 0..K, for the jet products
+    S_d = sum_e C(d, e) * X^(e) * Y^(d-e) with (X, Y) = (M, L) and (L, M) (module
+    docstring): a (2, K+1) array, row 0 for A*B and row 1 for B*A.
+
+    left and right are the (K+1, 3, 3, m) coefficient stacks of the M and L
+    jets.  Entry (r, c) of S_d - w*I*delta_d0 is measured against the terms
+    that form it,
+
+        sum_e C(d, e) * sum_s |X^(e)_rs| * |Y^(d-e)_sc| + |w| * delta_d0 * delta_rc,
 
     each |.| the 2-norm of one entry's coefficient vector (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 7), and the record is the
-    largest entry.  A norm over the whole matrix goes blind as k grows: jet
-    coefficients grow like (6*pi)^d with the block order, so the high-order
-    blocks swamp an error in a low-order one.  A and B are block upper
-    triangular, so the corners of A*B and |A|*|B| are the products of corners.
+    and Stability of Numerical Algorithms, ch. 7), and d's error is the
+    largest entry: the entrywise backward error of every block (i, i+d) of
+    A*B with its binomial C(K-i, d) cancelled.  Both directions are one
+    stacked matmul of the row of jets X^(e) against the block Toeplitz array
+    [e, d] = C(d, e) * Y^(d-e); every entry carries its norm in one more
+    coefficient slot, so the same matmul sums the terms' norms.
+    """
+    k, m1, m2 = len(left) - 1, left.shape[-1], right.shape[-1]
+    index, weight, tables = _series_plan(k, m1, m2)
+    width = max(m1, m2) + 1
+    jets = np.zeros((2, k + 1, 3, 3, width), dtype=complex)
+    jets[0, ..., :m1], jets[1, ..., :m2] = left, right
+    jets[..., -1] = entry_norms(jets)
+    # toeplitz[p, e, s, d, c, j] = C(d, e) * Y^(d-e)[s, c, j], Y the right factor of p
+    toeplitz = (weight * jets[::-1, index]).transpose(0, 1, 3, 2, 4, 5)
+    # pairs[p, d, r, c, i, j] = sum_{e, s} X^(e)[r, s, i] * toeplitz[p, e, s, d, c, j]
+    pairs = (jets.transpose(0, 2, 4, 1, 3).reshape(2, 3 * width, -1)
+             @ toeplitz.reshape(2, 3 * (k + 1), -1)).reshape(
+                 2, 3, width, k + 1, 3, width).transpose(0, 3, 1, 4, 2, 5)
+    series = (pairs.reshape(2, -1, width ** 2) @ tables).reshape(2, k + 1, 9, -1)
+    scale = pairs[..., -1, -1].real.reshape(2, k + 1, 9)
+    w = hesse_form(psi)
+    series[:, 0, ::4] -= w
+    scale[:, 0, ::4] += np.linalg.norm(w)
+    # an entry with no nonzero term is an exact zero of the residual too
+    return np.max(entry_norms(series) / np.maximum(scale, np.finfo(float).tiny), axis=2)
+
+
+def factorization_records(k: int, errors, psi: complex) -> list[CheckReport]:
+    """The [AB, BA] record pair of order k from its two errors; tolerance 1e-8 at
+    k = 1 and 1e-7 above."""
+    return [check(f"factorization.{name}", float(error), 1e-8 if k == 1 else 1e-7,
+                  {"size": 3 * (k + 1), "psi": complex(psi)})
+            for name, error in zip(("AB", "BA"), errors)]
+
+
+def verify_factorization(a: PolyMatrix, b: PolyMatrix, psi: complex) -> list[list[CheckReport]]:
+    """A*B = w*I and B*A = w*I for a built 3(K+1)-square pair: one [AB, BA] record
+    pair for each order k = 1..K, read from its bottom-right 3(k+1) corner.
+
+    The jets J[d] are read from blocks (K-d, K), the last block column, of A
+    and of B, and factorization_errors judges their series.  Every other
+    block (i, j) is compared with the pattern C(K-i, j-i) * J[j-i] above the
+    diagonal and 0 below it.  Its pattern defect is the largest entrywise
+    |X_rc - P_rc| / max(|X_rc|, |P_rc|), exactly 0 where the blocks are bit
+    for bit equal.  A defect delta in one factor moves each entry of A*B by at
+    most delta times the terms that form it, so to first order it bounds that
+    block's share of the product's entrywise backward error.  Order k's
+    records are the largest series error over d <= k, each joined with the
+    largest defect of A's and B's order-k corners.
     """
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows or a.rows % 3:
         raise SizeMismatch(f"incompatible factor shapes {a.rows}x{a.cols}, {b.rows}x{b.cols}")
-    w = hesse_form(psi)
-    a_norms, b_norms = entry_norms(a.coeffs), entry_norms(b.coeffs)
-    ratios = np.stack([factor_backward_error(a @ b, a_norms, b_norms, w),
-                       factor_backward_error(b @ a, b_norms, a_norms, w)])
-    # worst[p, r, r]: the largest ratio of product p over its last r+1 rows and
-    # columns, a suffix maximum along both axes; order k's corner is r = 3k+2
-    worst = np.maximum.accumulate(np.maximum.accumulate(ratios[:, ::-1, ::-1], axis=1), axis=2)
-    return [[check(f"factorization.{name}", worst[p, 3 * k + 2, 3 * k + 2],
-                   1e-8 if k == 1 else 1e-7, {"size": 3 * (k + 1), "psi": complex(psi)})
-             for p, name in enumerate(("AB", "BA"))]
-            for k in range(1, a.rows // 3)]
+    top = a.rows // 3 - 1
+    blocks = [m.coeffs.reshape(top + 1, 3, top + 1, 3, -1).swapaxes(1, 2) for m in (a, b)]
+    jets = [x[::-1, -1] for x in blocks]
+    worst = np.maximum.accumulate(factorization_errors(*jets, psi), axis=1)
+    for x, j in zip(blocks, jets):
+        pattern = _offset_blocks(j)
+        if not np.array_equal(x, pattern):
+            worst = np.maximum(worst, _corner_defects(x, pattern))
+    return [factorization_records(k, worst[:, k], psi) for k in range(1, top + 1)]
+
+
+def _corner_defects(blocks: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+    """The largest entrywise |X - P| / max(|X|, |P|) of the (K+1, K+1, 3, 3, m) blocks
+    X against the pattern P over each order k's corner, the blocks (i, j) with
+    i, j >= K - k, for k = 0..K."""
+    size = np.maximum(entry_norms(blocks), entry_norms(pattern))
+    # |X - P| <= |X| + |P|, so a zero size has a zero difference
+    defects = np.max(entry_norms(blocks - pattern) / np.where(size > 0, size, 1.0), axis=(2, 3))
+    # a suffix maximum along both axes: corner[k, k] is order k's
+    corner = np.maximum.accumulate(np.maximum.accumulate(defects[::-1, ::-1], axis=0), axis=1)
+    return np.diagonal(corner)
 
 
 def entry_norms(coeffs: np.ndarray) -> np.ndarray:

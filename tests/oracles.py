@@ -8,7 +8,8 @@ jets, from the one-point sum they must equal bit for bit), the automorphy
 factor as the quotient of two summed series, Moore and L
 matrices and the Moore relations entry by entry in plain Python, the
 calibration's block equivalence by nested loops over blocks and unknowns,
-the emitted JSON and LaTeX of a matrix term by term, and the presentation
+the emitted JSON and LaTeX of a matrix term by term, the factorization
+records from the whole products A*B and B*A, and the presentation
 records, the equilibration and the off-curve sampler one order, one pass
 and one triple at a time.  The short helpers
 at the end are conveniences the tests read jets and points through; the
@@ -385,6 +386,26 @@ def presentation_oracle(stack: list[PolyMatrix], psi: complex, k: int,
              check("presentation.rank_off_curve", float(worst_off[m]), 0.5,
                    inputs={"k": k, "samples": len(off_samples)})]
             for m in range(len(stack))]
+
+
+def factorization_product_oracle(a: PolyMatrix, b: PolyMatrix, psi: complex) -> np.ndarray:
+    """(K, 2): the entrywise backward errors of A*B = w*I and B*A = w*I over the
+    bottom-right 3(k+1) corner of each order k = 1..K, read from the two whole
+    polynomial products.
+
+    Entry (i, j) of X*Y - w*I is measured against sum_m |X_im| * |Y_mj| +
+    |w| * delta_ij, each |.| the 2-norm of one entry's coefficient vector.
+    """
+    w, size = hesse_form(psi), a.rows
+    identity = np.eye(size)
+    ratios = []
+    for x, y in ((a, b), (b, a)):
+        residual = (x @ y).coeffs - identity[..., None] * w
+        scale = (np.linalg.norm(x.coeffs, axis=-1) @ np.linalg.norm(y.coeffs, axis=-1)
+                 + np.linalg.norm(w) * identity)
+        ratios.append(np.linalg.norm(residual, axis=-1) / np.where(scale > 0, scale, 1.0))
+    return np.array([[r[size - 3 * (k + 1):, size - 3 * (k + 1):].max() for r in ratios]
+                     for k in range(1, size // 3)])
 
 
 def offcurve_triples_oracle(psi: complex, count: int, seed: int) -> list[tuple]:

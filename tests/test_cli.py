@@ -203,21 +203,32 @@ def test_check_builds_once_and_calibrates_once(monkeypatch, k_max, orders):
 
 
 @pytest.mark.parametrize("k_max", [0, 1, 3, 8])
-def test_check_multiplies_the_top_order_pair_once(monkeypatch, k_max):
-    # every order's factorization records read the corners of one A*B and one
-    # B*A; the Moore checks multiply their stack of 20 sample pairs once each way
-    products = []
-    matmul = PolyMatrix.__matmul__
+def test_check_and_sweep_multiply_only_the_moore_stacks(monkeypatch, capfd, k_max):
+    # the factorization records read the series of the jets, not a product of the
+    # 3(k+1)-square pair: check's only polynomial products are the Moore checks'
+    # one each way over their stack of 20 sample pairs, and sweep makes none and
+    # assembles no block matrix
+    products, assembled = [], []
+    matmul, assemble = PolyMatrix.__matmul__, bundles._block_matrix
 
     def counted_matmul(left, right):
         products.append((left.coeffs.shape, left.degree, right.degree))
         return matmul(left, right)
 
+    def counted_assemble(blocks):
+        assembled.append(blocks.shape)
+        return assemble(blocks)
+
     monkeypatch.setattr(PolyMatrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(bundles, "_block_matrix", counted_assemble)
     assert all(r.passed for r in build_check_suite(1j, 0.3, k_max, 42))
-    size = 3 * (k_max + 1)
-    assert products == [((20, 3, 3, 3), 1, 2), ((20, 3, 3, 6), 2, 1)] + (
-        [((size, size, 3), 1, 2), ((size, size, 6), 2, 1)] if k_max else [])
+    assert products == [((20, 3, 3, 3), 1, 2), ((20, 3, 3, 6), 2, 1)]
+    products.clear()
+    assembled.clear()
+    assert main(["sweep", "--taus", "i", "--azs", "0.3", "--ks", str(k_max)]) == 0
+    assert all(r["pass"] for r in map(json.loads, capfd.readouterr()[0].splitlines())
+               if "name" in r)
+    assert products == assembled == []
 
 
 @pytest.mark.parametrize("k_max", [0, 1, 3, 8])
