@@ -465,12 +465,9 @@ def calibrate_by_order(spec: UlrichSpec, orders) -> tuple[list[complex], list[li
     reps = [jets[0]]
     for l in range(1, spec.k + 1):
         reps.append(_finite_at(l, lambda: tangent_rep(reps[-1])))
-    # c is the same at every lattice translate (see the module docstring)
-    fit_points = [spec.a_z] + [_lattice_reduced((-2) ** l * spec.a_z, ctx.tau)
-                               for l in range(1, spec.k + 1)]
     # theta is bounded at the reduced points, and at a itself the jets above are finite
     systems = [_finite_at(l, lambda: _elimination_system(jet))
-               for l, jet in enumerate(theta_jet(np.array(fit_points), ctx, 1))]
+               for l, jet in enumerate(theta_jet(np.array(_fit_points(spec)), ctx, 1))]
 
     s, c, fit_residual = _elimination_solve(systems[0])
     lam_raw, equivalence = _equivalence_solve(jets, reps, orders)
@@ -512,6 +509,13 @@ def calibrate_by_order(spec: UlrichSpec, orders) -> tuple[list[complex], list[li
             + ("none for k < 3" if gap is None else
                f"(l = {gap[1]}, m = {gap[2]}) {gap[0]:.3e} away modulo the lattice"))
     return lambdas, by_order
+
+
+def _fit_points(spec: UlrichSpec) -> list[complex]:
+    """a and (-2)^l a, l = 1..k, reduced into the fundamental parallelogram: c is the
+    same at every lattice translate (see the module docstring)."""
+    return [spec.a_z] + [_lattice_reduced((-2) ** l * spec.a_z, spec.ctx.tau)
+                         for l in range(1, spec.k + 1)]
 
 
 def _orbit_gaps(a_z: complex, tau: complex, k: int) -> list[tuple[float, int, int]]:
@@ -683,12 +687,18 @@ def curve_sample_points(ctx: ThetaContext, count: int, seed: int) -> list[Projec
     rng = np.random.default_rng(seed)
 
     def draw(n):
-        points = embed(rng.uniform(-0.45, 0.45, (n, 2)).view(complex)[:, 0], ctx)
+        points = embed(_curve_draws(rng, n), ctx)
         return points, np.array([min(abs(v) for v in p.coords) for p in points])
 
     return _rejection_sample(draw, 1e-3, count,
                              "curve points with every normalized coordinate above 1e-3",
                              "smallest coordinate")
+
+
+def _curve_draws(rng, n: int) -> np.ndarray:
+    """The next n arguments z that curve_sample_points embeds; its first n are those of
+    a generator fresh from its seed."""
+    return rng.uniform(-0.45, 0.45, (n, 2)).view(complex)[:, 0]
 
 
 def offcurve_sample_triples(psi: complex, count: int, seed: int) -> list[tuple]:
@@ -752,7 +762,7 @@ def automorphy_residuals(spec: UlrichSpec, z: complex) -> list[tuple[float, floa
     if top < 1:  # order 0 has no factor to judge
         return []
     at = z + spec.a_z
-    jets = theta_jet(np.array([at, at + 1.0, at + tau, at + (1 + tau)]), spec.ctx, top)
+    jets = theta_jet(np.array(_automorphy_points(at, tau)), spec.ctx, top)
     factors = [automorphy_factor(m, n, w, tau, top)
                for m, n, w in ((1, 0, at), (0, 1, at), (1, 0, at + tau))]
     out = []
@@ -768,6 +778,11 @@ def automorphy_residuals(spec: UlrichSpec, z: complex) -> list[tuple[float, floa
             residuals.append(float(np.max(np.max(np.abs(lhs - rhs), axis=1) / scale)))
         out.append((max(residuals[:2]), residuals[2]))
     return out
+
+
+def _automorphy_points(at: complex, tau: complex) -> list[complex]:
+    """z + a + lambda for lambda in {0, 1, tau, 1 + tau}, at = z + a."""
+    return [at, at + 1.0, at + tau, at + (1 + tau)]
 
 
 def _jet_sizes(sections: np.ndarray, k: int) -> np.ndarray:

@@ -15,8 +15,9 @@ import sys
 import numpy as np
 
 from . import latexfmt
-from .bundles import (UlrichSpec, analytic_jets, automorphy_residuals, build_algebraic,
-                      build_analytic, calibrate_by_order, curve_sample_points,
+from .bundles import (UlrichSpec, _automorphy_points, _curve_draws, _fit_points, analytic_jets,
+                      automorphy_residuals, build_algebraic, build_analytic,
+                      calibrate_by_order, curve_sample_points,
                       elimination_consequence_residual, elimination_fit, entry_norms,
                       equilibrate, factor_backward_error, factorization_errors,
                       factorization_records, jet_kernel_residual, offcurve_sample_triples,
@@ -28,9 +29,18 @@ from .moore import l_from_coords, moore_from_coords, theta_relation_residuals
 from .poly import (PolyMatrix, det_scalar_fit, eval_matrix, evaluate, hesse_form,
                    numeric_rank)
 from .report import CheckReport, bundle_json, check
-from .theta import CHECK_TOL, ThetaContext, basis_provenance, hesse_psi, theta_jet
+from .theta import (_PSI_PROBES, CHECK_TOL, ThetaContext, basis_provenance, hesse_psi,
+                    theta_jet, theta_jets)
 
 MUTATIONS = ("zero-block", "drop-binomial", "perturb-psi")
+
+# the a and z of check's Moore relation grid, and the z of sweep's relation check
+_RELATION_A = (0.23, 0.31 + 0.07j, -0.19 + 0.11j)
+_RELATION_Z = (0.11, -0.27 + 0.09j, 0.41 + 0.13j)
+_SWEEP_RELATION_Z = 0.11
+# the z of the automorphy checks and of the bookkeeping checks
+_AUTOMORPHY_Z = 0.13 + 0.05j
+_BOOKKEEPING_Z = (0.11, 0.29 + 0.07j)
 
 
 def parse_complex(text: str) -> complex:
@@ -102,23 +112,52 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _sum_theta_once(ctx: ThetaContext, listing, *args):
+    """Sum the theta jet at every (z, order) of listing(*args) in one series sum and
+    cache it, so that the stages of a command read their jets and sum nothing.
+
+    If the listing or the sum fails, nothing is cached and nothing is raised
+    here: each stage then sums its own points and raises what it raises alone.
+    """
+    try:
+        points = listing(*args)
+        theta_jets([z for z, _ in points], [m for _, m in points], ctx)
+    except (HesseCubicError, ArithmeticError, ValueError):
+        pass
+
+
+def _uniform_draws(rng, n: int) -> np.ndarray:
+    """The next n points z with real and imaginary parts uniform in [-0.5, 0.5)."""
+    return rng.uniform(-0.5, 0.5, (n, 2)).view(complex)[:, 0]
+
+
 # ---------------------------------------------------------------------------
 # emit
 # ---------------------------------------------------------------------------
 
+def _emit_points(a_z: complex | None, spec: UlrichSpec | None) -> list[tuple[complex, int]]:
+    """Every (z, order) whose theta jet run_emit reads: the modulus probes, the
+    point a, and with spec the analytic pair and the calibration at spec.k."""
+    points = [(z, 0) for z in _PSI_PROBES] + ([] if a_z is None else [(a_z, 0)])
+    if spec is not None:
+        points += [(a_z, spec.k)] + [(z, 1) for z in _fit_points(spec)]
+    return points
+
+
 def run_emit(args) -> int:
     ctx = ThetaContext(tau=args.tau)
+    a_z = None if isinstance(args.a, ProjectivePoint) else args.a
+    spec = None if a_z is None or args.k < 1 else UlrichSpec(k=args.k, ctx=ctx, a_z=a_z)
+    _sum_theta_once(ctx, _emit_points, a_z, spec)
     psi = hesse_psi(ctx)
     cfg = CurveConfig(psi=psi)
 
-    a_z = None
-    if isinstance(args.a, ProjectivePoint):
+    if a_z is None:
         point = args.a
         residual = on_curve(point, cfg)
         if residual > 1e-6:
             return _fail(f"point is not on the curve (residual {residual:.3e})")
     else:
-        a_z = args.a
         point = embed(a_z, ctx)
     if is_three_torsion(point):
         return _fail("point in E[3]")
@@ -136,8 +175,7 @@ def run_emit(args) -> int:
     }
     if args.k >= 1:
         lambdas = None
-        if a_z is not None:
-            spec = UlrichSpec(k=args.k, ctx=ctx, a_z=a_z)
+        if spec is not None:
             matrices["A_analytic"], matrices["B_analytic"] = build_analytic(spec)
             lambdas, _ = calibrate_by_order(spec, [spec.k])
         matrices["A_algebraic"] = build_algebraic(point, args.k, lambdas)
@@ -159,19 +197,19 @@ def run_emit(args) -> int:
 # check
 # ---------------------------------------------------------------------------
 
-def _hesse_identity_residual(ctx: ThetaContext, psi: complex, rng, samples: int) -> float:
-    """Largest |w(theta(z))| over random z, relative to the size of its terms."""
-    th = theta_jet(rng.uniform(-0.5, 0.5, (samples, 2)).view(complex)[:, 0], ctx)[:, 0]
+def _hesse_identity_residual(ctx: ThetaContext, psi: complex, zs: np.ndarray) -> float:
+    """Largest |w(theta(z))| over the z, relative to the size of its terms."""
+    th = theta_jet(zs, ctx)[:, 0]
     size = np.sum(np.abs(th) ** 3, axis=1) + 3 * abs(psi) * np.abs(np.prod(th, axis=1))
     return float(np.max(np.abs(evaluate(hesse_form(psi), th)) / size))
 
 
-def _theta_checks(ctx: ThetaContext, psi: complex, rng) -> list[CheckReport]:
-    reports = [check("theta.hesse_identity", _hesse_identity_residual(ctx, psi, rng, 10),
+def _theta_checks(ctx: ThetaContext, psi: complex, hesse_zs: np.ndarray,
+                  zs: np.ndarray) -> list[CheckReport]:
+    reports = [check("theta.hesse_identity", _hesse_identity_residual(ctx, psi, hesse_zs),
                      1e-9, {"tau": ctx.tau})]
 
     sym = 0.0
-    zs = rng.uniform(-0.5, 0.5, (5, 2)).view(complex)[:, 0]
     # Python scalars: numpy complex arithmetic rounds differently
     values = theta_jet(np.concatenate([zs, -zs]), ctx)[:, 0].tolist()
     for v, m in zip(values[:5], values[5:]):
@@ -182,17 +220,16 @@ def _theta_checks(ctx: ThetaContext, psi: complex, rng) -> list[CheckReport]:
     return reports
 
 
-def _moore_checks(ctx: ThetaContext, psi: complex, rng, off: list[tuple]) -> list[CheckReport]:
+def _moore_checks(ctx: ThetaContext, psi: complex, sample_seed: int,
+                  off: list[tuple]) -> list[CheckReport]:
     reports = []
-    a_grid = [0.23, 0.31 + 0.07j, -0.19 + 0.11j]
-    z_grid = [0.11, -0.27 + 0.09j, 0.41 + 0.13j]
-    grid = theta_relation_residuals(np.array(a_grid), np.array(z_grid), ctx, 4)
+    grid = theta_relation_residuals(np.array(_RELATION_A), np.array(_RELATION_Z), ctx, 4)
     for order, rep in enumerate(grid):  # orders 0..4, each the worst over the grid
         reports.append(check(f"moore.relation.order{order}", rep.residual, rep.tol,
-                             {"grid": [len(a_grid), len(z_grid)]}))
+                             {"grid": [len(_RELATION_A), len(_RELATION_Z)]}))
 
     w = hesse_form(psi)
-    samples = curve_sample_points(ctx, 20, int(rng.integers(1 << 30)))
+    samples = curve_sample_points(ctx, 20, sample_seed)
     coords = np.array([p.coords for p in samples])
     m, l = moore_from_coords(coords), l_from_coords(coords)
     ml, m_norms, l_norms = m @ l, entry_norms(m.coeffs), entry_norms(l.coeffs)
@@ -264,15 +301,19 @@ def _presentation_checks(spec: UlrichSpec, a: PolyMatrix, psi: complex, k_max: i
 
 
 def _automorphy_checks(ctx: ThetaContext, a_z: complex, k_max: int) -> list[CheckReport]:
-    z = 0.13 + 0.05j
-    residuals = automorphy_residuals(UlrichSpec(k=k_max, ctx=ctx, a_z=a_z), z)
-    return [check(f"automorphy.{name}.k{k}", residual, 1e-7, {"z": z})
+    residuals = automorphy_residuals(UlrichSpec(k=k_max, ctx=ctx, a_z=a_z), _AUTOMORPHY_Z)
+    return [check(f"automorphy.{name}.k{k}", residual, 1e-7, {"z": _AUTOMORPHY_Z})
             for k, pair in enumerate(residuals, 1)
             for name, residual in zip(("transport", "cocycle"), pair)]
 
 
+def _elimination_points(a_z: complex) -> list[complex]:
+    """Where _elimination_checks fits the elimination identity."""
+    return [a_z, a_z + 0.1, a_z - 0.07 + 0.1j, 0.2, 0.41 + 0.1j]
+
+
 def _elimination_checks(ctx: ThetaContext, a_z: complex) -> list[CheckReport]:
-    points = [a_z, a_z + 0.1, a_z - 0.07 + 0.1j, 0.2, 0.41 + 0.1j]
+    points = _elimination_points(a_z)
     jets = theta_jet(np.array(points), ctx, 1)
     fits = [elimination_fit(jet) for jet in jets]
     worst_fit = max(f[2] for f in fits)
@@ -289,13 +330,33 @@ def _elimination_checks(ctx: ThetaContext, a_z: complex) -> list[CheckReport]:
 def _bookkeeping_checks(ctx: ThetaContext, a_z: complex, a: PolyMatrix) -> list[CheckReport]:
     """The evaluation-map relations of the order-1 analytic matrix a."""
     spec = UlrichSpec(k=1, ctx=ctx, a_z=a_z)
-    worst = max(relation_annihilation_residual(spec, a, z) for z in (0.11, 0.29 + 0.07j))
+    worst = max(relation_annihilation_residual(spec, a, z) for z in _BOOKKEEPING_Z)
     rank = numeric_rank(equilibrate(relation_matrix(a)))
     return [
         check("bookkeeping.annihilation.k1", worst, 1e-7, {"a_z": a_z}),
         check("bookkeeping.relation_rank.k1", float(abs(rank - 6)), 0.5, {"rank": rank}),
-        check("bookkeeping.kernel_jets.k1", jet_kernel_residual(spec, a, 0.11), 1e-7, {}),
+        check("bookkeeping.kernel_jets.k1",
+              jet_kernel_residual(spec, a, _BOOKKEEPING_Z[0]), 1e-7, {}),
     ]
+
+
+def _check_points(spec: UlrichSpec, k_max: int, seed: int, hesse_zs: np.ndarray,
+                  sym_zs: np.ndarray, sample_seed: int) -> list[tuple[complex, int]]:
+    """Every (z, order) whose theta jet build_check_suite reads, stage by stage."""
+    a_z, top = spec.a_z, min(k_max, 3)
+    points = [(z, 0) for z in (*_PSI_PROBES, *hesse_zs, *sym_zs, *-sym_zs, *_RELATION_Z)]
+    points += [(a, 4) for a in _RELATION_A] + [(z + a, 4) for a in _RELATION_A
+                                              for z in _RELATION_Z]
+    points += [(z, 0) for z in _curve_draws(np.random.default_rng(sample_seed), 20)]
+    points.append((a_z, spec.k))
+    if top:  # the presentation's curve samples and point, and its calibration
+        points += [(z, 0) for z in _curve_draws(np.random.default_rng(seed), 10)]
+        calibration = UlrichSpec(k=top, ctx=spec.ctx, a_z=a_z)
+        points += [(a_z, 0), (a_z, top)] + [(z, 1) for z in _fit_points(calibration)]
+    if k_max:
+        points += [(z, k_max) for z in _automorphy_points(_AUTOMORPHY_Z + a_z, spec.ctx.tau)]
+    points += [(z, 1) for z in _elimination_points(a_z)]
+    return points + [(z, 0) for z in _BOOKKEEPING_Z] + [(z + a_z, 1) for z in _BOOKKEEPING_Z]
 
 
 def build_check_suite(tau: complex, a_z: complex, k_max: int, seed: int,
@@ -303,13 +364,16 @@ def build_check_suite(tau: complex, a_z: complex, k_max: int, seed: int,
     """The check records up to k_max; every order k reads its matrices from the
     bottom-right corners of one analytic build at max(k_max, 1)."""
     ctx = ThetaContext(tau=tau)
-    psi = hesse_psi(ctx)
-    rng = np.random.default_rng(seed)
-    off = offcurve_sample_triples(psi, 10, seed + 1)
-    reports = _theta_checks(ctx, psi, rng)
-    broken_psi = psi + 1e-3 if mutate == "perturb-psi" else psi  # Moore and A*B gates only
-    reports += _moore_checks(ctx, broken_psi, rng, off)
     spec = UlrichSpec(k=max(k_max, 1), ctx=ctx, a_z=a_z)
+    rng = np.random.default_rng(seed)
+    hesse_zs, sym_zs = _uniform_draws(rng, 10), _uniform_draws(rng, 5)
+    sample_seed = int(rng.integers(1 << 30))
+    _sum_theta_once(ctx, _check_points, spec, k_max, seed, hesse_zs, sym_zs, sample_seed)
+    psi = hesse_psi(ctx)
+    off = offcurve_sample_triples(psi, 10, seed + 1)
+    reports = _theta_checks(ctx, psi, hesse_zs, sym_zs)
+    broken_psi = psi + 1e-3 if mutate == "perturb-psi" else psi  # Moore and A*B gates only
+    reports += _moore_checks(ctx, broken_psi, sample_seed, off)
     a, b = build_analytic(spec)
     reports += _factorization_checks(a, b, broken_psi, k_max, mutate)
     reports += _presentation_checks(spec, a, psi, k_max, seed, off)
@@ -338,12 +402,21 @@ def run_check(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
+def _sweep_points(a_z: complex, k: int, hesse_zs: np.ndarray) -> list[tuple[complex, int]]:
+    """Every (z, order) whose theta jet _sweep_config reads: a at orders 1 and k are
+    two jets of the one sum."""
+    points = [(z, 0) for z in (*_PSI_PROBES, *hesse_zs, _SWEEP_RELATION_Z)]
+    return points + [(a_z, 1), (_SWEEP_RELATION_Z + a_z, 1)] + ([(a_z, k)] if k >= 1 else [])
+
+
 def _sweep_config(tau: complex, a_z: complex, k: int, seed: int) -> list[CheckReport]:
     ctx = ThetaContext(tau=tau)
+    hesse_zs = _uniform_draws(np.random.default_rng(seed), 5)
+    _sum_theta_once(ctx, _sweep_points, a_z, k, hesse_zs)
     psi = hesse_psi(ctx)
-    rng = np.random.default_rng(seed)
-    reports = [check("theta.hesse_identity", _hesse_identity_residual(ctx, psi, rng, 5), 1e-9, {})]
-    reports += theta_relation_residuals(a_z, 0.11, ctx, 1)
+    reports = [check("theta.hesse_identity", _hesse_identity_residual(ctx, psi, hesse_zs),
+                     1e-9, {})]
+    reports += theta_relation_residuals(a_z, _SWEEP_RELATION_Z, ctx, 1)
     if k >= 1:
         # the top order alone: its records are the largest errors over every d <= k
         errors = factorization_errors(*analytic_jets(UlrichSpec(k=k, ctx=ctx, a_z=a_z)), psi)

@@ -40,13 +40,17 @@ the largest retained term at every requested order.  A window wider than
 600 terms per side raises NonconvergentSeries and a sum that overflows
 double precision raises ThetaOverflow; nothing is truncated silently.  The
 terms are added from the outside in, so a wider window only prepends
-negligible terms.  A batch of z is one sum over its widest window, with every
-term outside a point's own window exactly 0: each row is that point's sum.
+negligible terms.  A batch of z, each with its own derivative order, is one
+sum over its widest window, with every term outside a point's own window (the
+one its order needs) exactly 0: each row, up to its order, is that point's
+sum.  Every jet summed is cached per (tau, z, order), and theta_jets and
+theta_jet sum only the points they do not find there.
 """
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,8 +66,10 @@ TRUNC_EPS = 1e-30
 CHECK_TOL = 1e-9
 # window half-width beyond which a series counts as nonconvergent
 _MAX_HALF_WIDTH = 600
-# one-point jets kept per process; one check request reads about 7 distinct ones
-_CACHE_SIZE = 64
+# jets kept per process, one per (tau, z, order); a check request reads about 90
+_CACHE_SIZE = 256
+# relative rounding of numpy's log, log1p and expm1 that the window search allows for
+_ROUNDING = 1e-12
 
 _TWO_PI_I = 2j * math.pi
 
@@ -94,6 +100,11 @@ class ThetaContext:
             raise NonconvergentSeries(f"Im(tau) must be positive, got tau={self.tau}")
 
 
+def _least_radius(s: float) -> int:
+    """The Gaussian estimate of the half-width, where every window search starts."""
+    return max(0, math.ceil(math.sqrt(max(0.0, -math.log(TRUNC_EPS)) / (math.pi * s)) - 0.5))
+
+
 def _half_width(t_star: float, centers: list[float], s: float, order: int) -> int | None:
     """Smallest R >= the Gaussian estimate whose window meets the tail bound.
 
@@ -122,7 +133,7 @@ def _half_width(t_star: float, centers: list[float], s: float, order: int) -> in
     log_eps = math.log(TRUNC_EPS)
     reference = log_eps + min(order * math.log(6 * math.pi * abs(c))
                               - math.pi * s * (c - t_star) ** 2 for c in centers)
-    r = max(0, math.ceil(math.sqrt(max(0.0, -log_eps) / (math.pi * s)) - 0.5))
+    r = _least_radius(s)
     while r <= _MAX_HALF_WIDTH:
         rho = r + 0.5
         reach = abs(t_star) + rho
@@ -133,6 +144,49 @@ def _half_width(t_star: float, centers: list[float], s: float, order: int) -> in
             return r
         r += 1
     return None
+
+
+def _half_widths(t_star: np.ndarray, centers: np.ndarray, s: float,
+                 orders: np.ndarray) -> list[int | None]:
+    """_half_width of every point, each at its own order, searched over the batch at once.
+
+    numpy's log, log1p and expm1 may round unlike math's in the last ulp.  So
+    a test at any R counts only if its sign of log q and its acceptance
+    comparison hold by more than _ROUNDING times the size of the terms that
+    form them; a point with a closer test, or with a non-finite one, is
+    searched again by _half_width.  Every radius is therefore _half_width's.
+    """
+    log_eps = math.log(TRUNC_EPS)
+    radii = np.full(len(t_star), -1)
+    with np.errstate(all="ignore"):
+        powers = orders[:, None] * np.log(6 * math.pi * np.abs(centers))
+        gauss = math.pi * s * (centers - t_star[:, None]) ** 2
+        reference = log_eps + np.min(powers - gauss, axis=1)
+        size = -log_eps + np.max(np.abs(powers) + gauss, axis=1)
+        recheck = ~np.isfinite(reference)
+        pending, distance = np.flatnonzero(~recheck), np.abs(t_star)
+        r = _least_radius(s)
+        while pending.size and r <= _MAX_HALF_WIDTH:
+            rho = r + 0.5
+            reach, order = distance[pending] + rho, orders[pending]
+            growth, decay = order * np.log1p(1.0 / reach), math.pi * s * (2 * rho + 1)
+            log_q, peak = growth - decay, math.pi * s * rho * rho
+            power, tail = order * np.log(6 * math.pi * reach), np.log(-np.expm1(log_q))
+            margin = reference[pending] - (math.log(2.0) + power - peak - tail)
+            # an error e in log q moves tail by e * q / (1 - q) <= e / (1 - q) = e * exp(-tail)
+            slack = _ROUNDING * (size[pending] + np.abs(power) + peak + np.abs(tail)
+                                 + (growth + decay) * np.exp(-tail))
+            converges = log_q < -_ROUNDING * (growth + decay)
+            accept = converges & (margin >= slack)
+            reject = (log_q > _ROUNDING * (growth + decay)) | (converges & (margin < -slack))
+            radii[pending[accept]] = r
+            recheck[pending[~(accept | reject)]] = True
+            pending = pending[reject]
+            r += 1
+    out = [None if r < 0 else r for r in radii.tolist()]
+    for i in np.flatnonzero(recheck).tolist():
+        out[i] = _half_width(float(t_star[i]), centers[i].tolist(), s, int(orders[i]))
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -146,62 +200,92 @@ def _outside_in(r: int) -> np.ndarray:
                     dtype=float)
 
 
-def _sum_jets(tau: complex, zs: tuple, max_order: int) -> np.ndarray:
-    """The read-only (len(zs), max_order+1, 3) jets at zs, each over its own window."""
+def _sum_jets(tau: complex, zs: tuple, orders: tuple) -> np.ndarray:
+    """The read-only (len(zs), max(orders)+1, 3) jets at zs, row i over the window
+    of orders[i]: its orders up to orders[i] are that point's one-point sum."""
     sigma = 3 * tau
-    t_star = [-(3 * z).imag / sigma.imag for z in zs]
-    starts = [[round(t - a) for a in _CHAR_A] for t in t_star]
-    radii = [_half_width(t, [n + a for n, a in zip(n0, _CHAR_A)], sigma.imag, max_order)
-             for t, n0 in zip(t_star, starts)]
+    t_star = np.array([-(3 * z).imag / sigma.imag for z in zs])
+    offsets = t_star[:, None] - _CHAR_A_ARRAY
+    for bad in offsets[~np.isfinite(offsets)][:1].tolist():
+        round(bad)  # raises ValueError or OverflowError, as round(t - a) of one point
+    starts, orders = np.round(offsets), np.array(orders, dtype=int)
+    radii = _half_widths(t_star, starts + _CHAR_A_ARRAY, sigma.imag, orders)
     if None in radii:
         raise NonconvergentSeries(f"theta series needs more than {_MAX_HALF_WIDTH} terms per "
                                   f"side at z = {zs[radii.index(None)]}, Im(3 tau) = "
                                   f"{sigma.imag:.3e}, trunc_eps = {TRUNC_EPS:.1e}")
     # Python complex arithmetic: numpy's complex product rounds differently
     linear = np.array([_TWO_PI_I * (3 * z + _CHAR_B) for z in zs], dtype=complex)
-    width = max(radii, default=0)
-    t = ((np.array(starts, dtype=float).reshape(-1, 3, 1) + _outside_in(width))
-         + _CHAR_A_ARRAY[:, None])
-    terms = np.empty((max_order + 1,) + t.shape, dtype=complex)
+    width, top = max(radii, default=0), int(orders.max(initial=0))
+    t = (starts[:, :, None] + _outside_in(width)) + _CHAR_A_ARRAY[:, None]
+    terms = np.empty((top + 1,) + t.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         terms[0] = np.exp(t * (t * (1j * math.pi * sigma) + linear.reshape(-1, 1, 1)))
-        for i, r in enumerate(radii):  # point i's own window: its last 2r+1 offsets
-            terms[0, i, :, :2 * (width - r)] = 0
+        # point i's own window is its last 2r+1 offsets: every term before them is 0
+        outside = np.arange(2 * width + 1) < 2 * (width - np.array(radii, dtype=int))[:, None]
+        np.copyto(terms[0], 0, where=outside[:, None, :])
         terms[1:] = 3 * _TWO_PI_I * t  # d/dz = 3 d/du at u = 3z
-        jets = np.cumprod(terms, axis=0).cumsum(axis=-1)[..., -1] * _PHASE_ARRAY
-    # rows contiguous as a one-point sum's: einsum adds strided input in another order
+        # in place: at a tiny Im tau the window holds hundreds of terms per point
+        np.cumprod(terms, axis=0, out=terms)
+        jets = np.cumsum(terms, axis=-1, out=terms)[..., -1] * _PHASE_ARRAY
+    # each row laid out as a one-point sum's: numpy may add strided input in another order
     jets = np.ascontiguousarray(jets.swapaxes(0, 1))
-    if not np.isfinite(jets).all():
+    # the orders above a point's own come from a window too narrow for them
+    wanted = np.arange(top + 1) <= orders[:, None]
+    broken = wanted & ~np.isfinite(jets).all(axis=-1)
+    if broken.any():
         # the first point in zs with a non-finite row, and its lowest such order
-        first, order = (int(i) for i in np.argwhere(~np.isfinite(jets).all(axis=-1))[0])
+        first, order = (int(i) for i in np.argwhere(broken)[0])
         raise ThetaOverflow(f"theta series overflows at z = {zs[first]}, tau = {tau} "
                             f"(derivative order {order})", order=order)
     jets.flags.writeable = False
     return jets
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _sum_jet(tau: complex, z: complex, max_order: int) -> np.ndarray:
-    """_sum_jets at the one point z, cached: batches are rarely summed twice."""
-    return _sum_jets(tau, (z,), max_order)
+# (tau, z, order) -> that point's read-only (order+1, 3) jet, oldest first
+_JETS: dict[tuple[complex, complex, int], np.ndarray] = {}
+
+
+def theta_jets(zs, orders, ctx: ThetaContext) -> list[np.ndarray]:
+    """The (orders[i]+1, 3) jet at each zs[i], each at its own order.
+
+    Rows already cached are read; every other (z, order) is summed in one
+    batch, each bit-identical to the one-point sum at its order, and cached.
+    If that sum raises, nothing is cached.
+    """
+    tau = complex(ctx.tau)
+    keys = [(tau, complex(z), int(m)) for z, m in zip(zs, orders)]
+    if min(orders, default=0) < 0:
+        raise ValueError("order must be non-negative")
+    if max(orders, default=0) > MAX_ORDER:
+        raise OrderTooHigh(f"derivative order {max(orders)} exceeds the cap {MAX_ORDER}")
+    found = {key: _JETS.get(key) for key in keys}
+    misses = [key for key, jet in found.items() if jet is None]
+    if misses:
+        jets = _sum_jets(tau, tuple(z for _, z, _ in misses), tuple(m for _, _, m in misses))
+        for i, key in enumerate(misses):
+            found[key] = _JETS[key] = jets[i, :key[2] + 1]
+        for key in list(itertools.islice(_JETS, max(0, len(_JETS) - _CACHE_SIZE))):
+            del _JETS[key]
+    return [found[key] for key in keys]
 
 
 def theta_jet(z, ctx: ThetaContext, max_order: int = 0) -> np.ndarray:
     """Row m holds the m-th z-derivatives of (th0, th1, th2) at z, m <= max_order.
 
-    A 1-D array of z gives the (len(z), max_order+1, 3) jets from one sum, each
-    row bit-identical to the scalar call's array.  The result is read-only; a
-    single point's is shared through a bounded cache keyed on (tau, z, max_order).
+    A 1-D array of z gives the (len(z), max_order+1, 3) jets, each row
+    bit-identical to the scalar call's array; the points are read through
+    theta_jets, so only those not yet cached at max_order are summed, in one
+    batch.  The result is read-only.
     """
-    if max_order < 0:
-        raise ValueError("order must be non-negative")
-    if max_order > MAX_ORDER:
-        raise OrderTooHigh(f"derivative order {max_order} exceeds the cap {MAX_ORDER}")
     zs = np.asarray(z, dtype=complex)
-    points, tau = zs.ravel().tolist(), complex(ctx.tau)
-    jets = (_sum_jet(tau, points[0], max_order) if len(points) == 1
-            else _sum_jets(tau, tuple(points), max_order))
-    return jets[0] if zs.ndim == 0 else jets
+    points = zs.ravel().tolist()
+    jets = theta_jets(points, [max_order] * len(points), ctx)
+    if zs.ndim == 0:
+        return jets[0]
+    out = np.array(jets).reshape(len(points), max_order + 1, 3)
+    out.flags.writeable = False
+    return out
 
 
 def hesse_psi(ctx: ThetaContext) -> complex:

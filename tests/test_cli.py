@@ -11,8 +11,9 @@ import pytest
 
 import hessecubic
 from hessecubic import (CalibrationFailed, OrderTooHigh, PolyMatrix, ThetaContext, UlrichSpec,
-                        bundles, cli, hesse_psi)
-from hessecubic.cli import MUTATIONS, _hesse_identity_residual, build_check_suite, main
+                        bundles, cli, hesse_psi, theta)
+from hessecubic.cli import (MUTATIONS, _hesse_identity_residual, _uniform_draws,
+                            build_check_suite, main)
 from hessecubic.report import check
 from hessecubic.theta import CHECK_TOL
 
@@ -229,6 +230,53 @@ def test_check_and_sweep_multiply_only_the_moore_stacks(monkeypatch, capfd, k_ma
     assert all(r["pass"] for r in map(json.loads, capfd.readouterr()[0].splitlines())
                if "name" in r)
     assert products == assembled == []
+
+
+@pytest.mark.parametrize("argv", [
+    *(["check", "--k", str(k)] for k in (1, 2, 3)),
+    *(["sweep", "--taus", "i", "--azs", "0.3", "--ks", str(k)] for k in (5, 6, 7, 8)),
+    *(["emit", "--k", str(k)] for k in range(9)),
+])
+def test_every_command_makes_one_theta_sum(monkeypatch, capfd, argv):
+    # each command lists every theta point its stages read, each at its own
+    # order, and sums them once; the stages then read cached jets.  From k = 5
+    # the default a = 0.3 has (-2)^5 a = (-2) a modulo the lattice, and emit
+    # stops at the calibration's orbit check, after its one sum
+    sums, original = [], theta._sum_jets
+
+    def counted(tau, zs, orders):
+        sums.append(len(zs))
+        return original(tau, zs, orders)
+
+    monkeypatch.setattr(theta, "_sum_jets", counted)
+    monkeypatch.setattr(theta, "_JETS", {})
+    code = main(argv)
+    out, err = capfd.readouterr()
+    assert code == 0 or "doubling orbit collides" in err
+    assert len(sums) == 1
+
+
+@pytest.mark.parametrize("argv, error", [
+    ("check --a 0.3+9i --k 2", "theta series overflows at z = (0.3+9j), tau = 1j "
+                               "(derivative order 0)"),
+    ("emit --a 0.3+9i --k 3", "theta series overflows at z = (0.3+9j), tau = 1j "
+                              "(derivative order 0)"),
+    ("sweep --taus i --azs 0.3+9i --ks 3", "theta series overflows at z = (0.3+9j), tau = 1j "
+                                            "(derivative order 0)"),
+    ("check --tau 8i --k 1", "no probe point clears the cut |th0*th1*th2| >= 1e-06 * "
+                             "max|th_i|^3: the largest ratio is 1.06e-07"),
+    ("check --tau 5i --k 1", "found 0 of 20 curve points with every normalized coordinate "
+                             "above 1e-3 in 20000 draws; the largest smallest coordinate "
+                             "drawn is 4.786e-04"),
+    ("check --tau 0.01i --k 1", "elimination system lost rank (a too close to E[3]?)"),
+])
+def test_a_failing_request_raises_what_its_stage_raises(monkeypatch, capfd, argv, error):
+    # when the one theta sum of a command fails, it caches nothing, and the
+    # stage that fails raises the same error, naming the same z, as it did when
+    # every stage summed its own points
+    monkeypatch.setattr(theta, "_JETS", {})
+    assert main(argv.split()) == 1
+    assert capfd.readouterr() == ("", json.dumps({"error": error}) + "\n")
 
 
 @pytest.mark.parametrize("k_max", [0, 1, 3, 8])
@@ -578,8 +626,9 @@ def test_psi_nondegenerate_measures_distance_to_psi_cubed_one():
 def test_hesse_identity_gate_catches_a_perturbed_psi(tau):
     ctx = ThetaContext(tau=tau)
     psi = hesse_psi(ctx)
-    exact = _hesse_identity_residual(ctx, psi, np.random.default_rng(42), 10)
-    perturbed = _hesse_identity_residual(ctx, psi + 1e-6, np.random.default_rng(42), 10)
+    zs = _uniform_draws(np.random.default_rng(42), 10)
+    exact = _hesse_identity_residual(ctx, psi, zs)
+    perturbed = _hesse_identity_residual(ctx, psi + 1e-6, zs)
     assert exact < 1e-9 < perturbed
 
 

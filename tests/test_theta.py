@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hessecubic import (DegenerateProbe, InconsistentPsi, NonconvergentSeries, OrderTooHigh,
                         ThetaContext, ThetaOverflow, hesse_psi, theta_jet)
 from hessecubic import theta
-from hessecubic.theta import (_CHAR_A, CHECK_TOL, MAX_ORDER, TRUNC_EPS, _half_width, _sum_jet,
-                             automorphy_factor)
+from hessecubic.theta import (_CHAR_A, _CHAR_A_ARRAY, CHECK_TOL, MAX_ORDER, TRUNC_EPS,
+                             _half_width, _half_widths, automorphy_factor, theta_jets)
 from oracles import (automorphy_jet, central_difference, per_point_jet, richardson_derivative,
                      theta_series_oracle, theta_vector)
 
@@ -152,21 +152,110 @@ def test_jet_is_read_only(ctx_i):
         jet[1] *= 2
 
 
-def test_jet_cache_stays_bounded():
-    for step in range(2 * _sum_jet.cache_info().maxsize):
+def test_jet_cache_stays_bounded(monkeypatch):
+    # every summed jet is kept, one per (tau, z, order), the oldest dropped first:
+    # the cache never holds more than _CACHE_SIZE of them, not even after one
+    # batch larger than that, and the batch still returns every row
+    monkeypatch.setattr(theta, "_JETS", {})
+    for step in range(2 * theta._CACHE_SIZE):
         theta_jet(0.1, ThetaContext(tau=complex(0.01 * step, 1.0 + 0.001 * step)), 1)
-    info = _sum_jet.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
-
-
-def test_only_one_point_jets_are_cached():
+        assert len(theta._JETS) <= theta._CACHE_SIZE
     ctx = ThetaContext(tau=0.05 + 1.3j)
-    _sum_jet.cache_clear()
-    theta_jet(np.array([0.1, 0.2]), ctx, 1)
-    assert _sum_jet.cache_info().currsize == 0
-    theta_jet(0.1, ctx, 1)
-    theta_jet(np.array([0.1]), ctx, 1)  # a one-point batch shares the scalar's entry
-    assert _sum_jet.cache_info()[:2] == (1, 1)  # hits, misses
+    points = np.linspace(-0.5, 0.5, theta._CACHE_SIZE + 10) + 0.1j
+    batch = theta_jet(points, ctx, 2)
+    assert len(theta._JETS) == theta._CACHE_SIZE
+    assert (ctx.tau, points[-1], 2) in theta._JETS
+    assert (ctx.tau, points[0], 2) not in theta._JETS
+    assert np.array_equal(batch, [per_point_jet(z, ctx, 2) for z in points])
+
+
+def _counted_sums(monkeypatch) -> list:
+    """The (z, order) pairs of every _sum_jets call from now on, with an empty cache."""
+    sums, original = [], theta._sum_jets
+
+    def counted(tau, zs, orders):
+        sums.append(list(zip(zs, orders)))
+        return original(tau, zs, orders)
+
+    monkeypatch.setattr(theta, "_sum_jets", counted)
+    monkeypatch.setattr(theta, "_JETS", {})
+    return sums
+
+
+def test_only_one_point_jets_are_cached(monkeypatch):
+    # the cache holds one-point jets, one per (tau, z, order), for every point a
+    # sum covers: a later call, one point or a batch, reads them and sums only
+    # the rest; the same z at another order is another jet
+    sums = _counted_sums(monkeypatch)
+    ctx = ThetaContext(tau=0.05 + 1.3j)
+    batch = theta_jet(np.array([0.1, 0.2]), ctx, 1)
+    assert np.array_equal(theta_jet(0.1, ctx, 1), batch[0])
+    assert np.array_equal(theta_jet(np.array([0.2]), ctx, 1), batch[1:])
+    assert sums == [[(0.1, 1), (0.2, 1)]]
+    theta_jet(np.array([0.2, 0.3]), ctx, 1)
+    theta_jet(0.1, ctx, 2)
+    # a point listed twice is summed once
+    jets = theta_jets([0.1, 0.4, 0.1, 0.4], [2, 0, 1, 0], ctx)
+    assert sums[1:] == [[(0.3, 1)], [(0.1, 2)], [(0.4, 0)]]
+    assert [jet.shape for jet in jets] == [(3, 3), (1, 3), (2, 3), (1, 3)]
+    # a sum that raises caches none of its points
+    ctx_i = ThetaContext(tau=1j)
+    with pytest.raises(ThetaOverflow):
+        theta_jets([0.5, 0.2 + 40j], [0, 0], ctx_i)
+    assert (1j, 0.5, 0) not in theta._JETS
+    theta_jet(0.5, ctx_i)
+    assert sums[-1] == [(0.5, 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(re_tau=st.floats(-0.5, 0.5), lift=st.floats(0.0, 1.0),
+       points=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-2.5, 2.5),
+                                 st.integers(0, MAX_ORDER)), min_size=1, max_size=12))
+def test_a_batch_of_mixed_orders_is_the_one_point_sums_bit_for_bit(re_tau, lift, points):
+    # one sum over points of orders 0..12, whose windows differ in width (tau up
+    # to Im 4): each row up to its own order is that point's one-point sum, and
+    # the batched window search finds _half_width's radius at every point
+    ctx = ThetaContext(tau=_tau(re_tau, lift, 4.0))
+    zs, orders = [complex(x, y) for x, y, _ in points], [m for _, _, m in points]
+    jets = theta._sum_jets(ctx.tau, tuple(zs), tuple(orders))
+    assert jets.shape == (len(zs), max(orders) + 1, 3)
+    for z, m, jet in zip(zs, orders, jets):
+        assert np.array_equal(jet[:m + 1], per_point_jet(z, ctx, m))
+    with pytest.MonkeyPatch.context() as patch:  # an empty cache: one sum over the batch
+        patch.setattr(theta, "_JETS", {})
+        for z, m, jet in zip(zs, orders, theta_jets(zs, orders, ctx)):
+            assert jet.flags.c_contiguous and not jet.flags.writeable
+            assert np.array_equal(jet, per_point_jet(z, ctx, m))
+            assert np.array_equal(jet, theta_jet(z, ctx, m))
+    s = 3 * ctx.tau.imag
+    t_star = np.array([-(3 * z).imag / s for z in zs])
+    centers = np.round(t_star[:, None] - _CHAR_A_ARRAY) + _CHAR_A_ARRAY
+    assert _half_widths(t_star, centers, s, np.array(orders)) == [
+        _half_width(t, c, s, m) for t, c, m in zip(t_star.tolist(), centers.tolist(), orders)]
+
+
+@pytest.mark.parametrize("rounding", [1e3, 0.0])
+def test_window_search_leaves_close_calls_to_half_width(monkeypatch, rounding):
+    # with a slack above every margin each point is searched again by
+    # _half_width; with none, numpy decides alone; both give its radii
+    calls, original = [], theta._half_width
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(theta, "_half_width", counted)
+    monkeypatch.setattr(theta, "_ROUNDING", rounding)
+    rng = np.random.default_rng(5)
+    for im_tau in (0.3, 1.0, 4.0):
+        s = 3 * im_tau
+        t_star = rng.uniform(-3.0, 3.0, 40)
+        centers = np.round(t_star[:, None] - _CHAR_A_ARRAY) + _CHAR_A_ARRAY
+        orders = rng.integers(0, MAX_ORDER + 1, 40)
+        expected = [original(t, c, s, int(m))
+                    for t, c, m in zip(t_star.tolist(), centers.tolist(), orders)]
+        assert _half_widths(t_star, centers, s, orders) == expected
+    assert len(calls) == (120 if rounding else 0)
 
 
 def test_overflow_at_large_imaginary_part_is_named(ctx_i):
